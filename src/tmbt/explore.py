@@ -39,9 +39,6 @@ class StateGraph:
     edges: frozenset
     initials: frozenset
 
-    def outgoing(self, state: sp.State) -> list:
-        return [(a, t) for (s, a, t) in self.edges if s == state]
-
 
 @dataclasses.dataclass(frozen=True)
 class ExplorationStats:
@@ -83,12 +80,6 @@ def counterexample_to_json(cex: Counterexample) -> dict:
 
 # ---------------------------------------------------------------------------
 # Domain derivation
-
-
-def _conjuncts(expr) -> list:
-    if isinstance(expr, sp.And):
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]
 
 
 def _closed_eval(expr) -> Value | None:
@@ -247,25 +238,42 @@ def _try_eval(expr, current: sp.State) -> Value | None:
         return None
 
 
+def _domain_index(domains: dict) -> dict:
+    """Per variable, each domain value mapped to itself: a set of the
+    domain that also yields the domain's own value objects, so that
+    successor states share them instead of holding fresh copies."""
+    return {name: {value: value for value in values}
+            for name, values in domains.items()}
+
+
 def successors(spec: sp.TemporalSpec, state: sp.State,
-               domains: dict | None = None) -> list:
+               domains: dict | None = None,
+               domain_index: dict | None = None) -> list:
     """All (actionName, nextState) steps enabled from `state`.
 
     Entries are ordered by action declaration order, then canonically by
     next state.  The same next state reached through two actions appears
     twice; a stuttering step appears only if some action admits it.
+    `domains` maps each variable to its canonically sorted candidate
+    values, as derive_domains returns them, and `domain_index` is
+    `_domain_index(domains)`.  explore() builds both once and passes
+    them for every state.
     """
     if domains is None:
         domains = derive_domains(spec)
+    if domain_index is None:
+        domain_index = _domain_index(domains)
     out = []
     for action in spec.actions:
         narrowed = _primed_candidates(action.formula, state) or {}
         per_var = []
         for name in spec.variables:
-            candidates = domains[name]
             if name in narrowed:
-                candidates = [v for v in candidates if v in narrowed[name]]
-            per_var.append(candidates)
+                index = domain_index[name]
+                per_var.append(sorted_values(index[value] for value in narrowed[name]
+                                             if value in index))
+            else:
+                per_var.append(domains[name])
         accepted = []
         for combo in itertools.product(*per_var):
             candidate = sp.State(zip(spec.variables, combo))
@@ -306,6 +314,7 @@ def explore(spec: sp.TemporalSpec, max_distinct: int | None = None,
     only what was actually generated.
     """
     domains = derive_domains(spec)
+    domain_index = _domain_index(domains)
     inits = initial_states(spec, domains)
 
     depth = {s: 0 for s in inits}
@@ -323,7 +332,7 @@ def explore(spec: sp.TemporalSpec, max_distinct: int | None = None,
             break
         next_level = []
         for state in level:
-            succs = successors(spec, state, domains)
+            succs = successors(spec, state, domains, domain_index)
             states_found += len(succs)
             for action_name, target in succs:
                 if target not in nodes:

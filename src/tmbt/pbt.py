@@ -26,7 +26,7 @@ from .errors import (
     SutCrashed,
     TypeMismatch,
 )
-from .spec import State, TemporalSpec, eval_expr, eval_state_formula
+from .spec import Const, In, State, TemporalSpec, eval_expr, eval_state_formula
 from .values import IntVal, set_members, value_from_json, value_to_json
 
 
@@ -123,7 +123,7 @@ def _check_step(binding: ModelBinding, state: State, command: Command,
     chosen: dict = {}
     for arg in op.args:
         value = given[arg.name]
-        if value not in _arg_domain(arg, state, chosen):
+        if not eval_expr(In(Const(value), arg.domain), state, env=chosen).value:
             msg = (f"argument {arg.name}={value!r} of {op.name} "
                    f"at index {index} is outside its domain")
             raise PreconditionViolated(msg)

@@ -5,11 +5,19 @@ specification: a variable list, an init state formula, named actions
 (relations between a current and a primed state) and named invariants.
 Formulas are immutable expression trees evaluated against one state
 (state formulas) or a pair of states (action formulas).
+
+Evaluation compiles each formula into Python closures on its first
+evaluation and caches them on the expression node, so a spec's formulas
+compile once however often they are evaluated.  Membership in an
+integer range, `e \\in a..b`, is a bounds check, and quantifiers over a
+range count through it; neither builds the range as a set.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 import typing as t
 
 from .errors import (
@@ -22,6 +30,8 @@ from .errors import (
 from .values import (
     INT64_MAX,
     INT64_MIN,
+    FALSE,
+    TRUE,
     BoolVal,
     IntVal,
     SetVal,
@@ -82,124 +92,140 @@ def state_key(s: State):
 # ---------------------------------------------------------------------------
 # Expression trees
 
+
+class ExprNode:
+    """Common base of the expression node classes.
+
+    `compiled` is the node's expression as a closure
+    `(current, nxt, env) -> Value`, built on first evaluation and then
+    kept on the node (see `eval_expr`).  It lives in the instance
+    dictionary, outside the dataclass fields, so it takes no part in
+    equality, hashing or printing.
+    """
+
+    @functools.cached_property
+    def compiled(self) -> t.Callable:
+        return _compile(self)
+
+
 @dataclasses.dataclass(frozen=True)
-class Const:
+class Const(ExprNode):
     value: Value
 
 
 @dataclasses.dataclass(frozen=True)
-class Var:
+class Var(ExprNode):
     name: str
 
 
 @dataclasses.dataclass(frozen=True)
-class Primed:
+class Primed(ExprNode):
     name: str
 
 
 @dataclasses.dataclass(frozen=True)
-class Not:
+class Not(ExprNode):
     operand: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class And:
+class And(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class Or:
+class Or(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class Implies:
+class Implies(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class Eq:
+class Eq(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class Neq:
+class Neq(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class Lt:
+class Lt(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class Le:
+class Le(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class Gt:
+class Gt(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class Ge:
+class Ge(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class NotLt:
+class NotLt(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class NotLe:
+class NotLe(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class NotGt:
+class NotGt(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class NotGe:
+class NotGe(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class Add:
+class Add(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class Sub:
+class Sub(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class In:
+class In(ExprNode):
     element: "Expr"
     domain: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class SetLit:
+class SetLit(ExprNode):
     items: tuple
 
     def __init__(self, items=()):
@@ -207,7 +233,7 @@ class SetLit:
 
 
 @dataclasses.dataclass(frozen=True)
-class SeqLit:
+class SeqLit(ExprNode):
     items: tuple
 
     def __init__(self, items=()):
@@ -215,27 +241,27 @@ class SeqLit:
 
 
 @dataclasses.dataclass(frozen=True)
-class IntRange:
+class IntRange(ExprNode):
     low: "Expr"
     high: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class Forall:
+class Forall(ExprNode):
     var: str
     domain: "Expr"
     body: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class Exists:
+class Exists(ExprNode):
     var: str
     domain: "Expr"
     body: "Expr"
 
 
 @dataclasses.dataclass(frozen=True)
-class Choose:
+class Choose(ExprNode):
     var: str
     domain: "Expr"
     body: "Expr"
@@ -328,12 +354,273 @@ class Behavior:
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# Each node compiles to a closure `(current, nxt, env) -> Value`, the
+# closure code generation of Feeley and Lapalme ("Using closures for
+# code generation", 1987).  A closure calls its operands' closures
+# directly, one Python frame per tree level as in a recursive walker,
+# except that a chain of /\ (or of \/) compiles to one loop over its
+# parts and so does not nest.  Compiling itself never raises: every
+# error comes from a closure, at the point of evaluation where it
+# arises.  Nothing is folded ahead of time, for the same reason.
 
 def _checked_int(n: int) -> IntVal:
     if not INT64_MIN <= n <= INT64_MAX:
         msg = f"arithmetic result {n} outside signed 64-bit range"
         raise IntegerOverflow(msg)
     return IntVal(n)
+
+
+# On integers `not a < b` is `a >= b`, and so on for the other negations.
+_ORDERINGS = (
+    (Lt, operator.lt), (Le, operator.le), (Gt, operator.gt), (Ge, operator.ge),
+    (NotLt, operator.ge), (NotLe, operator.gt), (NotGt, operator.le),
+    (NotGe, operator.lt),
+)
+_BINARY = (Implies, Eq, Neq, Add, Sub) + COMPARISONS
+
+
+def _junction_parts(expr: And | Or) -> list:
+    """The operands of a chain of one junction kind, left to right."""
+    kind = And if isinstance(expr, And) else Or
+    parts, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, kind):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            parts.append(node)
+    return parts
+
+
+def _operands(expr: ExprNode) -> t.Sequence:
+    """The subexpressions to compile before `expr`: its operands, or the
+    parts of a junction chain."""
+    if isinstance(expr, (And, Or)):
+        return _junction_parts(expr)
+    if isinstance(expr, Not):
+        return (expr.operand,)
+    if isinstance(expr, (SetLit, SeqLit)):
+        return expr.items
+    if isinstance(expr, In):
+        return (expr.element, expr.domain)
+    if isinstance(expr, IntRange):
+        return (expr.low, expr.high)
+    if isinstance(expr, QUANTIFIERS):
+        return (expr.domain, expr.body)
+    if isinstance(expr, _BINARY):
+        return (expr.left, expr.right)
+    return ()
+
+
+def _compile(root: ExprNode) -> t.Callable:
+    """Compile `root` and every operand not compiled yet, operands first,
+    with an explicit stack, so that tree depth never limits compiling."""
+    stack = [(root, _operands(root))]
+    while stack:
+        node, operands = stack[-1]
+        pending = [op for op in operands
+                   if isinstance(op, ExprNode) and "compiled" not in vars(op)]
+        if pending:
+            stack.extend((op, _operands(op)) for op in pending)
+            continue
+        stack.pop()
+        if "compiled" not in vars(node):
+            vars(node)["compiled"] = _build(node)
+    return vars(root)["compiled"]
+
+
+def _closure(expr) -> t.Callable:
+    if isinstance(expr, ExprNode):
+        return expr.compiled
+    return _not_an_expression(expr)
+
+
+def _not_an_expression(expr) -> t.Callable:
+    def fail(current, nxt, env):
+        msg = f"not an expression: {expr!r}"
+        raise TypeMismatch(msg)
+    return fail
+
+
+def _build(expr: ExprNode) -> t.Callable:
+    """The closure of one node, whose operands are already compiled."""
+    if isinstance(expr, Const):
+        value = expr.value
+        return lambda current, nxt, env: value
+    if isinstance(expr, Var):
+        return _build_var(expr.name)
+    if isinstance(expr, Primed):
+        return _build_primed(expr.name)
+    if isinstance(expr, Not):
+        operand = _closure(expr.operand)
+
+        def negation(current, nxt, env):
+            return FALSE if require_bool(operand(current, nxt, env)) else TRUE
+        return negation
+    if isinstance(expr, (And, Or)):
+        return _build_junction(expr)
+    if isinstance(expr, _BINARY):
+        return _build_binary(expr, _closure(expr.left), _closure(expr.right))
+    if isinstance(expr, In):
+        return _build_in(expr)
+    if isinstance(expr, (SetLit, SeqLit)):
+        items = tuple(_closure(item) for item in expr.items)
+        container = SetVal if isinstance(expr, SetLit) else SeqVal
+
+        def literal(current, nxt, env):
+            return container(item(current, nxt, env) for item in items)
+        return literal
+    if isinstance(expr, IntRange):
+        low, high = _closure(expr.low), _closure(expr.high)
+
+        def int_range(current, nxt, env):
+            lo = require_int(low(current, nxt, env), "range bound")
+            hi = require_int(high(current, nxt, env), "range bound")
+            return SetVal(IntVal(n) for n in range(lo, hi + 1))
+        return int_range
+    if isinstance(expr, QUANTIFIERS):
+        return _build_quantifier(expr)
+    return _not_an_expression(expr)
+
+
+def _build_var(name: str) -> t.Callable:
+    def variable(current, nxt, env):
+        if env is not None and name in env:
+            return env[name]
+        for key, value in current.bindings:
+            if key == name:
+                return value
+        msg = f"variable {name} is not bound"
+        raise UnboundVariable(msg)
+    return variable
+
+
+def _build_primed(name: str) -> t.Callable:
+    def primed(current, nxt, env):
+        if nxt is None:
+            msg = f"{name}' used in a state formula"
+            raise PrimedInStateFormula(msg)
+        for key, value in nxt.bindings:
+            if key == name:
+                return value
+        msg = f"variable {name} is not bound"
+        raise UnboundVariable(msg)
+    return primed
+
+
+def _build_junction(expr: And | Or) -> t.Callable:
+    """One loop over a junction chain's parts, left to right, stopping at
+    the first part that decides it."""
+    parts = tuple(_closure(part) for part in _junction_parts(expr))
+    if isinstance(expr, And):
+        def conjunction(current, nxt, env):
+            for part in parts:
+                if not require_bool(part(current, nxt, env)):
+                    return FALSE
+            return TRUE
+        return conjunction
+
+    def disjunction(current, nxt, env):
+        for part in parts:
+            if require_bool(part(current, nxt, env)):
+                return TRUE
+        return FALSE
+    return disjunction
+
+
+def _build_binary(expr: ExprNode, left: t.Callable, right: t.Callable) -> t.Callable:
+    if isinstance(expr, Implies):
+        def implication(current, nxt, env):
+            if not require_bool(left(current, nxt, env)):
+                return TRUE
+            return TRUE if require_bool(right(current, nxt, env)) else FALSE
+        return implication
+    if isinstance(expr, Eq):
+        def equal(current, nxt, env):
+            same = left(current, nxt, env) == right(current, nxt, env)
+            return TRUE if same else FALSE
+        return equal
+    if isinstance(expr, Neq):
+        def unequal(current, nxt, env):
+            differ = left(current, nxt, env) != right(current, nxt, env)
+            return TRUE if differ else FALSE
+        return unequal
+    if isinstance(expr, COMPARISONS):
+        holds = next(op for kind, op in _ORDERINGS if isinstance(expr, kind))
+
+        def comparison(current, nxt, env):
+            a = require_int(left(current, nxt, env), "comparison operand")
+            b = require_int(right(current, nxt, env), "comparison operand")
+            return TRUE if holds(a, b) else FALSE
+        return comparison
+    combine = operator.add if isinstance(expr, Add) else operator.sub
+
+    def arithmetic(current, nxt, env):
+        a = require_int(left(current, nxt, env))
+        b = require_int(right(current, nxt, env))
+        return _checked_int(combine(a, b))
+    return arithmetic
+
+
+def _build_in(expr: In) -> t.Callable:
+    element = _closure(expr.element)
+    if isinstance(expr.domain, IntRange):
+        low, high = _closure(expr.domain.low), _closure(expr.domain.high)
+
+        def in_range(current, nxt, env):
+            value = element(current, nxt, env)
+            lo = require_int(low(current, nxt, env), "range bound")
+            hi = require_int(high(current, nxt, env), "range bound")
+            return TRUE if type(value) is IntVal and lo <= value.value <= hi else FALSE
+        return in_range
+    domain = _closure(expr.domain)
+
+    def in_set(current, nxt, env):
+        value = element(current, nxt, env)
+        members = require_set(domain(current, nxt, env), "right side of \\in")
+        return TRUE if value in members.elements else FALSE
+    return in_set
+
+
+def _build_quantifier(expr: Forall | Exists | Choose) -> t.Callable:
+    """One closure for all three binders; the domain's closures are called
+    from it directly, so a binder nests no deeper than one tree level."""
+    var, body = expr.var, _closure(expr.body)
+    ranged = isinstance(expr.domain, IntRange)
+    if ranged:
+        low, high = _closure(expr.domain.low), _closure(expr.domain.high)
+    else:
+        domain = _closure(expr.domain)
+    choosing = isinstance(expr, Choose)
+    # \A stops at the first member whose body is FALSE, and is then FALSE;
+    # \E and CHOOSE stop at the first member whose body is TRUE.
+    stop = not isinstance(expr, Forall)
+    decided, exhausted = (TRUE, FALSE) if stop else (FALSE, TRUE)
+
+    def quantifier(current, nxt, env):
+        if ranged:
+            lo = require_int(low(current, nxt, env), "range bound")
+            hi = require_int(high(current, nxt, env), "range bound")
+            members = map(IntVal, range(lo, hi + 1))
+        else:
+            members = set_members(require_set(domain(current, nxt, env),
+                                              "quantifier domain"))
+        inner = dict(env) if env else {}
+        tried = []
+        for member in members:
+            inner[var] = member
+            if require_bool(body(current, nxt, inner)) == stop:
+                return member if choosing else decided
+            if choosing:
+                tried.append(member)
+        if choosing:
+            msg = (f"CHOOSE {var}: no element of {describe(SetVal(tried))} "
+                   f"satisfies the body")
+            raise EmptyChooseDomain(msg)
+        return exhausted
+    return quantifier
 
 
 def eval_expr(expr: Expr, current: State, nxt: State | None = None,
@@ -343,109 +630,10 @@ def eval_expr(expr: Expr, current: State, nxt: State | None = None,
     Pure: never mutates its arguments.  Bound variables (from quantifiers
     and CHOOSE) shadow state variables; primed variables read from `nxt`
     and raise PrimedInStateFormula when no next state was supplied.
-    And/Or/Implies evaluate left to right and short-circuit.
+    And/Or/Implies evaluate left to right and short-circuit.  The formula
+    is compiled on its first evaluation (see above).
     """
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        if env is not None and expr.name in env:
-            return env[expr.name]
-        if expr.name in current:
-            return current[expr.name]
-        msg = f"variable {expr.name} is not bound"
-        raise UnboundVariable(msg)
-    if isinstance(expr, Primed):
-        if nxt is None:
-            msg = f"{expr.name}' used in a state formula"
-            raise PrimedInStateFormula(msg)
-        if expr.name in nxt:
-            return nxt[expr.name]
-        msg = f"variable {expr.name} is not bound"
-        raise UnboundVariable(msg)
-    if isinstance(expr, Not):
-        return BoolVal(not require_bool(eval_expr(expr.operand, current, nxt, env)))
-    if isinstance(expr, And):
-        if not require_bool(eval_expr(expr.left, current, nxt, env)):
-            return BoolVal(False)
-        return BoolVal(require_bool(eval_expr(expr.right, current, nxt, env)))
-    if isinstance(expr, Or):
-        if require_bool(eval_expr(expr.left, current, nxt, env)):
-            return BoolVal(True)
-        return BoolVal(require_bool(eval_expr(expr.right, current, nxt, env)))
-    if isinstance(expr, Implies):
-        if not require_bool(eval_expr(expr.left, current, nxt, env)):
-            return BoolVal(True)
-        return BoolVal(require_bool(eval_expr(expr.right, current, nxt, env)))
-    if isinstance(expr, Eq):
-        return BoolVal(eval_expr(expr.left, current, nxt, env)
-                       == eval_expr(expr.right, current, nxt, env))
-    if isinstance(expr, Neq):
-        return BoolVal(eval_expr(expr.left, current, nxt, env)
-                       != eval_expr(expr.right, current, nxt, env))
-    if isinstance(expr, COMPARISONS):
-        a = require_int(eval_expr(expr.left, current, nxt, env), "comparison operand")
-        b = require_int(eval_expr(expr.right, current, nxt, env), "comparison operand")
-        if isinstance(expr, Lt):
-            return BoolVal(a < b)
-        if isinstance(expr, Le):
-            return BoolVal(a <= b)
-        if isinstance(expr, Gt):
-            return BoolVal(a > b)
-        if isinstance(expr, Ge):
-            return BoolVal(a >= b)
-        if isinstance(expr, NotLt):
-            return BoolVal(not a < b)
-        if isinstance(expr, NotLe):
-            return BoolVal(not a <= b)
-        if isinstance(expr, NotGt):
-            return BoolVal(not a > b)
-        return BoolVal(not a >= b)
-    if isinstance(expr, Add):
-        a = require_int(eval_expr(expr.left, current, nxt, env))
-        b = require_int(eval_expr(expr.right, current, nxt, env))
-        return _checked_int(a + b)
-    if isinstance(expr, Sub):
-        a = require_int(eval_expr(expr.left, current, nxt, env))
-        b = require_int(eval_expr(expr.right, current, nxt, env))
-        return _checked_int(a - b)
-    if isinstance(expr, In):
-        element = eval_expr(expr.element, current, nxt, env)
-        domain = require_set(eval_expr(expr.domain, current, nxt, env),
-                             "right side of \\in")
-        return BoolVal(element in domain.elements)
-    if isinstance(expr, SetLit):
-        return SetVal(eval_expr(item, current, nxt, env) for item in expr.items)
-    if isinstance(expr, SeqLit):
-        return SeqVal(eval_expr(item, current, nxt, env) for item in expr.items)
-    if isinstance(expr, IntRange):
-        low = require_int(eval_expr(expr.low, current, nxt, env), "range bound")
-        high = require_int(eval_expr(expr.high, current, nxt, env), "range bound")
-        return SetVal(IntVal(n) for n in range(low, high + 1))
-    if isinstance(expr, QUANTIFIERS):
-        domain = require_set(eval_expr(expr.domain, current, nxt, env),
-                             "quantifier domain")
-        members = set_members(domain)
-        inner = dict(env) if env else {}
-        if isinstance(expr, Forall):
-            for member in members:
-                inner[expr.var] = member
-                if not require_bool(eval_expr(expr.body, current, nxt, inner)):
-                    return BoolVal(False)
-            return BoolVal(True)
-        if isinstance(expr, Exists):
-            for member in members:
-                inner[expr.var] = member
-                if require_bool(eval_expr(expr.body, current, nxt, inner)):
-                    return BoolVal(True)
-            return BoolVal(False)
-        for member in members:
-            inner[expr.var] = member
-            if require_bool(eval_expr(expr.body, current, nxt, inner)):
-                return member
-        msg = f"CHOOSE {expr.var}: no element of {describe(domain)} satisfies the body"
-        raise EmptyChooseDomain(msg)
-    msg = f"not an expression: {expr!r}"
-    raise TypeMismatch(msg)
+    return _closure(expr)(current, nxt, env)
 
 
 def eval_state_formula(expr: Expr, state: State, env: dict | None = None) -> bool:
