@@ -28,6 +28,16 @@ from .values import value_to_json
 
 PASS, FAIL, USAGE = 0, 1, 2
 
+# A formula nested past Python's recursion limit is an input error too.
+INPUT_ERRORS = (TmbtError, ValueError, OSError, RecursionError)
+
+
+def _usage_error(prefix: str, problem: Exception):
+    deep = isinstance(problem, RecursionError)
+    click.echo(f"{prefix}: {'formula nests too deeply' if deep else problem}",
+               err=True)
+    sys.exit(USAGE)
+
 
 def _parse_params(pairs) -> dict:
     params = {}
@@ -90,13 +100,12 @@ def translate(source, output) -> None:
     path = pathlib.Path(source)
     try:
         spec = to_spec(parse_module(path.read_text()), name=path.stem)
-    except TmbtError as problem:
-        click.echo(f"{path.name}: {problem}", err=True)
-        sys.exit(USAGE)
-    text = ir.spec_to_text(spec)
-    if output:
-        pathlib.Path(output).write_text(text)
-    else:
+        text = ir.spec_to_text(spec)
+        if output:
+            pathlib.Path(output).write_text(text)
+    except INPUT_ERRORS as problem:
+        _usage_error(path.name, problem)
+    if not output:
         click.echo(text, nl=False)
     sys.exit(PASS)
 
@@ -119,9 +128,8 @@ def check(spec_path, example, params, invariants, max_distinct, max_depth,
         spec = _load_spec(spec_path, example, _parse_params(params), invariants)
         _, stats, counterexamples = explore(
             spec, max_distinct=max_distinct, max_depth=max_depth)
-    except (TmbtError, ValueError, OSError) as problem:
-        click.echo(f"error: {problem}", err=True)
-        sys.exit(USAGE)
+    except INPUT_ERRORS as problem:
+        _usage_error("error", problem)
     if invariants:
         # reporting is restricted; the exploration itself is not
         counterexamples = [cex for cex in counterexamples
@@ -159,9 +167,8 @@ def behaviors(spec_path, example, params, count, max_len, seed) -> None:
     try:
         spec = _load_spec(spec_path, example, _parse_params(params))
         walks = spec_behaviors(spec, count, max_len, seed)
-    except (TmbtError, ValueError, OSError) as problem:
-        click.echo(f"error: {problem}", err=True)
-        sys.exit(USAGE)
+    except INPUT_ERRORS as problem:
+        _usage_error("error", problem)
     for walk in walks:
         click.echo(json.dumps(behavior_to_json(walk), sort_keys=True))
     sys.exit(PASS)
@@ -204,9 +211,8 @@ def test(example, params, sut_cmdline, cases, max_len, seed,
         else:
             adapter = pbt.SubprocessAdapter(shlex.split(sut_cmdline))
         report = pbt.test(binding, spec, adapter, config)
-    except (ProtocolError, OSError, ValueError) as problem:
-        click.echo(f"error: {problem}", err=True)
-        sys.exit(USAGE)
+    except (ProtocolError, OSError, ValueError, RecursionError) as problem:
+        _usage_error("error", problem)
     finally:
         if isinstance(adapter, pbt.SubprocessAdapter):
             adapter.close()

@@ -16,79 +16,61 @@ from .values import value_from_json, value_to_json
 
 SCHEMA_RESOURCE = "spec_ir.schema.json"
 
-_BINARY_OPS = {
+# One op per node class.  A node is {"op": op, its scalars by field name
+# (`value` in its wire form), "args": [subexpressions], if it has any}.
+OPS = {
+    sp.Const: "const", sp.Var: "var", sp.Primed: "primed", sp.Not: "not",
     sp.And: "and", sp.Or: "or", sp.Implies: "implies",
     sp.Eq: "eq", sp.Neq: "neq",
     sp.Lt: "lt", sp.Le: "le", sp.Gt: "gt", sp.Ge: "ge",
-    sp.NotLt: "not_lt", sp.NotLe: "not_le",
-    sp.NotGt: "not_gt", sp.NotGe: "not_ge",
+    sp.NotLt: "not_lt", sp.NotLe: "not_le", sp.NotGt: "not_gt", sp.NotGe: "not_ge",
     sp.Add: "add", sp.Sub: "sub",
+    sp.In: "in", sp.SetLit: "set", sp.SeqLit: "seq", sp.IntRange: "range",
+    sp.Forall: "forall", sp.Exists: "exists", sp.Choose: "choose",
 }
-_BINARY_TYPES = {name: cls for cls, name in _BINARY_OPS.items()}
-_QUANTIFIER_OPS = {sp.Forall: "forall", sp.Exists: "exists", sp.Choose: "choose"}
-_QUANTIFIER_TYPES = {name: cls for cls, name in _QUANTIFIER_OPS.items()}
+_CLASSES = {op: cls for cls, op in OPS.items()}
+
+
+def _encode(expr, args: list) -> dict:
+    op = OPS.get(type(expr))
+    if op is None:
+        raise sp.not_an_expression(expr)
+    data = {"op": op}
+    for name in expr.scalars:
+        scalar = getattr(expr, name)
+        data[name] = value_to_json(scalar) if name == "value" else scalar
+    if expr.operands:
+        data["args"] = args
+    return data
 
 
 def expr_to_json(expr) -> dict:
-    if isinstance(expr, sp.Const):
-        return {"op": "const", "value": value_to_json(expr.value)}
-    if isinstance(expr, sp.Var):
-        return {"op": "var", "name": expr.name}
-    if isinstance(expr, sp.Primed):
-        return {"op": "primed", "name": expr.name}
-    if isinstance(expr, sp.Not):
-        return {"op": "not", "args": [expr_to_json(expr.operand)]}
-    if isinstance(expr, sp.In):
-        return {"op": "in", "args": [expr_to_json(expr.element),
-                                     expr_to_json(expr.domain)]}
-    if isinstance(expr, sp.SetLit):
-        return {"op": "set", "args": [expr_to_json(i) for i in expr.items]}
-    if isinstance(expr, sp.SeqLit):
-        return {"op": "seq", "args": [expr_to_json(i) for i in expr.items]}
-    if isinstance(expr, sp.IntRange):
-        return {"op": "range", "args": [expr_to_json(expr.low),
-                                        expr_to_json(expr.high)]}
-    if isinstance(expr, sp.QUANTIFIERS):
-        return {
-            "op": _QUANTIFIER_OPS[type(expr)],
-            "var": expr.var,
-            "args": [expr_to_json(expr.domain), expr_to_json(expr.body)],
-        }
-    op = _BINARY_OPS.get(type(expr))
-    if op is None:
-        msg = f"not an expression: {expr!r}"
-        raise TypeMismatch(msg)
-    return {"op": op, "args": [expr_to_json(expr.left), expr_to_json(expr.right)]}
+    return sp.fold(expr, _encode)
 
 
-def expr_from_json(data: dict):
+def _args(data) -> list:
     if not isinstance(data, dict) or "op" not in data:
         msg = f"malformed expression node: {data!r}"
         raise TypeMismatch(msg)
+    return data.get("args", [])
+
+
+def _decode(data: dict, args: list):
     op = data["op"]
-    if op == "const":
-        return sp.Const(value_from_json(data["value"]))
-    if op == "var":
-        return sp.Var(data["name"])
-    if op == "primed":
-        return sp.Primed(data["name"])
-    args = [expr_from_json(a) for a in data.get("args", [])]
-    if op == "not":
-        return sp.Not(args[0])
-    if op == "in":
-        return sp.In(args[0], args[1])
-    if op == "set":
-        return sp.SetLit(args)
-    if op == "seq":
-        return sp.SeqLit(args)
-    if op == "range":
-        return sp.IntRange(args[0], args[1])
-    if op in _QUANTIFIER_TYPES:
-        return _QUANTIFIER_TYPES[op](data["var"], args[0], args[1])
-    if op in _BINARY_TYPES:
-        return _BINARY_TYPES[op](args[0], args[1])
-    msg = f"unknown expression op {op!r}"
-    raise TypeMismatch(msg)
+    cls = _CLASSES.get(op)
+    if cls is None:
+        msg = f"unknown expression op {op!r}"
+        raise TypeMismatch(msg)
+    if not cls.variadic and len(args) != len(cls.operands):
+        msg = f"op {op!r} takes {len(cls.operands)} args, got {len(args)}"
+        raise TypeMismatch(msg)
+    scalars = [value_from_json(data[name]) if name == "value" else data[name]
+               for name in cls.scalars]
+    return cls.build(scalars, args)
+
+
+def expr_from_json(data: dict):
+    return sp.fold(data, _decode, _args)
 
 
 def spec_to_json(spec: sp.TemporalSpec) -> dict:

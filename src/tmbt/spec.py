@@ -93,8 +93,25 @@ def state_key(s: State):
 # Expression trees
 
 
+def _reader(names: tuple, variadic: bool) -> t.Callable:
+    """`children()` for one layout, as direct attribute reads; a method
+    that looked the names up on each call took about four times as long."""
+    if not names:
+        return lambda node: ()
+    get = operator.attrgetter(*names)
+    if variadic or len(names) > 1:
+        return lambda node: get(node)
+    return lambda node: (get(node),)
+
+
 class ExprNode:
     """Common base of the expression node classes.
+
+    A class states its layout once: `scalars` names its leading data
+    fields (value, variable or bound name); each later field holds a
+    subexpression, or in a `variadic` class a tuple of them.  Walkers
+    (`fold`) read and make nodes by it, through `children()` and
+    `rebuild(children)`, and never name a node's fields.
 
     `compiled` is the node's expression as a closure
     `(current, nxt, env) -> Value`, built on first evaluation and then
@@ -102,6 +119,24 @@ class ExprNode:
     dictionary, outside the dataclass fields, so it takes no part in
     equality, hashing or printing.
     """
+
+    scalars: t.ClassVar[tuple] = ()
+    variadic: t.ClassVar[bool] = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("__annotations__", {})
+        cls.operands = tuple(name for name in fields if name not in cls.scalars)
+        cls.children = _reader(cls.operands, cls.variadic)
+
+    def rebuild(self, children) -> "ExprNode":
+        """A node of the same kind and scalars over `children`."""
+        return self.build([getattr(self, name) for name in self.scalars], children)
+
+    @classmethod
+    def build(cls, scalars, children) -> "ExprNode":
+        """A node of this kind from its scalars and its subexpressions."""
+        return cls(*scalars, children) if cls.variadic else cls(*scalars, *children)
 
     @functools.cached_property
     def compiled(self) -> t.Callable:
@@ -111,16 +146,19 @@ class ExprNode:
 @dataclasses.dataclass(frozen=True)
 class Const(ExprNode):
     value: Value
+    scalars = ("value",)
 
 
 @dataclasses.dataclass(frozen=True)
 class Var(ExprNode):
     name: str
+    scalars = ("name",)
 
 
 @dataclasses.dataclass(frozen=True)
 class Primed(ExprNode):
     name: str
+    scalars = ("name",)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -227,6 +265,7 @@ class In(ExprNode):
 @dataclasses.dataclass(frozen=True)
 class SetLit(ExprNode):
     items: tuple
+    variadic = True
 
     def __init__(self, items=()):
         object.__setattr__(self, "items", tuple(items))
@@ -235,6 +274,7 @@ class SetLit(ExprNode):
 @dataclasses.dataclass(frozen=True)
 class SeqLit(ExprNode):
     items: tuple
+    variadic = True
 
     def __init__(self, items=()):
         object.__setattr__(self, "items", tuple(items))
@@ -251,6 +291,7 @@ class Forall(ExprNode):
     var: str
     domain: "Expr"
     body: "Expr"
+    scalars = ("var",)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -258,6 +299,7 @@ class Exists(ExprNode):
     var: str
     domain: "Expr"
     body: "Expr"
+    scalars = ("var",)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -265,15 +307,11 @@ class Choose(ExprNode):
     var: str
     domain: "Expr"
     body: "Expr"
+    scalars = ("var",)
 
 
-Expr = t.Union[
-    Const, Var, Primed, Not, And, Or, Implies,
-    Eq, Neq, Lt, Le, Gt, Ge, NotLt, NotLe, NotGt, NotGe,
-    Add, Sub, In, SetLit, SeqLit, IntRange, Forall, Exists, Choose,
-]
+Expr = ExprNode  # any expression node
 
-BINARY_BOOL = (And, Or, Implies)
 COMPARISONS = (Lt, Le, Gt, Ge, NotLt, NotLe, NotGt, NotGe)
 QUANTIFIERS = (Forall, Exists, Choose)
 
@@ -299,6 +337,59 @@ def disj(*parts: Expr) -> Expr:
     for p in parts[1:]:
         out = Or(out, p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Traversal: every walk over whole trees runs on `fold`, whose own stack
+# keeps tree depth away from Python's recursion limit.
+
+
+def not_an_expression(thing) -> TypeMismatch:
+    """The error for a non-expression where a walker needs an expression."""
+    return TypeMismatch(f"not an expression: {thing!r}")
+
+
+def _subtrees(node) -> tuple:
+    return node.children() if isinstance(node, ExprNode) else ()
+
+
+def fold(root, combine: t.Callable, children: t.Callable = _subtrees):
+    """Combine a tree bottom-up without recursion: `combine(node, results)`
+    runs once per node, after its subtrees, on a new list of their results
+    in order; returns the root's.  `children(node)` lists the subtrees; by
+    default a non-expression has none and reaches `combine` as a leaf.
+    """
+    results: list = []
+    stack = [root]
+    done = object()  # marks the end of a node's subtrees on the stack
+    waiting = []  # (node, number of subtrees) under each `done` mark
+    while stack:
+        node = stack.pop()
+        if node is done:
+            node, count = waiting.pop()
+            args = results[-count:]
+            del results[-count:]
+            results.append(combine(node, args))
+        elif subtrees := children(node):
+            waiting.append((node, len(subtrees)))
+            stack.append(done)
+            stack += subtrees[::-1]
+        else:
+            results.append(combine(node, []))
+    return results[0]
+
+
+def junction_parts(expr, kind: type) -> list:
+    """The parts of `expr` as a chain of one junction kind (And or Or),
+    left to right; `[expr]` when `expr` is not a `kind` node."""
+    parts, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, kind):
+            stack.extend(reversed(node.children()))
+        else:
+            parts.append(node)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -380,67 +471,35 @@ _ORDERINGS = (
 _BINARY = (Implies, Eq, Neq, Add, Sub) + COMPARISONS
 
 
-def _junction_parts(expr: And | Or) -> list:
-    """The operands of a chain of one junction kind, left to right."""
-    kind = And if isinstance(expr, And) else Or
-    parts, stack = [], [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, kind):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            parts.append(node)
-    return parts
+def _operands(expr: ExprNode) -> list:
+    """What to compile before `expr`: the expressions among its children,
+    or its junction's parts, that are not compiled yet."""
+    junction = isinstance(expr, (And, Or))
+    parts = junction_parts(expr, type(expr)) if junction else expr.children()
+    return [op for op in parts
+            if isinstance(op, ExprNode) and "compiled" not in vars(op)]
 
 
-def _operands(expr: ExprNode) -> t.Sequence:
-    """The subexpressions to compile before `expr`: its operands, or the
-    parts of a junction chain."""
-    if isinstance(expr, (And, Or)):
-        return _junction_parts(expr)
-    if isinstance(expr, Not):
-        return (expr.operand,)
-    if isinstance(expr, (SetLit, SeqLit)):
-        return expr.items
-    if isinstance(expr, In):
-        return (expr.element, expr.domain)
-    if isinstance(expr, IntRange):
-        return (expr.low, expr.high)
-    if isinstance(expr, QUANTIFIERS):
-        return (expr.domain, expr.body)
-    if isinstance(expr, _BINARY):
-        return (expr.left, expr.right)
-    return ()
+def _compile_node(node: ExprNode, _) -> None:
+    if "compiled" not in vars(node):
+        vars(node)["compiled"] = _build(node)
 
 
 def _compile(root: ExprNode) -> t.Callable:
-    """Compile `root` and every operand not compiled yet, operands first,
-    with an explicit stack, so that tree depth never limits compiling."""
-    stack = [(root, _operands(root))]
-    while stack:
-        node, operands = stack[-1]
-        pending = [op for op in operands
-                   if isinstance(op, ExprNode) and "compiled" not in vars(op)]
-        if pending:
-            stack.extend((op, _operands(op)) for op in pending)
-            continue
-        stack.pop()
-        if "compiled" not in vars(node):
-            vars(node)["compiled"] = _build(node)
+    """Compile `root` and every operand not compiled yet, operands first."""
+    fold(root, _compile_node, _operands)
     return vars(root)["compiled"]
 
 
 def _closure(expr) -> t.Callable:
     if isinstance(expr, ExprNode):
         return expr.compiled
-    return _not_an_expression(expr)
+    return _failing(expr)
 
 
-def _not_an_expression(expr) -> t.Callable:
+def _failing(expr) -> t.Callable:
     def fail(current, nxt, env):
-        msg = f"not an expression: {expr!r}"
-        raise TypeMismatch(msg)
+        raise not_an_expression(expr)
     return fail
 
 
@@ -482,7 +541,7 @@ def _build(expr: ExprNode) -> t.Callable:
         return int_range
     if isinstance(expr, QUANTIFIERS):
         return _build_quantifier(expr)
-    return _not_an_expression(expr)
+    return _failing(expr)
 
 
 def _build_var(name: str) -> t.Callable:
@@ -513,7 +572,7 @@ def _build_primed(name: str) -> t.Callable:
 def _build_junction(expr: And | Or) -> t.Callable:
     """One loop over a junction chain's parts, left to right, stopping at
     the first part that decides it."""
-    parts = tuple(_closure(part) for part in _junction_parts(expr))
+    parts = tuple(_closure(part) for part in junction_parts(expr, type(expr)))
     if isinstance(expr, And):
         def conjunction(current, nxt, env):
             for part in parts:
@@ -666,45 +725,36 @@ class Diagnostic:
         return f"{self.construct}: {self.code}: {self.message}"
 
 
-def _scan(expr: Expr, declared: frozenset, bound: frozenset,
-          construct: str, allow_primed: bool, out: list) -> None:
-    if isinstance(expr, Const):
-        return
-    if isinstance(expr, Var):
-        if expr.name not in bound and expr.name not in declared:
-            out.append(Diagnostic("unbound-variable", construct,
-                                  f"{expr.name} is not declared"))
-        return
-    if isinstance(expr, Primed):
-        if not allow_primed:
-            out.append(Diagnostic("primed-in-state-formula", construct,
-                                  f"{expr.name}' is not allowed here"))
-        elif expr.name not in declared:
-            out.append(Diagnostic("unbound-variable", construct,
-                                  f"{expr.name}' is not declared"))
-        return
-    if isinstance(expr, Not):
-        _scan(expr.operand, declared, bound, construct, allow_primed, out)
-        return
-    if isinstance(expr, QUANTIFIERS):
-        _scan(expr.domain, declared, bound, construct, allow_primed, out)
-        _scan(expr.body, declared, bound | {expr.var}, construct, allow_primed, out)
-        return
-    if isinstance(expr, (SetLit, SeqLit)):
-        for item in expr.items:
-            _scan(item, declared, bound, construct, allow_primed, out)
-        return
-    if isinstance(expr, IntRange):
-        _scan(expr.low, declared, bound, construct, allow_primed, out)
-        _scan(expr.high, declared, bound, construct, allow_primed, out)
-        return
-    if isinstance(expr, In):
-        _scan(expr.element, declared, bound, construct, allow_primed, out)
-        _scan(expr.domain, declared, bound, construct, allow_primed, out)
-        return
-    # remaining nodes are binary left/right
-    _scan(expr.left, declared, bound, construct, allow_primed, out)
-    _scan(expr.right, declared, bound, construct, allow_primed, out)
+def _scan(expr: Expr, declared: frozenset, construct: str,
+          allow_primed: bool) -> list:
+    """The diagnostics of one formula, in tree order.
+
+    A subtree's result is its findings, (name, code, message) triples,
+    where a binder of `name` clears the finding; None is never bound.
+    """
+    def check(node, results) -> tuple:
+        if isinstance(node, Var):
+            if node.name in declared:
+                return ()
+            return ((node.name, "unbound-variable", f"{node.name} is not declared"),)
+        if isinstance(node, Primed):
+            if not allow_primed:
+                return ((None, "primed-in-state-formula",
+                         f"{node.name}' is not allowed here"),)
+            if node.name in declared:
+                return ()
+            return ((None, "unbound-variable", f"{node.name}' is not declared"),)
+        if not any(results):
+            if isinstance(node, ExprNode):
+                return ()
+            raise not_an_expression(node)
+        if isinstance(node, QUANTIFIERS):
+            domain, body = results
+            return domain + tuple(found for found in body if found[0] != node.var)
+        return sum(results, ())
+
+    return [Diagnostic(code, construct, message)
+            for _, code, message in fold(expr, check)]
 
 
 def well_formed(spec: TemporalSpec) -> list:
@@ -721,11 +771,9 @@ def well_formed(spec: TemporalSpec) -> list:
             out.append(Diagnostic("duplicate-variable", "variables",
                                   f"{name} declared twice"))
         seen.add(name)
-    _scan(spec.init, declared, frozenset(), "init", False, out)
+    out += _scan(spec.init, declared, "init", False)
     for action in spec.actions:
-        _scan(action.formula, declared, frozenset(),
-              f"action {action.name}", True, out)
+        out += _scan(action.formula, declared, f"action {action.name}", True)
     for inv_name, formula in spec.invariants:
-        _scan(formula, declared, frozenset(),
-              f"invariant {inv_name}", False, out)
+        out += _scan(formula, declared, f"invariant {inv_name}", False)
     return out

@@ -75,9 +75,6 @@ def ts(stream: TimedStream, up_to: int) -> bool:
 # ---------------------------------------------------------------------------
 # Component specifications
 
-_TYPE_TAGS = ("int", "bool", "signal")
-
-
 @dataclasses.dataclass(frozen=True)
 class StreamPredicate:
     """A named predicate form; `kind` selects the check, fields configure it.
@@ -117,8 +114,7 @@ class StreamPredicate:
         msg = f"unknown assumption kind {self.kind!r}"
         raise TypeMismatch(msg)
 
-    def check_guarantee(self, inputs: dict, outputs: dict,
-                        local_state: dict, interval: int) -> bool:
+    def check_guarantee(self, inputs: dict, outputs: dict, interval: int) -> bool:
         f = self.field_map()
         name = f["stream"]
         stream = outputs.get(name) or inputs.get(name)
@@ -161,10 +157,9 @@ class ComponentSpec:
     init: tuple
     asm: tuple
     gar: tuple
-    advance: t.Optional[t.Callable] = None
 
     def __init__(self, name, inputs=(), outputs=(), local=(), init=(),
-                 asm=(), gar=(), advance=None):
+                 asm=(), gar=()):
         def pairs(v):
             return tuple(sorted(v.items())) if isinstance(v, dict) else tuple(v)
 
@@ -175,7 +170,6 @@ class ComponentSpec:
         object.__setattr__(self, "init", pairs(init))
         object.__setattr__(self, "asm", tuple(asm))
         object.__setattr__(self, "gar", tuple(gar))
-        object.__setattr__(self, "advance", advance)
 
     def to_json(self) -> dict:
         return {
@@ -234,13 +228,10 @@ def check_asm_gar(component: ComponentSpec, inputs: dict, outputs: dict,
     for index, predicate in enumerate(component.asm):
         if not predicate.check_assumption(inputs, up_to):
             return AssumptionViolated(index)
-    local_state = dict(component.init)
     for interval in range(up_to):
         for index, predicate in enumerate(component.gar):
-            if not predicate.check_guarantee(inputs, outputs, local_state, interval):
+            if not predicate.check_guarantee(inputs, outputs, interval):
                 return GuaranteeViolated(index, interval)
-        if component.advance is not None:
-            local_state = component.advance(local_state, inputs, outputs, interval)
     return Conforms()
 
 

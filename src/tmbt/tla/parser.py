@@ -14,6 +14,8 @@ Operator precedence, loosest first: =>, \\/, /\\, ~, comparisons,
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 
 from .. import spec as sp
 from ..errors import (
@@ -58,12 +60,11 @@ class ParsedModule:
 
     Definition bodies may contain Ref nodes for uses of earlier
     definitions; definition_map() returns them fully expanded into
-    plain spec-core expressions.
+    plain spec-core expressions, each expanded once and kept.
     """
 
     variables: tuple
     definitions: tuple  # (name, Expr-with-Refs) in source order
-    diagnostics: tuple = ()
 
     def names(self) -> tuple:
         return tuple(name for name, _ in self.definitions)
@@ -74,39 +75,36 @@ class ParsedModule:
                 return body
         raise MissingDefinition(f"no definition named {name!r}")
 
+    @functools.cached_property
+    def _expanded(self) -> dict:
+        # Refs point back, so source order expands each before its uses
+        expanded: dict = {}
+        raw = dict(self.definitions)
+        for name, body in self.definitions:
+            expanded[name] = _expand(body, raw, expanded)
+        return expanded
+
     def expand(self, expr) -> "sp.Expr":
-        return _expand(expr, dict(self.definitions), {})
+        return _expand(expr, dict(self.definitions), self._expanded)
 
     def definition_map(self) -> dict:
-        memo: dict = {}
-        raw = dict(self.definitions)
-        return {name: _expand(body, raw, memo) for name, body in self.definitions}
+        return dict(self._expanded)
 
 
 def _expand(expr, raw: dict, memo: dict):
-    if isinstance(expr, Ref):
-        if expr.name not in memo:
-            memo[expr.name] = _expand(raw[expr.name], raw, memo)
-        return memo[expr.name]
-    if isinstance(expr, (sp.Const, sp.Var, sp.Primed)):
-        return expr
-    if isinstance(expr, sp.Not):
-        return sp.Not(_expand(expr.operand, raw, memo))
-    if isinstance(expr, (sp.SetLit, sp.SeqLit)):
-        items = tuple(_expand(item, raw, memo) for item in expr.items)
-        return type(expr)(items)
-    if isinstance(expr, sp.IntRange):
-        return sp.IntRange(_expand(expr.low, raw, memo),
-                           _expand(expr.high, raw, memo))
-    if isinstance(expr, sp.In):
-        return sp.In(_expand(expr.element, raw, memo),
-                     _expand(expr.domain, raw, memo))
-    if isinstance(expr, sp.QUANTIFIERS):
-        return type(expr)(expr.var,
-                          _expand(expr.domain, raw, memo),
-                          _expand(expr.body, raw, memo))
-    return type(expr)(_expand(expr.left, raw, memo),
-                      _expand(expr.right, raw, memo))
+    """`expr` with its Refs expanded; subtrees without one come back as is."""
+    def substitute(node, results):
+        if isinstance(node, Ref):
+            if node.name not in memo:  # only a module built out of order
+                memo[node.name] = _expand(raw[node.name], raw, memo)
+            return memo[node.name]
+        if not isinstance(node, sp.ExprNode):
+            raise sp.not_an_expression(node)
+        if all(map(operator.is_, results, node.children())):
+            return node
+        return node.rebuild(results)
+
+    return sp.fold(expr, substitute)
 
 
 class TokenStream:
@@ -383,19 +381,12 @@ def parse(tokens) -> ParsedModule:
         raise stream.error(f"expected a declaration or definition, found {tok}")
 
     module = ParsedModule(tuple(variables), tuple(definitions))
-    module.definition_map()  # force expansion so unresolved refs cannot escape
+    module.definition_map()  # expand now, so unresolved refs cannot escape
     return module
 
 
 def parse_module(source: str) -> ParsedModule:
     return parse(tokenize(source))
-
-
-def _spine(expr) -> list:
-    """Disjuncts of the top-level \\/ structure, left to right."""
-    if isinstance(expr, sp.Or):
-        return _spine(expr.left) + _spine(expr.right)
-    return [expr]
 
 
 def to_spec(module: ParsedModule, name: str = "module",
@@ -409,31 +400,30 @@ def to_spec(module: ParsedModule, name: str = "module",
     name, anything else is auto-named A1..An.  TypeOK (when defined)
     and every definition in invariant_names become named invariants.
     """
-    defined = set(module.names())
+    expanded = module.definition_map()
     for required in (init_name, next_name):
-        if required not in defined:
+        if required not in expanded:
             raise MissingDefinition(f"no definition named {required!r}")
 
     actions = []
-    for index, disjunct in enumerate(_spine(module.raw(next_name)), start=1):
-        if isinstance(disjunct, Ref):
-            actions.append(sp.NamedAction(disjunct.name, module.expand(disjunct)))
-        else:
-            actions.append(sp.NamedAction(f"A{index}", module.expand(disjunct)))
+    disjuncts = sp.junction_parts(module.raw(next_name), sp.Or)
+    for index, disjunct in enumerate(disjuncts, start=1):
+        action = disjunct.name if isinstance(disjunct, Ref) else f"A{index}"
+        actions.append(sp.NamedAction(action, module.expand(disjunct)))
 
     invariants = []
-    if type_ok_name in defined:
-        invariants.append((type_ok_name, module.expand(module.raw(type_ok_name))))
+    if type_ok_name in expanded:
+        invariants.append((type_ok_name, expanded[type_ok_name]))
     for inv_name in invariant_names:
-        if inv_name not in defined:
+        if inv_name not in expanded:
             raise MissingDefinition(f"no definition named {inv_name!r}")
         if inv_name != type_ok_name:
-            invariants.append((inv_name, module.expand(module.raw(inv_name))))
+            invariants.append((inv_name, expanded[inv_name]))
 
     spec = sp.TemporalSpec(
         name=name,
         variables=module.variables,
-        init=module.expand(module.raw(init_name)),
+        init=expanded[init_name],
         actions=actions,
         invariants=invariants,
     )

@@ -1,12 +1,15 @@
 """Command-line interface: output contracts and exit codes."""
 
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
 
+import tmbt
 import tmbt.ir as ir
 import tmbt.spec as sp
 import tmbt.specs as specs
@@ -282,3 +285,34 @@ class TestTest:
         assert result.exit_code == 1
         report = json.loads(result.stdout)
         assert report["verdict"] == "fail"
+
+
+class TestDeepFormulas:
+    """A formula nested past the recursion limit is an input error."""
+
+    @pytest.fixture
+    def deep_source(self, tmp_path):
+        init = " /\\ ".join(["x = 0"] * 1000)
+        path = tmp_path / "deep.tla"
+        path.write_text(f"VARIABLE x\nInit == {init}\nNext == x' = x\n")
+        return path
+
+    def run(self, *args):
+        src = str(pathlib.Path(tmbt.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-m", "tmbt.cli", *args],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+
+    def test_check_reports_it(self, deep_source):
+        result = self.run("check", "--spec", str(deep_source))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr == "error: formula nests too deeply\n"
+
+    def test_translate_reports_it(self, deep_source):
+        result = self.run("translate", str(deep_source))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr == "deep.tla: formula nests too deeply\n"
+        assert result.stdout == ""

@@ -90,15 +90,15 @@ class TestStreamPredicate:
         p = StreamPredicate("level_in_band", {"stream": "sensor", "low": 200,
                                               "high": 800})
         sensor = TimedStream([[IntVal(500)], [IntVal(199)]])
-        assert p.check_guarantee({}, {"sensor": sensor}, {}, 0)
-        assert not p.check_guarantee({}, {"sensor": sensor}, {}, 1)
+        assert p.check_guarantee({}, {"sensor": sensor}, 0)
+        assert not p.check_guarantee({}, {"sensor": sensor}, 1)
 
     def test_signals_alternate(self):
         p = StreamPredicate("signals_alternate", {"stream": "ctrl"})
         good = TimedStream([[SIGNAL_ON], [], [SIGNAL_OFF], [SIGNAL_ON]])
-        assert p.check_guarantee({}, {"ctrl": good}, {}, 3)
+        assert p.check_guarantee({}, {"ctrl": good}, 3)
         stuck = TimedStream([[SIGNAL_ON], [SIGNAL_ON]])
-        assert not p.check_guarantee({}, {"ctrl": stuck}, {}, 1)
+        assert not p.check_guarantee({}, {"ctrl": stuck}, 1)
 
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(TypeMismatch, match="unknown assumption kind"):
@@ -108,7 +108,7 @@ class TestStreamPredicate:
     def test_guarantee_may_reference_an_input_stream(self):
         p = StreamPredicate("level_in_band", {"stream": "steam", "low": 0,
                                               "high": 10})
-        assert p.check_guarantee({"steam": ONE_PER_INTERVAL}, {}, {}, 0)
+        assert p.check_guarantee({"steam": ONE_PER_INTERVAL}, {}, 0)
 
     def test_json_round_trip(self):
         p = StreamPredicate("each_in_range", {"stream": "steam", "low": 0,

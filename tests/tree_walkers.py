@@ -1,0 +1,252 @@
+"""The recursive tree walkers, kept as references for the generic traversal.
+
+These are the walkers `tmbt` shipped before every whole-tree walk ran on
+`tmbt.spec.fold`, unchanged apart from their imports: the compiler's
+operand walk (`_operands`, `_junction_parts`), the well-formedness scan
+(`_scan`, `well_formed`), definition expansion and the Next spine of the
+parser (`_expand`, `_spine`) and the IR codec (`expr_to_json`,
+`expr_from_json`).  Each recurses once per tree level.  The differential
+tests in test_traversal.py hold the new walkers to their results and to
+their "not an expression" errors.
+"""
+
+from __future__ import annotations
+
+import typing as t
+
+import tmbt.spec as sp
+from tmbt.errors import TypeMismatch
+from tmbt.spec import (
+    COMPARISONS,
+    QUANTIFIERS,
+    Add,
+    And,
+    Const,
+    Diagnostic,
+    Eq,
+    Expr,
+    ExprNode,
+    Implies,
+    In,
+    IntRange,
+    Neq,
+    Not,
+    Or,
+    Primed,
+    SeqLit,
+    SetLit,
+    Sub,
+    TemporalSpec,
+    Var,
+)
+from tmbt.tla.parser import Ref
+from tmbt.values import value_from_json, value_to_json
+
+_BINARY = (Implies, Eq, Neq, Add, Sub) + COMPARISONS
+
+
+def _junction_parts(expr: And | Or) -> list:
+    """The operands of a chain of one junction kind, left to right."""
+    kind = And if isinstance(expr, And) else Or
+    parts, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, kind):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            parts.append(node)
+    return parts
+
+
+def _operands(expr: ExprNode) -> t.Sequence:
+    """The subexpressions to compile before `expr`: its operands, or the
+    parts of a junction chain."""
+    if isinstance(expr, (And, Or)):
+        return _junction_parts(expr)
+    if isinstance(expr, Not):
+        return (expr.operand,)
+    if isinstance(expr, (SetLit, SeqLit)):
+        return expr.items
+    if isinstance(expr, In):
+        return (expr.element, expr.domain)
+    if isinstance(expr, IntRange):
+        return (expr.low, expr.high)
+    if isinstance(expr, QUANTIFIERS):
+        return (expr.domain, expr.body)
+    if isinstance(expr, _BINARY):
+        return (expr.left, expr.right)
+    return ()
+
+
+def _scan(expr: Expr, declared: frozenset, bound: frozenset,
+          construct: str, allow_primed: bool, out: list) -> None:
+    if isinstance(expr, Const):
+        return
+    if isinstance(expr, Var):
+        if expr.name not in bound and expr.name not in declared:
+            out.append(Diagnostic("unbound-variable", construct,
+                                  f"{expr.name} is not declared"))
+        return
+    if isinstance(expr, Primed):
+        if not allow_primed:
+            out.append(Diagnostic("primed-in-state-formula", construct,
+                                  f"{expr.name}' is not allowed here"))
+        elif expr.name not in declared:
+            out.append(Diagnostic("unbound-variable", construct,
+                                  f"{expr.name}' is not declared"))
+        return
+    if isinstance(expr, Not):
+        _scan(expr.operand, declared, bound, construct, allow_primed, out)
+        return
+    if isinstance(expr, QUANTIFIERS):
+        _scan(expr.domain, declared, bound, construct, allow_primed, out)
+        _scan(expr.body, declared, bound | {expr.var}, construct, allow_primed, out)
+        return
+    if isinstance(expr, (SetLit, SeqLit)):
+        for item in expr.items:
+            _scan(item, declared, bound, construct, allow_primed, out)
+        return
+    if isinstance(expr, IntRange):
+        _scan(expr.low, declared, bound, construct, allow_primed, out)
+        _scan(expr.high, declared, bound, construct, allow_primed, out)
+        return
+    if isinstance(expr, In):
+        _scan(expr.element, declared, bound, construct, allow_primed, out)
+        _scan(expr.domain, declared, bound, construct, allow_primed, out)
+        return
+    # remaining nodes are binary left/right
+    _scan(expr.left, declared, bound, construct, allow_primed, out)
+    _scan(expr.right, declared, bound, construct, allow_primed, out)
+
+
+def well_formed(spec: TemporalSpec) -> list:
+    """Check a spec and return a list of Diagnostics (empty when clean).
+
+    Init and invariants must be state formulas over declared variables;
+    action formulas may prime declared variables only.
+    """
+    out: list = []
+    declared = frozenset(spec.variables)
+    seen = set()
+    for name in spec.variables:
+        if name in seen:
+            out.append(Diagnostic("duplicate-variable", "variables",
+                                  f"{name} declared twice"))
+        seen.add(name)
+    _scan(spec.init, declared, frozenset(), "init", False, out)
+    for action in spec.actions:
+        _scan(action.formula, declared, frozenset(),
+              f"action {action.name}", True, out)
+    for inv_name, formula in spec.invariants:
+        _scan(formula, declared, frozenset(),
+              f"invariant {inv_name}", False, out)
+    return out
+
+
+def _expand(expr, raw: dict, memo: dict):
+    if isinstance(expr, Ref):
+        if expr.name not in memo:
+            memo[expr.name] = _expand(raw[expr.name], raw, memo)
+        return memo[expr.name]
+    if isinstance(expr, (sp.Const, sp.Var, sp.Primed)):
+        return expr
+    if isinstance(expr, sp.Not):
+        return sp.Not(_expand(expr.operand, raw, memo))
+    if isinstance(expr, (sp.SetLit, sp.SeqLit)):
+        items = tuple(_expand(item, raw, memo) for item in expr.items)
+        return type(expr)(items)
+    if isinstance(expr, sp.IntRange):
+        return sp.IntRange(_expand(expr.low, raw, memo),
+                           _expand(expr.high, raw, memo))
+    if isinstance(expr, sp.In):
+        return sp.In(_expand(expr.element, raw, memo),
+                     _expand(expr.domain, raw, memo))
+    if isinstance(expr, sp.QUANTIFIERS):
+        return type(expr)(expr.var,
+                          _expand(expr.domain, raw, memo),
+                          _expand(expr.body, raw, memo))
+    return type(expr)(_expand(expr.left, raw, memo),
+                      _expand(expr.right, raw, memo))
+
+
+def _spine(expr) -> list:
+    """Disjuncts of the top-level \\/ structure, left to right."""
+    if isinstance(expr, sp.Or):
+        return _spine(expr.left) + _spine(expr.right)
+    return [expr]
+
+
+_BINARY_OPS = {
+    sp.And: "and", sp.Or: "or", sp.Implies: "implies",
+    sp.Eq: "eq", sp.Neq: "neq",
+    sp.Lt: "lt", sp.Le: "le", sp.Gt: "gt", sp.Ge: "ge",
+    sp.NotLt: "not_lt", sp.NotLe: "not_le",
+    sp.NotGt: "not_gt", sp.NotGe: "not_ge",
+    sp.Add: "add", sp.Sub: "sub",
+}
+_BINARY_TYPES = {name: cls for cls, name in _BINARY_OPS.items()}
+_QUANTIFIER_OPS = {sp.Forall: "forall", sp.Exists: "exists", sp.Choose: "choose"}
+_QUANTIFIER_TYPES = {name: cls for cls, name in _QUANTIFIER_OPS.items()}
+
+
+def expr_to_json(expr) -> dict:
+    if isinstance(expr, sp.Const):
+        return {"op": "const", "value": value_to_json(expr.value)}
+    if isinstance(expr, sp.Var):
+        return {"op": "var", "name": expr.name}
+    if isinstance(expr, sp.Primed):
+        return {"op": "primed", "name": expr.name}
+    if isinstance(expr, sp.Not):
+        return {"op": "not", "args": [expr_to_json(expr.operand)]}
+    if isinstance(expr, sp.In):
+        return {"op": "in", "args": [expr_to_json(expr.element),
+                                     expr_to_json(expr.domain)]}
+    if isinstance(expr, sp.SetLit):
+        return {"op": "set", "args": [expr_to_json(i) for i in expr.items]}
+    if isinstance(expr, sp.SeqLit):
+        return {"op": "seq", "args": [expr_to_json(i) for i in expr.items]}
+    if isinstance(expr, sp.IntRange):
+        return {"op": "range", "args": [expr_to_json(expr.low),
+                                        expr_to_json(expr.high)]}
+    if isinstance(expr, sp.QUANTIFIERS):
+        return {
+            "op": _QUANTIFIER_OPS[type(expr)],
+            "var": expr.var,
+            "args": [expr_to_json(expr.domain), expr_to_json(expr.body)],
+        }
+    op = _BINARY_OPS.get(type(expr))
+    if op is None:
+        msg = f"not an expression: {expr!r}"
+        raise TypeMismatch(msg)
+    return {"op": op, "args": [expr_to_json(expr.left), expr_to_json(expr.right)]}
+
+
+def expr_from_json(data: dict):
+    if not isinstance(data, dict) or "op" not in data:
+        msg = f"malformed expression node: {data!r}"
+        raise TypeMismatch(msg)
+    op = data["op"]
+    if op == "const":
+        return sp.Const(value_from_json(data["value"]))
+    if op == "var":
+        return sp.Var(data["name"])
+    if op == "primed":
+        return sp.Primed(data["name"])
+    args = [expr_from_json(a) for a in data.get("args", [])]
+    if op == "not":
+        return sp.Not(args[0])
+    if op == "in":
+        return sp.In(args[0], args[1])
+    if op == "set":
+        return sp.SetLit(args)
+    if op == "seq":
+        return sp.SeqLit(args)
+    if op == "range":
+        return sp.IntRange(args[0], args[1])
+    if op in _QUANTIFIER_TYPES:
+        return _QUANTIFIER_TYPES[op](data["var"], args[0], args[1])
+    if op in _BINARY_TYPES:
+        return _BINARY_TYPES[op](args[0], args[1])
+    msg = f"unknown expression op {op!r}"
+    raise TypeMismatch(msg)
