@@ -15,7 +15,7 @@ import click
 
 from . import ir, pbt, specs
 from .boiler import build_boiler_binding, build_sut_model_spec, reference_adapter
-from .errors import ProtocolError, TmbtError
+from .errors import TmbtError
 from .explore import (
     behavior_to_json,
     behaviors as spec_behaviors,
@@ -211,7 +211,7 @@ def test(example, params, sut_cmdline, cases, max_len, seed,
         else:
             adapter = pbt.SubprocessAdapter(shlex.split(sut_cmdline))
         report = pbt.test(binding, spec, adapter, config)
-    except (ProtocolError, OSError, ValueError, RecursionError) as problem:
+    except INPUT_ERRORS as problem:
         _usage_error("error", problem)
     finally:
         if isinstance(adapter, pbt.SubprocessAdapter):

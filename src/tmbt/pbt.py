@@ -26,8 +26,8 @@ from .errors import (
     SutCrashed,
     TypeMismatch,
 )
-from .spec import Const, In, State, TemporalSpec, eval_expr, eval_state_formula
-from .values import IntVal, set_members, value_from_json, value_to_json
+from .spec import State, TemporalSpec, eval_state_formula, set_view
+from .values import IntVal, value_from_json, value_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -87,21 +87,27 @@ class ModelBinding:
     def __init__(self, initial, alphabet):
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "alphabet", tuple(alphabet))
+        by_name: dict = {}
+        for op in reversed(self.alphabet):  # the first of a name wins
+            by_name[op.name] = op
+        object.__setattr__(self, "_by_name", by_name)
 
     def op(self, name: str) -> OpSpec:
-        for op in self.alphabet:
-            if op.name == name:
-                return op
-        msg = f"operation {name!r} is not in the alphabet"
-        raise TypeMismatch(msg)
+        try:
+            return self._by_name[name]
+        except KeyError:
+            msg = f"operation {name!r} is not in the alphabet"
+            raise TypeMismatch(msg) from None
 
     def op_names(self) -> tuple:
         return tuple(op.name for op in self.alphabet)
 
 
-def _arg_domain(arg: ArgSpec, state: State, chosen: dict) -> list:
-    domain = eval_expr(arg.domain, state, env=dict(chosen))
-    return set_members(domain)
+def _arg_domain(arg: ArgSpec, state: State, chosen: dict) -> t.Sequence:
+    """The argument's admissible values in canonical order; a range `a..b`
+    is indexed, not built."""
+    return set_view(arg.domain).members(state, None, chosen,
+                                        f"domain of argument {arg.name}")
 
 
 def _apply_effect(op: OpSpec, state: State, args: dict):
@@ -123,7 +129,7 @@ def _check_step(binding: ModelBinding, state: State, command: Command,
     chosen: dict = {}
     for arg in op.args:
         value = given[arg.name]
-        if not eval_expr(In(Const(value), arg.domain), state, env=chosen).value:
+        if not set_view(arg.domain).contains(value, state, None, chosen):
             msg = (f"argument {arg.name}={value!r} of {op.name} "
                    f"at index {index} is outside its domain")
             raise PreconditionViolated(msg)
@@ -275,7 +281,10 @@ class SubprocessAdapter:
         if proc is None:
             return
         if proc.stdin:
-            proc.stdin.close()
+            try:
+                proc.stdin.close()
+            except BrokenPipeError:
+                pass  # the child stopped reading; its unread input is moot
         proc.wait(timeout=10)
         if proc.stdout:
             proc.stdout.close()

@@ -10,11 +10,14 @@ Evaluation compiles each formula into Python closures on its first
 evaluation and caches them on the expression node, so a spec's formulas
 compile once however often they are evaluated.  Membership in an
 integer range, `e \\in a..b`, is a bounds check, and quantifiers over a
-range count through it; neither builds the range as a set.
+range count through it; neither builds the range as a set.  Callers
+that need a set expression's members or a membership test read it
+through `set_view`, which indexes a range instead of building it.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import functools
 import operator
@@ -117,7 +120,8 @@ class ExprNode:
     `(current, nxt, env) -> Value`, built on first evaluation and then
     kept on the node (see `eval_expr`).  It lives in the instance
     dictionary, outside the dataclass fields, so it takes no part in
-    equality, hashing or printing.
+    equality, hashing or printing.  So does `set_view`, the node read
+    as a set (see `SetView`), built on first use.
     """
 
     scalars: t.ClassVar[tuple] = ()
@@ -141,6 +145,10 @@ class ExprNode:
     @functools.cached_property
     def compiled(self) -> t.Callable:
         return _compile(self)
+
+    @functools.cached_property
+    def set_view(self) -> "SetView":
+        return _build_set_view(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -680,6 +688,70 @@ def _build_quantifier(expr: Forall | Exists | Choose) -> t.Callable:
             raise EmptyChooseDomain(msg)
         return exhausted
     return quantifier
+
+
+@dataclasses.dataclass(frozen=True)
+class SetView:
+    """A set expression read as a set without building it where it is a
+    range `a..b`; `set_view` compiles one per expression node.
+
+    `members(current, nxt, env, what)` gives the members in canonical
+    order as an indexable sequence, and raises TypeMismatch naming `what`
+    when the value is not a set.  `contains(value, current, nxt, env)`
+    tells whether `value \\in expr` holds.  Both evaluate the range bounds,
+    or the expression, as `eval_expr` would and raise its errors.
+    """
+
+    members: t.Callable
+    contains: t.Callable
+
+
+class RangeMembers(collections.abc.Sequence):
+    """The members of a range in ascending (canonical) order, each made as
+    an `IntVal` when it is indexed."""
+
+    def __init__(self, numbers: range):
+        self.numbers = numbers
+
+    def __len__(self) -> int:
+        return len(self.numbers)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RangeMembers(self.numbers[index])
+        return IntVal(self.numbers[index])
+
+
+def set_view(expr) -> SetView:
+    """The set view of `expr`, cached on the node (see `SetView`)."""
+    return expr.set_view if isinstance(expr, ExprNode) else _build_set_view(expr)
+
+
+def _build_set_view(expr) -> SetView:
+    if isinstance(expr, IntRange):
+        low, high = _closure(expr.low), _closure(expr.high)
+
+        def bounds(current, nxt, env) -> range:
+            lo = require_int(low(current, nxt, env), "range bound")
+            hi = require_int(high(current, nxt, env), "range bound")
+            return range(lo, hi + 1)
+
+        def range_members(current, nxt, env, what):
+            return RangeMembers(bounds(current, nxt, env))
+
+        def in_range(value, current, nxt, env) -> bool:
+            numbers = bounds(current, nxt, env)  # raises before the type test
+            return type(value) is IntVal and value.value in numbers
+        return SetView(range_members, in_range)
+    domain = _closure(expr)
+
+    def members(current, nxt, env, what):
+        return set_members(require_set(domain(current, nxt, env), what))
+
+    def in_set(value, current, nxt, env) -> bool:
+        return value in require_set(domain(current, nxt, env),
+                                    "right side of \\in").elements
+    return SetView(members, in_set)
 
 
 def eval_expr(expr: Expr, current: State, nxt: State | None = None,

@@ -316,3 +316,30 @@ class TestDeepFormulas:
         assert "Traceback" not in result.stderr
         assert result.stderr == "deep.tla: formula nests too deeply\n"
         assert result.stdout == ""
+
+
+class TestDeadSut:
+    """A SUT that dies is an input error, not a failed property."""
+
+    def run(self, *args):
+        src = str(pathlib.Path(tmbt.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-m", "tmbt.cli", *args],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+
+    def test_exited_sut_is_exit_2(self):
+        result = self.run("test", "--sut", "true", "--cases", "2")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: SUT ")
+        assert result.stdout == ""
+
+    def test_sut_that_shuts_its_input_is_exit_2(self, tmp_path):
+        script = tmp_path / "sut.py"
+        script.write_text("import os, time\nos.close(0)\ntime.sleep(0.3)\n")
+        result = self.run("test", "--sut", f"{sys.executable} {script}",
+                          "--cases", "2")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: SUT ")

@@ -121,7 +121,7 @@ class TestComponentSpec:
     def test_json_round_trip(self):
         comp = closed_loop_component_spec()
         again = ComponentSpec.from_json(comp.to_json())
-        assert again == comp  # advance hook is None on both sides
+        assert again == comp  # every section survives the round trip
 
     def test_json_sections(self):
         data = closed_loop_component_spec().to_json()

@@ -112,6 +112,18 @@ class TestBrokenProcesses:
         finally:
             sut.close()
 
+    def test_close_after_a_broken_pipe(self, tmp_path):
+        # The SUT shuts its input, says so and lingers, so the request meets
+        # a broken pipe and is still buffered when the adapter closes.
+        body = ("import os, time\nos.close(0)\n"
+                "print('closed', flush=True)\ntime.sleep(0.3)\n")
+        sut = script_adapter(tmp_path, body)
+        assert sut.process.stdout.readline() == "closed\n"
+        with pytest.raises(SutCrashed, match="pipe broke"):
+            sut.reset()
+        sut.close()
+        assert sut.process is None
+
     def test_unparseable_reply(self, tmp_path):
         body = ECHO_LOOP.format(reply='"not json at all"')
         sut = script_adapter(tmp_path, body)
