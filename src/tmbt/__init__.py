@@ -5,6 +5,8 @@ exploration, a textual TLA+ subset front end, timed-stream component
 specs, and model-guided stateful property-based testing.
 """
 
+import importlib
+
 from .errors import TmbtError
 from .explore import (
     Counterexample,
@@ -16,7 +18,6 @@ from .explore import (
     initial_states,
     successors,
 )
-from .ir import spec_from_text, spec_to_text
 from .spec import (
     Behavior,
     NamedAction,
@@ -27,10 +28,33 @@ from .spec import (
     eval_state_formula,
     well_formed,
 )
-from .tla import parse_expression, parse_module, pretty_print, to_spec
 from .values import BoolVal, IntVal, SeqVal, SetVal, Value
 
 __version__ = "0.1.0"
+
+# The IR codec and the TLA-subset front end load on first use of one of
+# their names (PEP 562), so importing the package, or a command that
+# needs neither, does not pay for them.  `explore` stays an eager import:
+# the function it binds must shadow the submodule of the same name.
+_LAZY = {
+    "spec_from_text": "ir",
+    "spec_to_text": "ir",
+    "parse_expression": "tla",
+    "parse_module": "tla",
+    "pretty_print": "tla",
+    "to_spec": "tla",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    return getattr(module, name)
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "Behavior",

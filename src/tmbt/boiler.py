@@ -16,7 +16,6 @@ Two seeded faults are available for exercising the engine:
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -255,6 +254,8 @@ def build_boiler_binding(low: int = LOW_DEFAULT,
 
 def main(argv=None) -> int:
     """Serve the adapter wire protocol on stdin/stdout."""
+    import argparse  # only the SUT process parses options
+
     parser = argparse.ArgumentParser(
         prog="tmbt-boiler-sut",
         description="steam-boiler SUT speaking line-delimited JSON",

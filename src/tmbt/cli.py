@@ -13,8 +13,7 @@ import sys
 
 import click
 
-from . import ir, pbt, specs
-from .boiler import build_boiler_binding, build_sut_model_spec, reference_adapter
+from . import specs
 from .errors import TmbtError
 from .explore import (
     behavior_to_json,
@@ -23,8 +22,11 @@ from .explore import (
     explore,
     stats_to_json,
 )
-from .tla import parse_module, to_spec
 from .values import value_to_json
+
+# Each command imports the layers only it runs (the parser where a
+# source file is read, the IR in translate, PBT and the boiler in test),
+# so a process pays start-up only for what its command needs.
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -59,6 +61,8 @@ def _load_spec(spec_path, example, params, invariants=()):
     if spec_path is not None:
         if params:
             raise click.UsageError("--param applies to built-in examples only")
+        from .tla import parse_module, to_spec
+
         path = pathlib.Path(spec_path)
         module = parse_module(path.read_text())
         return to_spec(module, name=path.stem, invariant_names=tuple(invariants))
@@ -97,6 +101,9 @@ def main() -> None:
 @click.argument("output", type=click.Path(), required=False)
 def translate(source, output) -> None:
     """Translate a .tla-subset file to canonical spec IR JSON."""
+    from . import ir
+    from .tla import parse_module, to_spec
+
     path = pathlib.Path(source)
     try:
         spec = to_spec(parse_module(path.read_text()), name=path.stem)
@@ -190,6 +197,9 @@ def behaviors(spec_path, example, params, count, max_len, seed) -> None:
 def test(example, params, sut_cmdline, cases, max_len, seed,
          continue_on_fail, fmt) -> None:
     """Property-test a system under test against the model."""
+    from . import pbt
+    from .boiler import build_boiler_binding, build_sut_model_spec, reference_adapter
+
     if example is None:
         example = "steamboiler"
     if example != "steamboiler":

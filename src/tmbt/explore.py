@@ -7,6 +7,14 @@ Domains come from the TypeOK invariant when one is declared, from
 membership constraints in init otherwise, and as a last resort from
 constants compared against the variable anywhere in the spec.
 
+Init and Next are enumerated by one engine.  Each formula is turned
+once into a candidate plan (`candidate_plan`) that reads its `v = e`
+and `v \\in S` conjuncts and disjuncts: an action's plan narrows the
+primed variables given the current state, and Init's plan narrows the
+variables given the empty state.  A variable the plan leaves free takes
+its whole domain, and narrowed values outside the domain are dropped.
+Every candidate is then checked against the whole formula.
+
 Counting contract:
   states_found    initial states plus every successor generated from a
                   dequeued state, duplicates included
@@ -27,6 +35,7 @@ from .errors import NoInitialStates, TmbtError, UnboundedDomain
 from .values import SetVal, Value, sorted_values, value_to_json
 
 TYPE_OK_NAME = "TypeOK"
+_EMPTY = sp.State({})
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +94,7 @@ def counterexample_to_json(cex: Counterexample) -> dict:
 def _closed_eval(expr) -> Value | None:
     """Evaluate an expression with nothing in scope, or None if it needs one."""
     try:
-        return sp.eval_expr(expr, sp.State({}), sp.State({}))
+        return sp.eval_expr(expr, _EMPTY, _EMPTY)
     except TmbtError:
         return None
 
@@ -167,75 +176,117 @@ def derive_domains(spec: sp.TemporalSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Successor enumeration
-
-
-def _primed_candidates(expr, current: sp.State) -> dict | None:
-    """Candidate next values implied by the formula's structure.
-
-    Returns a map variable -> set of values, where an absent variable is
-    unconstrained.  None means the whole branch is uninformative.  Only a
-    pruning aid: every returned candidate set is a superset of the values
-    the full evaluation would accept for that conjunct.
-    """
-    if isinstance(expr, sp.And):
-        left = _primed_candidates(expr.left, current)
-        right = _primed_candidates(expr.right, current)
-        if left is None:
-            return right
-        if right is None:
-            return left
-        out = dict(left)
-        for name, vals in right.items():
-            out[name] = out[name] & vals if name in out else vals
-        return out
-    if isinstance(expr, sp.Or):
-        left = _primed_candidates(expr.left, current)
-        right = _primed_candidates(expr.right, current)
-        if left is None or right is None:
-            return None
-        out = {}
-        for name in left.keys() & right.keys():
-            out[name] = left[name] | right[name]
-        return out or None
-    if isinstance(expr, sp.Eq):
-        for side, other in ((expr.left, expr.right), (expr.right, expr.left)):
-            if isinstance(side, sp.Primed) and not _mentions_primed(other):
-                value = _try_eval(other, current)
-                if value is not None:
-                    return {side.name: {value}}
-        return None
-    if isinstance(expr, sp.In):
-        if isinstance(expr.element, sp.Primed) and not _mentions_primed(expr.domain):
-            domain = _try_eval(expr.domain, current)
-            if isinstance(domain, SetVal):
-                return {expr.element.name: set(domain.elements)}
-    return None
-
-
-def _mentions_primed(expr) -> bool:
-    if isinstance(expr, sp.Primed):
-        return True
-    if isinstance(expr, (sp.Const, sp.Var)):
-        return False
-    if isinstance(expr, sp.Not):
-        return _mentions_primed(expr.operand)
-    if isinstance(expr, (sp.SetLit, sp.SeqLit)):
-        return any(_mentions_primed(i) for i in expr.items)
-    if isinstance(expr, sp.IntRange):
-        return _mentions_primed(expr.low) or _mentions_primed(expr.high)
-    if isinstance(expr, sp.In):
-        return _mentions_primed(expr.element) or _mentions_primed(expr.domain)
-    if isinstance(expr, sp.QUANTIFIERS):
-        return _mentions_primed(expr.domain) or _mentions_primed(expr.body)
-    return _mentions_primed(expr.left) or _mentions_primed(expr.right)
+# Candidate plans: Init and Next are enumerated by one engine
 
 
 def _try_eval(expr, current: sp.State) -> Value | None:
     try:
-        return sp.eval_expr(expr, current, sp.State({}))
+        return sp.eval_expr(expr, current, _EMPTY)
     except TmbtError:
         return None
+
+
+def _mentions(expr, target: type) -> bool:
+    return sp.fold(expr, lambda node, inner: isinstance(node, target) or any(inner))
+
+
+def _plan_leaf(expr, target: type):
+    """The plan of a formula that is not a junction: `v = e` (either way
+    round) or `v \\in S`, where `v` is a `target` node and `e` or `S`
+    mentions none; None for any other formula, which never narrows."""
+    if isinstance(expr, sp.Eq):
+        for side, other in ((expr.left, expr.right), (expr.right, expr.left)):
+            if isinstance(side, target) and not _mentions(other, target):
+                name = side.name
+
+                def assignment(current):
+                    value = _try_eval(other, current)
+                    return None if value is None else {name: {value}}
+                return assignment
+    if (isinstance(expr, sp.In) and isinstance(expr.element, target)
+            and not _mentions(expr.domain, target)):
+        name, domain = expr.element.name, expr.domain
+
+        def membership(current):
+            members = _try_eval(domain, current)
+            if isinstance(members, SetVal):
+                return {name: set(members.elements)}
+            return None
+        return membership
+    return None
+
+
+def _plan_node(expr, parts: list, target: type):
+    if isinstance(expr, sp.And):
+        parts = [part for part in parts if part is not None]
+        if len(parts) < 2:
+            return parts[0] if parts else None
+
+        def conjunction(current):
+            # conjuncts intersect; a variable one leaves free stays as is
+            out = None
+            for part in parts:
+                found = part(current)
+                if found is None:
+                    continue
+                if out is None:
+                    out = dict(found)
+                    continue
+                for name, values in found.items():
+                    out[name] = out[name] & values if name in out else values
+            return out
+        return conjunction
+    if isinstance(expr, sp.Or):
+        if None in parts:
+            return None
+
+        def disjunction(current):
+            # disjuncts unite; a variable free in one disjunct is free
+            out = None
+            for part in parts:
+                found = part(current)
+                if found is None:
+                    return None
+                out = found if out is None else {
+                    name: out[name] | found[name]
+                    for name in out.keys() & found.keys()}
+            return out or None
+        return disjunction
+    return _plan_leaf(expr, target)
+
+
+def _junction_parts(expr) -> list:
+    if isinstance(expr, (sp.And, sp.Or)):
+        return sp.junction_parts(expr, type(expr))
+    return []
+
+
+def _build_plan(formula, target: type):
+    plan = sp.fold(formula, lambda node, parts: _plan_node(node, parts, target),
+                   _junction_parts)
+    return plan if plan is not None else (lambda current: None)
+
+
+def candidate_plan(formula, target: type):
+    """The formula's candidate values for the variables it assigns, as a
+    closure `current -> {name: set of values} | None`, built once per
+    formula and target and kept on its root node.
+
+    `target` is `sp.Primed` for an action (next-state values, given the
+    current state) or `sp.Var` for Init (initial values, given the empty
+    state).  Conjuncts intersect their candidates and disjuncts unite
+    them; `v = e` offers the value of `e` and `v \\in S` the members of
+    `S`, when these evaluate.  An absent variable is unconstrained and
+    None means nothing is known.  Only a pruning aid: every candidate
+    set is a superset of the values the full evaluation accepts.
+    """
+    if not isinstance(formula, sp.ExprNode):
+        return _build_plan(formula, target)
+    key = "plan_" + target.__name__
+    cache = vars(formula)
+    if key not in cache:
+        cache[key] = _build_plan(formula, target)
+    return cache[key]
 
 
 def _domain_index(domains: dict) -> dict:
@@ -244,6 +295,21 @@ def _domain_index(domains: dict) -> dict:
     successor states share them instead of holding fresh copies."""
     return {name: {value: value for value in values}
             for name, values in domains.items()}
+
+
+def _candidates(variables: tuple, narrowed: dict | None, domains: dict,
+                domain_index: dict) -> list:
+    """Per variable, its narrowed values that lie in its domain, or its
+    whole domain where the plan leaves it free; canonically sorted."""
+    per_var = []
+    for name in variables:
+        if narrowed and name in narrowed:
+            index = domain_index[name]
+            per_var.append(sorted_values(index[value] for value in narrowed[name]
+                                         if value in index))
+        else:
+            per_var.append(domains[name])
+    return per_var
 
 
 def successors(spec: sp.TemporalSpec, state: sp.State,
@@ -265,15 +331,8 @@ def successors(spec: sp.TemporalSpec, state: sp.State,
         domain_index = _domain_index(domains)
     out = []
     for action in spec.actions:
-        narrowed = _primed_candidates(action.formula, state) or {}
-        per_var = []
-        for name in spec.variables:
-            if name in narrowed:
-                index = domain_index[name]
-                per_var.append(sorted_values(index[value] for value in narrowed[name]
-                                             if value in index))
-            else:
-                per_var.append(domains[name])
+        narrowed = candidate_plan(action.formula, sp.Primed)(state)
+        per_var = _candidates(spec.variables, narrowed, domains, domain_index)
         accepted = []
         for combo in itertools.product(*per_var):
             candidate = sp.State(zip(spec.variables, combo))
@@ -284,11 +343,21 @@ def successors(spec: sp.TemporalSpec, state: sp.State,
     return out
 
 
-def initial_states(spec: sp.TemporalSpec, domains: dict | None = None) -> list:
-    """States over the derived domains satisfying init, canonically sorted."""
+def initial_states(spec: sp.TemporalSpec, domains: dict | None = None,
+                   domain_index: dict | None = None) -> list:
+    """States over the derived domains satisfying init, canonically sorted.
+
+    Init is narrowed like Next: its candidate plan, evaluated against the
+    empty state, picks each variable's candidates from its domain, so
+    `x = 0 /\\ y \\in {1, 2}` tries two states and not the domain
+    product.  Each candidate is then checked against the whole of init.
+    """
     if domains is None:
         domains = derive_domains(spec)
-    per_var = [domains[name] for name in spec.variables]
+    if domain_index is None:
+        domain_index = _domain_index(domains)
+    narrowed = candidate_plan(spec.init, sp.Var)(_EMPTY)
+    per_var = _candidates(spec.variables, narrowed, domains, domain_index)
     found = []
     for combo in itertools.product(*per_var):
         candidate = sp.State(zip(spec.variables, combo))
@@ -315,7 +384,7 @@ def explore(spec: sp.TemporalSpec, max_distinct: int | None = None,
     """
     domains = derive_domains(spec)
     domain_index = _domain_index(domains)
-    inits = initial_states(spec, domains)
+    inits = initial_states(spec, domains, domain_index)
 
     depth = {s: 0 for s in inits}
     nodes = set(inits)

@@ -26,7 +26,7 @@ from .errors import (
     SutCrashed,
     TypeMismatch,
 )
-from .spec import State, TemporalSpec, eval_state_formula, set_view
+from .spec import State, TemporalSpec, eval_state_formula, member_count, set_view
 from .values import IntVal, value_from_json, value_to_json
 
 
@@ -164,9 +164,10 @@ def generate_commands(binding: ModelBinding, spec: TemporalSpec,
             chosen: dict = {}
             for arg in op.args:
                 members = _arg_domain(arg, state, chosen)
-                if not members:
+                count = member_count(members)
+                if not count:
                     break
-                chosen[arg.name] = members[rng.randrange(len(members))]
+                chosen[arg.name] = members[rng.randrange(count)]
             else:
                 command = Command(op.name, chosen)
                 break

@@ -11,8 +11,6 @@ from __future__ import annotations
 from importlib import resources
 
 from .. import spec as sp
-from ..streams import ClosedLoop, Thresholds, to_temporal_spec
-from ..tla import parse_module, to_spec
 from ..values import BOOLEANS, FALSE
 
 EXAMPLE_NAMES = ("onebit", "diehard", "euclid", "therac25", "steamboiler")
@@ -22,11 +20,17 @@ def _shipped(filename: str) -> str:
     return resources.files(__package__).joinpath(filename).read_text()
 
 
+# The parser and the stream layer are imported by the examples that use
+# them, so a process that checks another example never loads them.
+
+
 def onebit() -> sp.TemporalSpec:
+    from ..tla import parse_module, to_spec
     return to_spec(parse_module(_shipped("onebit.tla")), name="onebit")
 
 
 def diehard() -> sp.TemporalSpec:
+    from ..tla import parse_module, to_spec
     module = parse_module(_shipped("diehard.tla"))
     return to_spec(module, name="diehard", invariant_names=("big_ne_4",))
 
@@ -142,6 +146,7 @@ def therac25() -> sp.TemporalSpec:
 
 
 def steamboiler(low: int = 300, high: int = 700) -> sp.TemporalSpec:
+    from ..streams import ClosedLoop, Thresholds, to_temporal_spec
     loop = ClosedLoop(thresholds=Thresholds(low, high))
     return to_temporal_spec(loop)
 

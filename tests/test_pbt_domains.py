@@ -382,6 +382,27 @@ class TestHugeRanges:
         assert no_sets_built == []
 
 
+    def test_a_range_past_sys_maxsize_draws_and_validates(self, no_sets_built):
+        """`-(2^63)..2^63-1` has 2^64 members, too many for `len()`."""
+        full = sp.IntRange(sp.intval(-2**63), sp.intval(2**63 - 1))
+        binding = ModelBinding(
+            sp.State({"b": TRUE, "x": IntVal(0), "y": IntVal(0)}),
+            (OpSpec("draw", sp.Const(TRUE), _effect(0), (ArgSpec("a0", full),)),))
+        members = sp.set_view(full).members(binding.initial, None, {}, "domain")
+        assert sp.member_count(members) == 2**64
+        assert sp.member_count(members[::3]) == len(range(0, 2**64, 3))
+        for seed in range(5):
+            commands = pbt.generate_commands(binding, SPEC, 10, seed)
+            rng = random.Random(seed)
+            expected = []
+            for _ in range(10):
+                rng.choices(binding.alphabet)  # the operation's draw
+                expected.append(-2**63 + rng.randrange(2**64))
+            assert [c.arg_map()["a0"].value for c in commands] == expected
+            assert pbt._valid(binding, list(commands))
+        assert no_sets_built == []
+
+
 class TestAlphabetLookup:
     def test_first_operation_of_a_name_wins(self):
         first = OpSpec("op", sp.Const(TRUE), _effect(0))
