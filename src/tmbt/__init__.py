@@ -53,9 +53,6 @@ def __getattr__(name: str):
     return getattr(module, name)
 
 
-def __dir__() -> list:
-    return sorted(set(globals()) | set(_LAZY))
-
 __all__ = [
     "Behavior",
     "BoolVal",

@@ -343,8 +343,7 @@ def successors(spec: sp.TemporalSpec, state: sp.State,
     return out
 
 
-def initial_states(spec: sp.TemporalSpec, domains: dict | None = None,
-                   domain_index: dict | None = None) -> list:
+def initial_states(spec: sp.TemporalSpec, domains: dict | None = None) -> list:
     """States over the derived domains satisfying init, canonically sorted.
 
     Init is narrowed like Next: its candidate plan, evaluated against the
@@ -354,10 +353,9 @@ def initial_states(spec: sp.TemporalSpec, domains: dict | None = None,
     """
     if domains is None:
         domains = derive_domains(spec)
-    if domain_index is None:
-        domain_index = _domain_index(domains)
     narrowed = candidate_plan(spec.init, sp.Var)(_EMPTY)
-    per_var = _candidates(spec.variables, narrowed, domains, domain_index)
+    per_var = _candidates(spec.variables, narrowed, domains,
+                          _domain_index(domains))
     found = []
     for combo in itertools.product(*per_var):
         candidate = sp.State(zip(spec.variables, combo))
@@ -384,7 +382,7 @@ def explore(spec: sp.TemporalSpec, max_distinct: int | None = None,
     """
     domains = derive_domains(spec)
     domain_index = _domain_index(domains)
-    inits = initial_states(spec, domains, domain_index)
+    inits = initial_states(spec, domains)
 
     depth = {s: 0 for s in inits}
     nodes = set(inits)

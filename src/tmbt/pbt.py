@@ -26,7 +26,13 @@ from .errors import (
     SutCrashed,
     TypeMismatch,
 )
-from .spec import State, TemporalSpec, eval_state_formula, member_count, set_view
+from .spec import (
+    RangeMembers,
+    State,
+    TemporalSpec,
+    eval_state_formula,
+    set_view,
+)
 from .values import IntVal, value_from_json, value_to_json
 
 
@@ -164,7 +170,8 @@ def generate_commands(binding: ModelBinding, spec: TemporalSpec,
             chosen: dict = {}
             for arg in op.args:
                 members = _arg_domain(arg, state, chosen)
-                count = member_count(members)
+                count = (members.size if isinstance(members, RangeMembers)
+                         else len(members))
                 if not count:
                     break
                 chosen[arg.name] = members[rng.randrange(count)]

@@ -713,23 +713,20 @@ class RangeMembers(collections.abc.Sequence):
     def __init__(self, numbers: range):
         self.numbers = numbers
 
+    @property
+    def size(self) -> int:
+        """The number of members; unlike `len()`, also past sys.maxsize,
+        as for `-(2^63)..2^63-1`."""
+        numbers = self.numbers
+        return (numbers[-1] - numbers[0]) // numbers.step + 1 if numbers else 0
+
     def __len__(self) -> int:
-        return len(self.numbers)  # OverflowError past sys.maxsize members
+        return len(self.numbers)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return RangeMembers(self.numbers[index])
         return IntVal(self.numbers[index])
-
-
-def member_count(members: t.Sequence) -> int:
-    """How many members a `SetView.members` sequence holds.  Unlike
-    `len()`, also right for a range of more than sys.maxsize members,
-    such as `-(2^63)..2^63-1`."""
-    if isinstance(members, RangeMembers):
-        numbers = members.numbers
-        return (numbers[-1] - numbers[0]) // numbers.step + 1 if numbers else 0
-    return len(members)
 
 
 def set_view(expr) -> SetView:
