@@ -224,7 +224,7 @@ def test(example, params, sut_cmdline, cases, max_len, seed,
     except INPUT_ERRORS as problem:
         _usage_error("error", problem)
     finally:
-        if isinstance(adapter, pbt.SubprocessAdapter):
+        if sut_cmdline is not None and adapter is not None:
             adapter.close()
     if fmt == "json":
         click.echo(json.dumps(report.to_json(), sort_keys=True))

@@ -14,9 +14,7 @@ data; everything is reproducible from the seed.
 from __future__ import annotations
 
 import dataclasses
-import json
 import random
-import subprocess
 import time
 import typing as t
 
@@ -30,7 +28,9 @@ from .spec import (
     RangeMembers,
     State,
     TemporalSpec,
+    Var,
     eval_state_formula,
+    fold,
     set_view,
 )
 from .values import IntVal, value_from_json, value_to_json
@@ -83,6 +83,12 @@ class OpSpec:
     weight: int = 1
 
 
+def _variables_read(expr) -> frozenset:
+    """The names of the variables a formula reads (bound names included)."""
+    return fold(expr, lambda node, inner: frozenset().union(
+        *inner, (node.name,) if isinstance(node, Var) else ()))
+
+
 @dataclasses.dataclass(frozen=True)
 class ModelBinding:
     """The test model: an initial state plus the operation alphabet."""
@@ -97,6 +103,10 @@ class ModelBinding:
         for op in reversed(self.alphabet):  # the first of a name wins
             by_name[op.name] = op
         object.__setattr__(self, "_by_name", by_name)
+        reads = frozenset().union(*(_variables_read(op.pre)
+                                    for op in self.alphabet))
+        object.__setattr__(self, "_reads", reads)
+        object.__setattr__(self, "_enabled", {})
 
     def op(self, name: str) -> OpSpec:
         try:
@@ -107,6 +117,18 @@ class ModelBinding:
 
     def op_names(self) -> tuple:
         return tuple(op.name for op in self.alphabet)
+
+    def enabled(self, state: State) -> tuple:
+        """The operations whose preconditions hold in `state`, in alphabet
+        order.  Preconditions read only the variables in `_reads`, so the
+        list is evaluated once per distinct binding of those and kept."""
+        key = tuple(pair for pair in state.bindings if pair[0] in self._reads)
+        ops = self._enabled.get(key)
+        if ops is None:
+            ops = tuple(op for op in self.alphabet
+                        if eval_state_formula(op.pre, state))
+            self._enabled[key] = ops
+        return ops
 
 
 def _arg_domain(arg: ArgSpec, state: State, chosen: dict) -> t.Sequence:
@@ -161,8 +183,7 @@ def generate_commands(binding: ModelBinding, spec: TemporalSpec,
     state = binding.initial
     commands = []
     for _ in range(max_len):
-        candidates = [op for op in binding.alphabet
-                      if eval_state_formula(op.pre, state)]
+        candidates = list(binding.enabled(state))
         command = None
         while candidates:
             weights = [op.weight for op in candidates]
@@ -195,13 +216,19 @@ class SutAdapter(t.Protocol):
     def restart(self) -> None: ...
     def apply(self, command: Command) -> dict: ...
 
+    def replies(self, commands) -> t.Iterator[dict]:
+        """Reset the SUT, then yield its observation of each command in
+        order; raises SutCrashed at the first command it did not answer."""
+
 
 class InProcessAdapter:
     """Drives an object exposing reset() and handle(op, args).
 
     handle receives and returns plain JSON data; raising ValueError
     signals a SUT-level fault, the in-process equivalent of the
-    {"ok": false} branch of the wire protocol.
+    {"ok": false} branch of the wire protocol.  Commands are handled one
+    at a time as the caller asks for their replies, so nothing after a
+    divergence reaches the system.
     """
 
     def __init__(self, system):
@@ -224,84 +251,19 @@ class InProcessAdapter:
             raise ProtocolError(msg)
         return {k: value_from_json(v) for k, v in observed.items()}
 
+    def replies(self, commands) -> t.Iterator[dict]:
+        self.reset()
+        return map(self.apply, commands)
 
-class SubprocessAdapter:
-    """Line-delimited JSON over a child process's standard streams.
 
-    Requests are {"op": name, "args": {...}} with the special op
-    "__reset"; replies are {"ok": true, "observed": {...}} or
-    {"ok": false, "error": text}.
-    """
-
-    def __init__(self, argv):
-        self.argv = list(argv)
-        self.process = None
-        self._spawn()
-
-    def _spawn(self) -> None:
-        self.process = subprocess.Popen(
-            self.argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
-
-    def _exchange(self, request: dict) -> dict:
-        proc = self.process
-        if proc is None or proc.poll() is not None:
-            raise SutCrashed("SUT process is not running")
-        try:
-            proc.stdin.write(json.dumps(request, sort_keys=True) + "\n")
-            proc.stdin.flush()
-            line = proc.stdout.readline()
-        except (BrokenPipeError, OSError) as io_error:
-            raise SutCrashed(f"SUT pipe broke: {io_error}") from io_error
-        if not line:
-            raise SutCrashed("SUT closed its output stream")
-        try:
-            reply = json.loads(line)
-        except json.JSONDecodeError as bad:
-            raise ProtocolError(f"unparseable reply {line!r}") from bad
-        if not isinstance(reply, dict) or "ok" not in reply:
-            raise ProtocolError(f"malformed reply {reply!r}")
-        if not reply["ok"]:
-            raise SutCrashed(str(reply.get("error", "unspecified fault")))
-        observed = reply.get("observed")
-        if not isinstance(observed, dict):
-            raise ProtocolError(f"malformed reply {reply!r}")
-        return observed
-
-    def reset(self) -> None:
-        self._exchange({"op": "__reset", "args": {}})
-
-    def restart(self) -> None:
-        self.close()
-        self._spawn()
-
-    def apply(self, command: Command) -> dict:
-        observed = self._exchange(command.to_json())
-        return {k: value_from_json(v) for k, v in observed.items()}
-
-    def close(self) -> None:
-        proc = self.process
-        self.process = None
-        if proc is None:
-            return
-        if proc.stdin:
-            try:
-                proc.stdin.close()
-            except BrokenPipeError:
-                pass  # the child stopped reading; its unread input is moot
-        proc.wait(timeout=10)
-        if proc.stdout:
-            proc.stdout.close()
-
-    def __enter__(self) -> "SubprocessAdapter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+def __getattr__(name: str):
+    """`SubprocessAdapter`, the wire adapter, lives in `tmbt.wire` and
+    loads on first use of its name (PEP 562), so a run that drives no SUT
+    process does not compile it."""
+    if name == "SubprocessAdapter":
+        from .wire import SubprocessAdapter
+        return SubprocessAdapter
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,27 +298,40 @@ def _divergence(expected: dict, observed: dict) -> bool:
                for key, value in expected.items())
 
 
+def _expected(binding: ModelBinding, commands) -> list:
+    """The observation the model expects at each step; raises
+    PreconditionViolated for an invalid sequence."""
+    state = binding.initial
+    expected = []
+    for index, command in enumerate(commands):
+        op = _check_step(binding, state, command, index)
+        state, observed = _apply_effect(op, state, command.arg_map())
+        expected.append(observed)
+    return expected
+
+
 def run_case(binding: ModelBinding, sut, commands) -> CaseResult:
     """Replay one command sequence against a fresh SUT.
 
     Fails at the first index whose observation diverges from the model,
     treating a SUT crash as a failure at the crashing index.  An
     invalid sequence (precondition or argument-domain breach) raises
-    PreconditionViolated instead: that is a harness bug, not a SUT bug.
+    PreconditionViolated before the SUT sees any of it: that is a
+    harness bug, not a SUT bug.
     """
-    sut.reset()
-    state = binding.initial
-    for index, command in enumerate(commands):
-        op = _check_step(binding, state, command, index)
-        state, expected = _apply_effect(op, state, command.arg_map())
-        expected_pairs = tuple(sorted(expected.items()))
-        try:
-            observed = sut.apply(command)
-        except SutCrashed as crash:
-            return CaseResult(False, index, expected_pairs, None, str(crash))
-        if _divergence(expected, observed):
-            return CaseResult(False, index, expected_pairs,
-                              tuple(sorted(observed.items())))
+    expected = _expected(binding, commands)
+    replies = sut.replies(commands)
+    index = 0
+    try:
+        for observed in replies:
+            if _divergence(expected[index], observed):
+                return CaseResult(False, index,
+                                  tuple(sorted(expected[index].items())),
+                                  tuple(sorted(observed.items())))
+            index += 1
+    except SutCrashed as crash:
+        return CaseResult(False, index, tuple(sorted(expected[index].items())),
+                          None, str(crash))
     return CaseResult(True)
 
 
@@ -364,19 +339,11 @@ def run_case(binding: ModelBinding, sut, commands) -> CaseResult:
 # Shrinking
 
 
-def _valid(binding: ModelBinding, commands) -> bool:
-    state = binding.initial
-    for index, command in enumerate(commands):
-        try:
-            op = _check_step(binding, state, command, index)
-        except PreconditionViolated:
-            return False
-        state, _ = _apply_effect(op, state, command.arg_map())
-    return True
-
-
 def _still_fails(binding: ModelBinding, sut, commands) -> bool:
-    return _valid(binding, commands) and not run_case(binding, sut, commands).ok
+    try:
+        return not run_case(binding, sut, commands).ok
+    except PreconditionViolated:
+        return False
 
 
 def _int_shrink_candidates(n: int) -> list:
@@ -546,3 +513,4 @@ def test(binding: ModelBinding, spec: TemporalSpec, sut,
         failing=failing,
         elapsed_seconds=time.monotonic() - started,
     )
+

@@ -68,6 +68,19 @@ def test_an_example_loads_what_builds_it(command, needs):
     assert not loaded & {"tmbt.pbt", "tmbt.boiler", "tmbt.ir"}
 
 
+def test_only_a_run_against_a_sut_process_loads_the_wire_adapter():
+    code = ("import tmbt.cli\n"
+            "try:\n"
+            "    tmbt.cli.main(['test', '--cases', '2'])\n"
+            "except SystemExit as done:\n"
+            "    assert done.code == 0, done.code")
+    loaded = loaded_after(code)
+    assert "tmbt.pbt" in loaded and "tmbt.wire" not in loaded
+    code = ("from tmbt import pbt, wire\n"
+            "assert pbt.SubprocessAdapter is wire.SubprocessAdapter")
+    assert "tmbt.wire" in loaded_after(code)
+
+
 # where each public name is defined
 HOMES = {
     "tmbt.errors": ("TmbtError",),

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import tmbt.spec as sp
 from tmbt.boiler import (
+    BoilerSystem,
     build_boiler_binding,
     build_sut_model_spec,
     reference_adapter,
@@ -127,6 +128,22 @@ class ChattySystem:
         return "fine"
 
 
+class RecordingSystem(BoilerSystem):
+    """The pump mutant, noting each call it receives."""
+
+    def __init__(self):
+        self.calls = []
+        super().__init__(ignore_pump_commands=True)
+
+    def reset(self):
+        self.calls = ["reset"]
+        super().reset()
+
+    def handle(self, op, args):
+        self.calls.append(op)
+        return super().handle(op, args)
+
+
 class TestRunCase:
     def test_reference_system_passes(self):
         commands = generate_commands(BINDING, SPEC, 30, 1)
@@ -177,6 +194,20 @@ class TestRunCase:
     def test_unmet_precondition_is_a_harness_error(self):
         with pytest.raises(PreconditionViolated, match="openPump"):
             run_case(BINDING, reference_adapter(), (Command("openPump"),))
+
+    def test_an_invalid_sequence_reaches_no_system(self):
+        system = RecordingSystem()
+        with pytest.raises(PreconditionViolated, match="closePump"):
+            run_case(BINDING, InProcessAdapter(system),
+                     (Command("startSystem"), Command("closePump")))
+        assert system.calls == ["reset"]  # from its constructor
+
+    def test_in_process_replay_stops_at_the_divergence(self):
+        system = RecordingSystem()
+        commands = (Command("startSystem"), Command("openPump"),
+                    Command("checkWaterLevel"))
+        assert run_case(BINDING, InProcessAdapter(system), commands).index == 1
+        assert system.calls == ["reset", "startSystem", "openPump"]
 
     def test_wrong_argument_names_are_a_harness_error(self):
         bad = Command("waterLevelDidChange", {"amt": IntVal(3)})

@@ -37,6 +37,15 @@ POOL = (
 NON_SET_MESSAGE = r"^domain of argument a\d must be a set, got "
 
 
+def valid(binding, commands) -> bool:
+    """Whether the model accepts the whole sequence."""
+    try:
+        pbt._expected(binding, commands)
+    except PreconditionViolated:
+        return False
+    return True
+
+
 def _outcome(call, *args):
     try:
         return ("value", call(*args))
@@ -139,6 +148,62 @@ def _same_generation(old, new):
         assert re.match(NON_SET_MESSAGE, new[2]), new
     else:
         assert old == new
+
+
+# ---------------------------------------------------------------------------
+# The enabled-operation cache against direct evaluation
+
+
+def _direct(binding, state) -> tuple:
+    return tuple(op for op in binding.alphabet
+                 if sp.eval_state_formula(op.pre, state))
+
+
+def _visited(binding, commands):
+    state = binding.initial
+    yield state
+    for command in commands:
+        state, _ = binding.op(command.op).effect(state, command.arg_map())
+        yield state
+
+
+class TestEnabledCache:
+    def test_random_bindings(self):
+        rng = random.Random(606)
+        checked = 0
+        for _ in range(200):
+            binding = random_binding(rng)
+            for seed in range(4):
+                outcome = _outcome(pbt.generate_commands, binding, SPEC, 12, seed)
+                if outcome[0] == "value":
+                    for state in _visited(binding, outcome[1]):
+                        assert binding.enabled(state) == _direct(binding, state)
+                        checked += 1
+        assert checked > 2000
+
+    def test_the_boiler_binding(self):
+        from tmbt.boiler import build_boiler_binding, build_sut_model_spec
+        binding, spec = build_boiler_binding(), build_sut_model_spec()
+        for seed in range(100):
+            for state in _visited(binding, pbt.generate_commands(binding, spec,
+                                                                 40, seed)):
+                assert binding.enabled(state) == _direct(binding, state)
+        assert binding._reads == {"running", "pump", "sig"}
+        assert len(binding._enabled) == 12
+
+    def test_a_bound_name_hiding_a_variable(self):
+        # \E b \in {x}: b > 0 reads x; its bound b hides the state's b
+        pre = sp.Exists("b", sp.SetLit((sp.Var("x"),)),
+                        sp.Gt(sp.Var("b"), sp.intval(0)))
+        binding = ModelBinding(
+            sp.State({"b": TRUE, "x": IntVal(-3), "y": IntVal(0)}),
+            (OpSpec("positive", pre, _effect(1)),
+             OpSpec("any", sp.Const(TRUE), _effect(1))))
+        commands = pbt.generate_commands(binding, SPEC, 12, 0)
+        states = list(_visited(binding, commands))
+        assert {len(binding.enabled(state)) for state in states} == {1, 2}
+        for state in states:
+            assert binding.enabled(state) == _direct(binding, state)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +323,7 @@ class TestValidationMatchesReference:
             for seed in range(4):
                 outcome = _outcome(ref.generate_commands, binding, SPEC, 10, seed)
                 if outcome[0] == "value":
-                    assert pbt._valid(binding, outcome[1])
+                    assert valid(binding, outcome[1])
 
 
 class TestSetViews:
@@ -375,7 +440,7 @@ class TestHugeRanges:
         binding = huge_binding()
         commands = [Command("draw", {"a0": IntVal(n)})
                     for n in (-HUGE, 0, HUGE)]
-        assert pbt._valid(binding, commands)
+        assert valid(binding, commands)
         with pytest.raises(PreconditionViolated, match="outside its domain"):
             pbt._check_step(binding, binding.initial,
                             Command("draw", {"a0": IntVal(HUGE + 1)}), 0)
@@ -399,7 +464,7 @@ class TestHugeRanges:
                 rng.choices(binding.alphabet)  # the operation's draw
                 expected.append(-2**63 + rng.randrange(2**64))
             assert [c.arg_map()["a0"].value for c in commands] == expected
-            assert pbt._valid(binding, list(commands))
+            assert valid(binding, list(commands))
         assert no_sets_built == []
 
 

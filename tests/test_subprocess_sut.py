@@ -1,14 +1,17 @@
 """Wire protocol: driving SUT processes over line-delimited JSON."""
 
+import json
+import signal
 import sys
 
+import pbt_reference as ref
 import pytest
 
-from tmbt import pbt
+from tmbt import pbt, wire
 from tmbt.boiler import build_boiler_binding, build_sut_model_spec, reference_adapter
 from tmbt.errors import ProtocolError, SutCrashed
-from tmbt.pbt import Command, SubprocessAdapter, generate_commands, run_case
-from tmbt.values import FALSE, IntVal
+from tmbt.pbt import CaseResult, Command, SubprocessAdapter, generate_commands, run_case
+from tmbt.values import FALSE, TRUE, IntVal
 
 BINDING = build_boiler_binding()
 SPEC = build_sut_model_spec()
@@ -31,6 +34,38 @@ import json, sys
 for line in sys.stdin:
     print({reply}, flush=True)
 """
+
+# The boiler SUT with `openPump` replaced by {action}.
+FAULTY_BOILER = """\
+import os, sys, time
+from tmbt import boiler
+handle = boiler.BoilerSystem.handle
+def patched(self, op, args):
+    if op == "openPump":
+        {action}
+    return handle(self, op, args)
+boiler.BoilerSystem.handle = patched
+sys.exit(boiler.main([]))
+"""
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every process the adapters start during the test."""
+    processes = []
+    spawn = SubprocessAdapter._spawn
+
+    def recording(self):
+        spawn(self)
+        processes.append(self.process)
+
+    monkeypatch.setattr(SubprocessAdapter, "_spawn", recording)
+    return processes
+
+
+def assert_all_reaped(processes):
+    assert processes
+    assert all(process.returncode is not None for process in processes)
 
 
 class TestBoilerProcess:
@@ -160,3 +195,92 @@ class TestBrokenProcesses:
                 sut.reset()
         finally:
             sut.close()
+
+
+class TestPipelinedCases:
+    """A case goes out in one write and its replies are judged in order."""
+
+    def test_matches_one_exchange_at_a_time(self):
+        for flags in ((), ("--mutant", "band"), ("--mutant", "pump")):
+            with boiler_process(*flags) as sut:
+                for seed in range(20):
+                    commands = generate_commands(BINDING, SPEC, 40, seed)
+                    result = run_case(BINDING, sut, commands)
+                    assert result == ref.run_case(BINDING, sut, commands)
+                    if not result.ok:
+                        assert (pbt.shrink(BINDING, sut, commands)
+                                == ref.shrink(BINDING, sut, commands))
+
+    def test_a_case_larger_than_the_pipe_buffers(self):
+        commands = generate_commands(BINDING, SPEC, 5000, 3)
+        requests = sum(len(json.dumps(c.to_json())) + 1 for c in commands)
+        assert len(commands) == 5000 and requests > 1 << 16
+        with boiler_process() as sut:
+            assert run_case(BINDING, sut, commands).ok
+            # the replies of a case that diverged early are drained
+            with boiler_process("--mutant", "pump") as mutant:
+                failed = run_case(BINDING, mutant, commands)
+                assert not failed.ok and failed.index < 100
+                assert run_case(BINDING, mutant, commands[:2]).ok
+
+    def test_malformed_reply_mid_case(self, tmp_path):
+        body = ("import json, sys\n"
+                "replies = [{}, {'level': 500, 'pump': False}]\n"
+                "for n, line in enumerate(sys.stdin):\n"
+                "    print(json.dumps({'ok': True, 'observed': replies[n]})\n"
+                "          if n < len(replies) else 'not json', flush=True)\n")
+        sut = script_adapter(tmp_path, body)
+        try:
+            with pytest.raises(ProtocolError, match="unparseable"):
+                run_case(BINDING, sut, (Command("startSystem"),
+                                        Command("checkWaterLevel"),
+                                        Command("endSystem")))
+        finally:
+            sut.close()
+
+
+class TestFailingProcesses:
+    """A SUT that hangs, dies or lingers ends as a failing step or a clean
+    close, and no process it started is left behind."""
+
+    def test_hanging_sut_times_out(self, tmp_path, monkeypatch, spawned):
+        monkeypatch.setattr(wire, "CASE_DEADLINE_S", 1.0)
+        sut = script_adapter(tmp_path,
+                             FAULTY_BOILER.format(action="time.sleep(60)"))
+        try:
+            result = run_case(BINDING, sut, (Command("startSystem"),
+                                             Command("openPump"),
+                                             Command("checkWaterLevel")))
+            assert result == CaseResult(False, 1, (("pump", TRUE),), None,
+                                        "SUT sent no reply within 1.0 s")
+            assert run_case(BINDING, sut, (Command("startSystem"),
+                                           Command("checkWaterLevel"))).ok
+        finally:
+            sut.close()
+        assert len(spawned) == 2
+        assert_all_reaped(spawned)
+
+    def test_dying_sut_fails_a_step_and_shrinks(self, tmp_path, spawned):
+        sut = script_adapter(tmp_path, FAULTY_BOILER.format(action="os._exit(3)"))
+        try:
+            report = pbt.test(BINDING, SPEC, sut, pbt.TestConfig(seed=1))
+        finally:
+            sut.close()
+        assert report.verdict == "fail"
+        assert report.failing.result.error == "SUT closed its output stream"
+        assert report.failing.shrunk == (Command("startSystem"),
+                                         Command("openPump"))
+        assert_all_reaped(spawned)
+
+    def test_lingering_sut_is_killed_on_close(self, tmp_path, monkeypatch,
+                                              spawned):
+        monkeypatch.setattr(wire, "CLOSE_GRACE_S", 0.2)
+        body = ("import signal, sys, time\n"
+                "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+                "sys.stdin.read()\n"
+                "time.sleep(60)\n")
+        sut = script_adapter(tmp_path, body)
+        sut.close()
+        assert sut.process is None
+        assert spawned[0].returncode == -signal.SIGKILL
+        assert_all_reaped(spawned)
