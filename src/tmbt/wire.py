@@ -113,7 +113,7 @@ class SubprocessAdapter:
                             broken, unsent = io_error, unsent[:0]
                         if not unsent:
                             selector.unregister(stdin)
-                    elif chunk := os.read(stdout, 1 << 16):
+                    elif chunk := os.read(stdout, 1 << 13):
                         *complete, partial = (partial + chunk).split(b"\n")
                         lines += complete
                     else:
