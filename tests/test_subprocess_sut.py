@@ -201,6 +201,7 @@ class TestPipelinedCases:
     """A case goes out in one write and its replies are judged in order."""
 
     def test_matches_one_exchange_at_a_time(self):
+        failed = []
         for flags in ((), ("--mutant", "band"), ("--mutant", "pump")):
             with boiler_process(*flags) as sut:
                 for seed in range(20):
@@ -208,8 +209,12 @@ class TestPipelinedCases:
                     result = run_case(BINDING, sut, commands)
                     assert result == ref.run_case(BINDING, sut, commands)
                     if not result.ok:
+                        failed.append(flags)
                         assert (pbt.shrink(BINDING, sut, commands)
                                 == ref.shrink(BINDING, sut, commands))
+        # every mutant fails some seeds, so the shrinks are compared too
+        assert () not in failed
+        assert {flags[1] for flags in failed} == {"band", "pump"}
 
     def test_a_case_larger_than_the_pipe_buffers(self):
         commands = generate_commands(BINDING, SPEC, 5000, 3)
