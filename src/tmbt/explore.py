@@ -25,14 +25,14 @@ Counting contract:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from collections import deque
 
 from . import spec as sp
 from .errors import NoInitialStates, TmbtError, UnboundedDomain
-from .values import SetVal, Value, sorted_values, value_to_json
+from .record import Record
+from .values import IntVal, SetVal, Value, sorted_values, value_to_json
 
 TYPE_OK_NAME = "TypeOK"
 _EMPTY = sp.State({})
@@ -42,23 +42,20 @@ _EMPTY = sp.State({})
 # Result types
 
 
-@dataclasses.dataclass(frozen=True)
-class StateGraph:
+class StateGraph(Record):
     nodes: frozenset
     edges: frozenset
     initials: frozenset
 
 
-@dataclasses.dataclass(frozen=True)
-class ExplorationStats:
+class ExplorationStats(Record):
     diameter: int
     states_found: int
     distinct_states: int
     truncated: bool = False
 
 
-@dataclasses.dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     invariant: str
     trace: sp.Behavior
 
@@ -206,6 +203,17 @@ def _plan_leaf(expr, target: type):
     if (isinstance(expr, sp.In) and isinstance(expr.element, target)
             and not _mentions(expr.domain, target)):
         name, domain = expr.element.name, expr.domain
+        if isinstance(domain, sp.IntRange):
+            members = sp.set_view(domain).members
+
+            def range_membership(current):
+                # read through the range's bounds, not built as a SetVal
+                try:
+                    numbers = members(current, _EMPTY, None, "range").numbers
+                except TmbtError:
+                    return None
+                return {name: set(map(IntVal, numbers))}
+            return range_membership
 
         def membership(current):
             members = _try_eval(domain, current)
@@ -464,23 +472,31 @@ def _counterexamples(spec: sp.TemporalSpec, graph: StateGraph,
 
 def behaviors(spec: sp.TemporalSpec, count: int, max_len: int,
               seed: int) -> list:
-    """Seeded random walks over the reachable graph.
+    """Seeded random walks from the initial states, in TLC's simulation mode.
 
     Each behavior starts in an initial state, follows action steps, and
     stops at max_len states or in a state with no successors.  The same
-    seed always produces the same list.
+    seed always produces the same list.  Only the states a walk visits
+    are expanded, each once.  A state's steps are its distinct
+    (action name, next state) pairs, ordered by the action's place in
+    declaration order, then canonically by next state; actions that
+    share a name share the place of the last of them.
     """
-    graph, _, _ = explore(spec)
-    inits = sorted(graph.initials, key=sp.state_key)
+    domains = derive_domains(spec)
+    domain_index = _domain_index(domains)
+    inits = initial_states(spec, domains)
     if not inits:
         msg = f"spec {spec.name}: init is unsatisfiable over the derived domains"
         raise NoInitialStates(msg)
     action_order = {a.name: i for i, a in enumerate(spec.actions)}
-    adjacency: dict = {}
-    for source, action_name, target in graph.edges:
-        adjacency.setdefault(source, []).append((action_name, target))
-    for outs in adjacency.values():
-        outs.sort(key=lambda at: (action_order[at[0]], sp.state_key(at[1])))
+    steps: dict = {}
+
+    def steps_from(state) -> list:
+        if state not in steps:
+            found = set(successors(spec, state, domains, domain_index))
+            steps[state] = sorted(found, key=lambda step: (
+                action_order[step[0]], sp.state_key(step[1])))
+        return steps[state]
 
     rng = random.Random(seed)
     walks = []
@@ -488,7 +504,7 @@ def behaviors(spec: sp.TemporalSpec, count: int, max_len: int,
         state = inits[rng.randrange(len(inits))]
         states = [state]
         while len(states) < max_len:
-            outs = adjacency.get(state)
+            outs = steps_from(state)
             if not outs:
                 break
             _, state = outs[rng.randrange(len(outs))]

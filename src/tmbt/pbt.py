@@ -13,7 +13,6 @@ data; everything is reproducible from the seed.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
 import typing as t
@@ -24,6 +23,7 @@ from .errors import (
     SutCrashed,
     TypeMismatch,
 )
+from .record import Record
 from .spec import (
     RangeMembers,
     State,
@@ -40,8 +40,7 @@ from .values import IntVal, value_from_json, value_to_json
 # Commands and bindings
 
 
-@dataclasses.dataclass(frozen=True)
-class Command:
+class Command(Record):
     op: str
     args: tuple = ()
 
@@ -64,8 +63,7 @@ class Command:
         return cls(data["op"], args)
 
 
-@dataclasses.dataclass(frozen=True)
-class ArgSpec:
+class ArgSpec(Record):
     """One named argument; `domain` evaluates to the finite set of
     admissible values in the current model state (earlier arguments of
     the same command are visible as bound names)."""
@@ -74,8 +72,7 @@ class ArgSpec:
     domain: "t.Any"
 
 
-@dataclasses.dataclass(frozen=True)
-class OpSpec:
+class OpSpec(Record):
     name: str
     pre: "t.Any"  # state formula
     effect: t.Callable  # (State, {name: Value}) -> (State, {name: Value})
@@ -89,8 +86,7 @@ def _variables_read(expr) -> frozenset:
         *inner, (node.name,) if isinstance(node, Var) else ()))
 
 
-@dataclasses.dataclass(frozen=True)
-class ModelBinding:
+class ModelBinding(Record):
     """The test model: an initial state plus the operation alphabet."""
 
     initial: State
@@ -270,8 +266,7 @@ def __getattr__(name: str):
 # Execution
 
 
-@dataclasses.dataclass(frozen=True)
-class CaseResult:
+class CaseResult(Record):
     ok: bool
     index: t.Optional[int] = None
     expected: t.Optional[tuple] = None  # sorted (name, Value) pairs
@@ -431,8 +426,7 @@ def shrink(binding: ModelBinding, sut, failing) -> tuple:
 # The test loop
 
 
-@dataclasses.dataclass(frozen=True)
-class TestConfig:
+class TestConfig(Record):
     cases: int = 100
     max_len: int = 40
     seed: int = 0
@@ -440,8 +434,7 @@ class TestConfig:
     restart_processes: bool = False
 
 
-@dataclasses.dataclass(frozen=True)
-class FailingCase:
+class FailingCase(Record):
     commands: tuple
     shrunk: tuple
     result: CaseResult
@@ -454,14 +447,14 @@ class FailingCase:
         return out
 
 
-@dataclasses.dataclass(frozen=True)
-class TestReport:
+class TestReport(Record):
     seed: int
     cases_run: int
     verdict: str  # "pass" | "fail"
     invocation_counts: tuple  # sorted (opName, count) pairs
     failing: t.Optional[FailingCase] = None
-    elapsed_seconds: float = dataclasses.field(default=0.0, compare=False)
+    elapsed_seconds: float = 0.0
+    uncompared = ("elapsed_seconds",)
 
     def invocation_map(self) -> dict:
         return dict(self.invocation_counts)

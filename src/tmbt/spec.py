@@ -18,7 +18,6 @@ through `set_view`, which indexes a range instead of building it.
 from __future__ import annotations
 
 import collections.abc
-import dataclasses
 import functools
 import operator
 import typing as t
@@ -30,6 +29,7 @@ from .errors import (
     TypeMismatch,
     UnboundVariable,
 )
+from .record import Record
 from .values import (
     INT64_MAX,
     INT64_MIN,
@@ -53,8 +53,7 @@ from .values import (
 # States
 
 
-@dataclasses.dataclass(frozen=True)
-class State:
+class State(Record):
     """A total assignment of values to variable names. Immutable, hashable."""
 
     bindings: tuple
@@ -107,7 +106,7 @@ def _reader(names: tuple, variadic: bool) -> t.Callable:
     return lambda node: (get(node),)
 
 
-class ExprNode:
+class ExprNode(Record):
     """Common base of the expression node classes.
 
     A class states its layout once: `scalars` names its leading data
@@ -119,18 +118,17 @@ class ExprNode:
     `compiled` is the node's expression as a closure
     `(current, nxt, env) -> Value`, built on first evaluation and then
     kept on the node (see `eval_expr`).  It lives in the instance
-    dictionary, outside the dataclass fields, so it takes no part in
+    dictionary, outside the record fields, so it takes no part in
     equality, hashing or printing.  So does `set_view`, the node read
     as a set (see `SetView`), built on first use.
     """
 
-    scalars: t.ClassVar[tuple] = ()
-    variadic: t.ClassVar[bool] = False
+    scalars = ()
+    variadic = False
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = cls.__dict__.get("__annotations__", {})
-        cls.operands = tuple(name for name in fields if name not in cls.scalars)
+        cls.operands = tuple(name for name in cls._fields if name not in cls.scalars)
         cls.children = _reader(cls.operands, cls.variadic)
 
     def rebuild(self, children) -> "ExprNode":
@@ -151,126 +149,105 @@ class ExprNode:
         return _build_set_view(self)
 
 
-@dataclasses.dataclass(frozen=True)
 class Const(ExprNode):
     value: Value
     scalars = ("value",)
 
 
-@dataclasses.dataclass(frozen=True)
 class Var(ExprNode):
     name: str
     scalars = ("name",)
 
 
-@dataclasses.dataclass(frozen=True)
 class Primed(ExprNode):
     name: str
     scalars = ("name",)
 
 
-@dataclasses.dataclass(frozen=True)
 class Not(ExprNode):
     operand: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class And(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class Or(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class Implies(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class Eq(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class Neq(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class Lt(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class Le(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class Gt(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class Ge(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class NotLt(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class NotLe(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class NotGt(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class NotGe(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class Add(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class Sub(ExprNode):
     left: "Expr"
     right: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class In(ExprNode):
     element: "Expr"
     domain: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class SetLit(ExprNode):
     items: tuple
     variadic = True
@@ -279,7 +256,6 @@ class SetLit(ExprNode):
         object.__setattr__(self, "items", tuple(items))
 
 
-@dataclasses.dataclass(frozen=True)
 class SeqLit(ExprNode):
     items: tuple
     variadic = True
@@ -288,13 +264,11 @@ class SeqLit(ExprNode):
         object.__setattr__(self, "items", tuple(items))
 
 
-@dataclasses.dataclass(frozen=True)
 class IntRange(ExprNode):
     low: "Expr"
     high: "Expr"
 
 
-@dataclasses.dataclass(frozen=True)
 class Forall(ExprNode):
     var: str
     domain: "Expr"
@@ -302,7 +276,6 @@ class Forall(ExprNode):
     scalars = ("var",)
 
 
-@dataclasses.dataclass(frozen=True)
 class Exists(ExprNode):
     var: str
     domain: "Expr"
@@ -310,7 +283,6 @@ class Exists(ExprNode):
     scalars = ("var",)
 
 
-@dataclasses.dataclass(frozen=True)
 class Choose(ExprNode):
     var: str
     domain: "Expr"
@@ -404,14 +376,12 @@ def junction_parts(expr, kind: type) -> list:
 # Specs and behaviors
 
 
-@dataclasses.dataclass(frozen=True)
-class NamedAction:
+class NamedAction(Record):
     name: str
     formula: Expr
 
 
-@dataclasses.dataclass(frozen=True)
-class TemporalSpec:
+class TemporalSpec(Record):
     name: str
     variables: tuple
     init: Expr
@@ -438,8 +408,7 @@ class TemporalSpec:
         return dict(self.params)
 
 
-@dataclasses.dataclass(frozen=True)
-class Behavior:
+class Behavior(Record):
     """A finite sequence of states (a prefix of an infinite behavior)."""
 
     states: tuple
@@ -690,8 +659,7 @@ def _build_quantifier(expr: Forall | Exists | Choose) -> t.Callable:
     return quantifier
 
 
-@dataclasses.dataclass(frozen=True)
-class SetView:
+class SetView(Record):
     """A set expression read as a set without building it where it is a
     range `a..b`; `set_view` compiles one per expression node.
 
@@ -794,8 +762,7 @@ def choose(var: str, domain: SetVal, body: Expr, current: State,
 # Well-formedness
 
 
-@dataclasses.dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     code: str
     construct: str
     message: str

@@ -14,12 +14,12 @@ pump from interval t+1 on.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import typing as t
 
 from . import spec as sp
 from .errors import ConsumptionOutOfRange, TypeMismatch
+from .record import Record
 from .values import (
     BOOLEANS,
     FALSE,
@@ -40,8 +40,7 @@ BAND_HIGH = 800
 # Timed streams
 
 
-@dataclasses.dataclass(frozen=True)
-class TimedStream:
+class TimedStream(Record):
     """A finite prefix of a timed stream: one message list per interval."""
 
     intervals: tuple
@@ -75,8 +74,7 @@ def ts(stream: TimedStream, up_to: int) -> bool:
 # ---------------------------------------------------------------------------
 # Component specifications
 
-@dataclasses.dataclass(frozen=True)
-class StreamPredicate:
+class StreamPredicate(Record):
     """A named predicate form; `kind` selects the check, fields configure it.
 
     Supported kinds:
@@ -146,8 +144,7 @@ class StreamPredicate:
         return cls(data["kind"], fields)
 
 
-@dataclasses.dataclass(frozen=True)
-class ComponentSpec:
+class ComponentSpec(Record):
     """Assumption/guarantee interface spec of a timed-stream component."""
 
     name: str
@@ -198,18 +195,15 @@ class ComponentSpec:
 # Verdicts
 
 
-@dataclasses.dataclass(frozen=True)
-class Conforms:
+class Conforms(Record):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class AssumptionViolated:
+class AssumptionViolated(Record):
     index: int
 
 
-@dataclasses.dataclass(frozen=True)
-class GuaranteeViolated:
+class GuaranteeViolated(Record):
     index: int
     interval: int
 
@@ -239,29 +233,25 @@ def check_asm_gar(component: ComponentSpec, inputs: dict, outputs: dict,
 # Steam boiler dynamics
 
 
-@dataclasses.dataclass(frozen=True)
-class Thresholds:
+class Thresholds(Record):
     low: int = 300
     high: int = 700
 
 
-@dataclasses.dataclass(frozen=True)
-class ControllerState:
+class ControllerState(Record):
     water_level: int
     pump_on: bool
     last_signal: t.Optional[Value] = None
 
 
-@dataclasses.dataclass(frozen=True)
-class BoilerPlant:
+class BoilerPlant(Record):
     initial_level: int = 500
     fill_rate: int = 10
     max_consumption: int = 10
     tank_range: tuple = (0, 1000)
 
 
-@dataclasses.dataclass(frozen=True)
-class ClosedLoop:
+class ClosedLoop(Record):
     boiler: BoilerPlant = BoilerPlant()
     controller: ControllerState = ControllerState(500, False)
     thresholds: Thresholds = Thresholds()

@@ -7,9 +7,8 @@ interpret bulleted /\\ and \\/ lists, where indentation is meaningful.
 
 from __future__ import annotations
 
-import dataclasses
-
 from ..errors import LexError
+from ..record import Record
 
 KEYWORDS = frozenset((
     "VARIABLE", "VARIABLES", "CHOOSE", "TRUE", "FALSE", "BOOLEAN",
@@ -30,8 +29,7 @@ _BACKSLASH_OPS = frozenset((
 ))
 
 
-@dataclasses.dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str  # "ident" | "int" | "op" | "keyword" | "layout"
     lexeme: str
     line: int

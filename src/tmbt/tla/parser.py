@@ -13,7 +13,6 @@ Operator precedence, loosest first: =>, \\/, /\\, ~, comparisons,
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import operator
 
@@ -25,6 +24,7 @@ from ..errors import (
     UnboundVariable,
     UnsupportedConstruct,
 )
+from ..record import Record
 from ..values import BOOLEANS, FALSE, TRUE, IntVal
 from .lexer import RESERVED, Token, tokenize
 
@@ -47,15 +47,13 @@ _COMPARISON_OPS = {
 _NO_FENCE = -1
 
 
-@dataclasses.dataclass(frozen=True)
-class Ref:
+class Ref(Record):
     """Reference to a prior definition; removed by expansion."""
 
     name: str
 
 
-@dataclasses.dataclass(frozen=True)
-class ParsedModule:
+class ParsedModule(Record):
     """Declarations plus definitions in source order.
 
     Definition bodies may contain Ref nodes for uses of earlier

@@ -8,35 +8,50 @@ and set iteration deterministic.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Union
 
 from .errors import TypeMismatch
+from .record import Record
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 
-@dataclasses.dataclass(frozen=True)
-class IntVal:
+class IntVal(Record):
     value: int
 
+    # Integers and booleans are the hottest keys (state hashing, the
+    # enabled-operation cache): compare without building tuples, and
+    # hash as a one-field record does.
+    def __eq__(self, other):
+        if other.__class__ is IntVal:
+            return self.value == other.value
+        return NotImplemented
 
-@dataclasses.dataclass(frozen=True)
-class BoolVal:
+    def __hash__(self):
+        return hash((self.value,))
+
+
+class BoolVal(Record):
     value: bool
 
+    def __eq__(self, other):
+        if other.__class__ is BoolVal:
+            return self.value == other.value
+        return NotImplemented
 
-@dataclasses.dataclass(frozen=True)
-class SetVal:
+    def __hash__(self):
+        return hash((self.value,))
+
+
+class SetVal(Record):
     elements: frozenset
 
     def __init__(self, elements=()):
         object.__setattr__(self, "elements", frozenset(elements))
 
 
-@dataclasses.dataclass(frozen=True)
-class SeqVal:
+class SeqVal(Record):
     items: tuple
 
     def __init__(self, items=()):

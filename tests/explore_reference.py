@@ -8,15 +8,20 @@ primed assignments.  `initial_states` is the brute force: it evaluates
 Init on every state of the derived domains' product.  The differential
 tests in test_candidate_plan.py hold the new code to the states these
 give, in the same order, and to their error types and messages.
+
+`behaviors` is the random walk as it was before it walked on the fly:
+it explores the whole reachable graph first and walks its edges.
+test_explore.py holds the new walk to the same walks.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import tmbt.spec as sp
-from tmbt.errors import TmbtError
-from tmbt.explore import _domain_index, derive_domains
+from tmbt.errors import NoInitialStates, TmbtError
+from tmbt.explore import _domain_index, derive_domains, explore
 from tmbt.values import SetVal, Value, sorted_values
 
 
@@ -128,3 +133,35 @@ def initial_states(spec: sp.TemporalSpec, domains: dict | None = None) -> list:
             found.append(candidate)
     found.sort(key=sp.state_key)
     return found
+
+
+def behaviors(spec: sp.TemporalSpec, count: int, max_len: int,
+              seed: int, graph=None) -> list:
+    """`graph`, when given, is `explore(spec)`'s graph, explored once for
+    many calls."""
+    if graph is None:
+        graph, _, _ = explore(spec)
+    inits = sorted(graph.initials, key=sp.state_key)
+    if not inits:
+        msg = f"spec {spec.name}: init is unsatisfiable over the derived domains"
+        raise NoInitialStates(msg)
+    action_order = {a.name: i for i, a in enumerate(spec.actions)}
+    adjacency: dict = {}
+    for source, action_name, target in graph.edges:
+        adjacency.setdefault(source, []).append((action_name, target))
+    for outs in adjacency.values():
+        outs.sort(key=lambda at: (action_order[at[0]], sp.state_key(at[1])))
+
+    rng = random.Random(seed)
+    walks = []
+    for _ in range(count):
+        state = inits[rng.randrange(len(inits))]
+        states = [state]
+        while len(states) < max_len:
+            outs = adjacency.get(state)
+            if not outs:
+                break
+            _, state = outs[rng.randrange(len(outs))]
+            states.append(state)
+        walks.append(sp.Behavior(states))
+    return walks

@@ -29,7 +29,7 @@ from tmbt.explore import (
     successors,
 )
 from tmbt.tla import parse_module, to_spec
-from tmbt.values import BOOLEANS, IntVal
+from tmbt.values import BOOLEANS, IntVal, SetVal
 
 VARIABLES = ("x", "y", "b")
 TYPE_OK = sp.conj(
@@ -251,6 +251,24 @@ class TestNext:
         assert _outcome(successors, spec, state) == \
             _outcome(ref.successors, spec, state)
         assert _outcome(successors, spec, state)[2] == "not an expression: 7"
+
+    def test_range_membership_builds_no_set(self, monkeypatch):
+        # steamboiler's `level' \in (level - k)..level` is read by its bounds
+        spec = specs.load("steamboiler", {"low": 300, "high": 700})
+        graph, _, _ = explore(spec)
+        domains = derive_domains(spec)
+        index = _domain_index(domains)
+        built = []
+        original = SetVal.__init__
+
+        def counted(self, elements=()):
+            built.append(self)
+            original(self, elements)
+        monkeypatch.setattr(SetVal, "__init__", counted)
+        steps = sum(len(successors(spec, state, domains, index))
+                    for state in graph.nodes)
+        assert len(graph.nodes) == 818 and steps == 4908
+        assert built == []
 
     def test_deep_junction_plans_without_recursion(self):
         parts = [sp.Eq(sp.Primed("x"), sp.intval(1))]

@@ -1,6 +1,7 @@
 """Breadth-first exploration against hand-coded brute-force oracles."""
 
 import random
+import sys
 
 import pytest
 
@@ -15,8 +16,10 @@ from tmbt.explore import (
     initial_states,
     successors,
 )
+from tmbt.tla import parse_module, to_spec
 from tmbt.values import FALSE, TRUE, BoolVal, IntVal
 
+import explore_reference as ref
 import oracles
 
 
@@ -241,8 +244,62 @@ class TestBehaviors:
         init = sp.And(sp.Eq(sp.Var("x"), sp.intval(0)),
                       sp.Eq(sp.Var("x"), sp.intval(1)))
         spec = sp.TemporalSpec("t", ("x",), init, ())
-        with pytest.raises(NoInitialStates):
+        with pytest.raises(NoInitialStates,
+                           match="init is unsatisfiable over the derived domains"):
             behaviors(spec, 1, 5, seed=0)
+
+    @pytest.mark.parametrize("name,params", [
+        ("onebit", {}), ("diehard", {}), ("euclid", {}), ("therac25", {}),
+        ("steamboiler", {}), ("steamboiler", {"low": 190, "high": 810}),
+    ])
+    def test_walks_equal_those_over_the_explored_graph(self, name, params):
+        spec = specs.load(name, params)
+        graph, _, _ = explore(spec)
+        for seed in range(10):
+            for count, max_len in ((10, 10), (25, 40)):
+                assert behaviors(spec, count, max_len, seed) == \
+                    ref.behaviors(spec, count, max_len, seed, graph)
+
+    def test_only_visited_states_are_expanded(self, monkeypatch):
+        module = sys.modules["tmbt.explore"]
+        expanded = []
+
+        def counted(spec, state, *args):
+            expanded.append(state)
+            return successors(spec, state, *args)
+        monkeypatch.setattr(module, "successors", counted)
+        spec = specs.load("steamboiler")
+        walks = behaviors(spec, 10, 10, seed=0)
+        visited = {state for walk in walks for state in walk.states}
+        assert len(expanded) == len(set(expanded)) <= len(visited) < 100
+
+    # The parser gives two actions one name when Next names a definition
+    # twice, or names a definition `A2` and has an unnamed second disjunct.
+    # Their steps merge as the edges of the explored graph did: a step
+    # reached through both counts once, and all are ordered by next state.
+    # Walking `successors` as it lists them would differ on every seed.
+    DUPLICATES = {
+        "twice": "Next == Up \\/ Up",
+        "clash": "Next == A2 \\/ (x' = x + 1 /\\ x < 8)",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DUPLICATES))
+    def test_actions_sharing_a_name_walk_as_before(self, kind):
+        source = "\n".join([
+            "VARIABLES x",
+            "TypeOK == x \\in 0..9",
+            "Init == x \\in {0, 1}",
+            "Up == x' \\in {x + 1, x + 2} /\\ x < 7",
+            "A2 == x' = x + 3 /\\ x < 6",
+            self.DUPLICATES[kind],
+        ]) + "\n"
+        spec = to_spec(parse_module(source), name=kind)
+        names = [action.name for action in spec.actions]
+        assert len(set(names)) == 1 < len(names)
+        graph, _, _ = explore(spec)
+        for seed in range(20):
+            assert behaviors(spec, 8, 12, seed) == \
+                ref.behaviors(spec, 8, 12, seed, graph)
 
 
 class TestBehaviorSatisfies:

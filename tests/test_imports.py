@@ -7,6 +7,7 @@ long since imported everything.
 
 import importlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -20,14 +21,23 @@ README = SRC.parent / "README.md"
 HEAVY = ("tmbt.pbt", "tmbt.boiler", "tmbt.ir", "tmbt.tla", "tmbt.streams")
 
 
+# The caller's environment with only PYTHONPATH set, so that settings
+# such as PYTHONDONTWRITEBYTECODE reach the probes.
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+
+
+def modules_after(code: str) -> set:
+    """Every module a fresh interpreter holds after running `code`."""
+    probe = (f"{code}\nimport sys, json\n"
+             "print(json.dumps(sorted(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env=ENV)
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
 def loaded_after(code: str) -> set:
     """The tmbt modules a fresh interpreter holds after running `code`."""
-    probe = (f"{code}\nimport sys, json\n"
-             "print(json.dumps(sorted(m for m in sys.modules "
-             "if m == 'tmbt' or m.startswith('tmbt.'))))")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True, env={"PYTHONPATH": str(SRC)})
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return {m for m in modules_after(code) if m == "tmbt" or m.startswith("tmbt.")}
 
 
 def _heavy(modules: set) -> list:
@@ -81,6 +91,30 @@ def test_only_a_run_against_a_sut_process_loads_the_wire_adapter():
     assert "tmbt.wire" in loaded_after(code)
 
 
+def _cli_run(argv: list) -> str:
+    return ("import tmbt.cli\n"
+            "try:\n"
+            f"    tmbt.cli.main({argv!r})\n"
+            "except SystemExit:\n"
+            "    pass")
+
+
+ONEBIT = SRC / "tmbt" / "specs" / "onebit.tla"
+
+
+@pytest.mark.parametrize("code", [
+    _cli_run(["check", "--example", "steamboiler"]),
+    _cli_run(["check", "--spec", str(ONEBIT)]),
+    _cli_run(["test", "--cases", "2", "--sut", f"{sys.executable} -m tmbt.boiler"]),
+    "import tmbt.boiler",
+], ids=["check-example", "check-spec", "test-sut", "boiler"])
+def test_no_command_compiles_dataclasses(code):
+    # every record class is a tmbt.record.Record, built without exec
+    modules = modules_after(code)
+    assert "tmbt.record" in modules
+    assert "dataclasses" not in modules
+
+
 # where each public name is defined
 HOMES = {
     "tmbt.errors": ("TmbtError",),
@@ -126,6 +160,5 @@ def test_readme_library_snippet_runs(tmp_path):
     onebit = SRC / "tmbt" / "specs" / "onebit.tla"
     (tmp_path / "clock.tla").write_text(onebit.read_text())
     done = subprocess.run([sys.executable, "-c", snippet], cwd=tmp_path,
-                          capture_output=True, text=True, check=True,
-                          env={"PYTHONPATH": str(SRC)})
+                          capture_output=True, text=True, check=True, env=ENV)
     assert done.stdout == "2 []\n"

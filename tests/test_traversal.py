@@ -9,7 +9,6 @@ expression" errors; and unlike the old ones they must handle trees far
 deeper than Python's recursion limit.
 """
 
-import dataclasses
 import random
 
 import astgen
@@ -47,15 +46,16 @@ def _nodes(expr) -> list:
 def _plant(expr, rng: random.Random, make, rate: float = 0.3):
     """`expr` with some of its leaves swapped for `make()`."""
     changes = {}
-    for field in dataclasses.fields(expr):
-        value = getattr(expr, field.name)
+    for name in expr._fields:
+        value = getattr(expr, name)
         if isinstance(value, sp.ExprNode):
-            changes[field.name] = _plant(value, rng, make, rate)
+            changes[name] = _plant(value, rng, make, rate)
         elif isinstance(value, tuple):
-            changes[field.name] = tuple(_plant(v, rng, make, rate) for v in value)
+            changes[name] = tuple(_plant(v, rng, make, rate) for v in value)
     if not changes and rng.random() < rate:
         return make()
-    return dataclasses.replace(expr, **changes)
+    return type(expr)(**{name: changes.get(name, getattr(expr, name))
+                         for name in expr._fields})
 
 
 def _outcome(walk, *args):
