@@ -3,6 +3,11 @@
 Executable Init/Next specifications with exhaustive breadth-first
 exploration, a textual TLA+ subset front end, timed-stream component
 specs, and model-guided stateful property-based testing.
+
+`tmbt.explore` is the exploration function, and it shadows the submodule
+of the same name: `import tmbt.explore as m` binds the function too.
+Reach the module as `from tmbt.explore import ...` or
+`importlib.import_module("tmbt.explore")`.
 """
 
 import importlib

@@ -30,11 +30,11 @@ class EmptyChooseDomain(TmbtError):
 
 
 class UnboundedDomain(TmbtError):
-    """No finite domain could be derived for a variable."""
+    """Init or an action leaves a variable free, and TypeOK gives it no domain."""
 
 
 class NoInitialStates(TmbtError):
-    """The init formula is unsatisfiable over the derived domains."""
+    """No state satisfies the init formula."""
 
 
 class MissingDefinition(TmbtError):

@@ -1,19 +1,18 @@
 """Breadth-first state-space exploration.
 
 The transition relation is executed, not solved: candidate successor
-states are drawn from finite per-variable domains and filtered by
-evaluating the action formula over the (current, candidate) pair.
-Domains come from the TypeOK invariant when one is declared, from
-membership constraints in init otherwise, and as a last resort from
-constants compared against the variable anywhere in the spec.
+states are drawn per variable and filtered by evaluating the action
+formula over the (current, candidate) pair.
 
-Init and Next are enumerated by one engine.  Each formula is turned
-once into a candidate plan (`candidate_plan`) that reads its `v = e`
-and `v \\in S` conjuncts and disjuncts: an action's plan narrows the
-primed variables given the current state, and Init's plan narrows the
-variables given the empty state.  A variable the plan leaves free takes
-its whole domain, and narrowed values outside the domain are dropped.
-Every candidate is then checked against the whole formula.
+Init and Next are enumerated by one engine, as TLC does.  Each formula
+is turned once into a candidate plan (`candidate_plan`) that reads its
+`v = e`, `v \\in S`, bare `v` and `~v` conjuncts and disjuncts: an
+action's plan narrows the primed variables given the current state, and
+Init's plan narrows the variables given the empty state.  A narrowed
+variable takes the values the formula states, whatever they are.  A
+variable the plan leaves free takes its domain from the TypeOK
+invariant, read by the same plan; without one it is an UnboundedDomain
+error.  Every candidate is then checked against the whole formula.
 
 Counting contract:
   states_found    initial states plus every successor generated from a
@@ -32,7 +31,7 @@ from collections import deque
 from . import spec as sp
 from .errors import NoInitialStates, TmbtError, UnboundedDomain
 from .record import Record
-from .values import IntVal, SetVal, Value, sorted_values, value_to_json
+from .values import FALSE, TRUE, IntVal, SetVal, Value, sorted_values, value_to_json
 
 TYPE_OK_NAME = "TypeOK"
 _EMPTY = sp.State({})
@@ -85,94 +84,6 @@ def counterexample_to_json(cex: Counterexample) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Domain derivation
-
-
-def _closed_eval(expr) -> Value | None:
-    """Evaluate an expression with nothing in scope, or None if it needs one."""
-    try:
-        return sp.eval_expr(expr, _EMPTY, _EMPTY)
-    except TmbtError:
-        return None
-
-
-def _membership_domains(expr, through_or: bool) -> dict:
-    """Per-variable value sets from `v \\in D` constraints with constant D.
-
-    Conjuncts intersect; disjunct branches union when `through_or` is set.
-    """
-    if isinstance(expr, sp.And):
-        left = _membership_domains(expr.left, through_or)
-        right = _membership_domains(expr.right, through_or)
-        out = dict(left)
-        for name, vals in right.items():
-            out[name] = out[name] & vals if name in out else vals
-        return out
-    if through_or and isinstance(expr, sp.Or):
-        left = _membership_domains(expr.left, through_or)
-        right = _membership_domains(expr.right, through_or)
-        # a variable unconstrained on either side stays unconstrained
-        out = {}
-        for name in left.keys() & right.keys():
-            out[name] = left[name] | right[name]
-        return out
-    if isinstance(expr, sp.In) and isinstance(expr.element, sp.Var):
-        domain = _closed_eval(expr.domain)
-        if isinstance(domain, SetVal):
-            return {expr.element.name: set(domain.elements)}
-    return {}
-
-
-def _mine_constants(expr, out: dict) -> None:
-    """Collect constants equated with or containing a variable, any polarity."""
-    if isinstance(expr, (sp.And, sp.Or, sp.Implies, sp.Eq, sp.Neq)):
-        pairs = [(expr.left, expr.right), (expr.right, expr.left)]
-        if isinstance(expr, (sp.Eq, sp.Neq)):
-            for side, other in pairs:
-                if isinstance(side, (sp.Var, sp.Primed)):
-                    value = _closed_eval(other)
-                    if value is not None:
-                        out.setdefault(side.name, set()).add(value)
-        _mine_constants(expr.left, out)
-        _mine_constants(expr.right, out)
-        return
-    if isinstance(expr, sp.In) and isinstance(expr.element, (sp.Var, sp.Primed)):
-        domain = _closed_eval(expr.domain)
-        if isinstance(domain, SetVal):
-            out.setdefault(expr.element.name, set()).update(domain.elements)
-        return
-    if isinstance(expr, sp.Not):
-        _mine_constants(expr.operand, out)
-    if isinstance(expr, sp.QUANTIFIERS):
-        _mine_constants(expr.body, out)
-
-
-def derive_domains(spec: sp.TemporalSpec) -> dict:
-    """Finite candidate domain per variable, canonically sorted.
-
-    Raises UnboundedDomain naming the first variable (in declaration
-    order) for which no source yields any candidate values.
-    """
-    type_ok = spec.invariant_map().get(TYPE_OK_NAME)
-    from_type_ok = _membership_domains(type_ok, False) if type_ok is not None else {}
-    from_init = _membership_domains(spec.init, True)
-    mined: dict = {}
-    _mine_constants(spec.init, mined)
-    for action in spec.actions:
-        _mine_constants(action.formula, mined)
-
-    domains = {}
-    for name in spec.variables:
-        values = from_type_ok.get(name) or from_init.get(name) or mined.get(name)
-        if not values:
-            msg = (f"no finite domain for variable {name}: not constrained by "
-                   f"{TYPE_OK_NAME}, init membership, or literal comparisons")
-            raise UnboundedDomain(msg)
-        domains[name] = sorted_values(values)
-    return domains
-
-
-# ---------------------------------------------------------------------------
 # Candidate plans: Init and Next are enumerated by one engine
 
 
@@ -187,10 +98,19 @@ def _mentions(expr, target: type) -> bool:
     return sp.fold(expr, lambda node, inner: isinstance(node, target) or any(inner))
 
 
+def _assigns(name: str, value: Value):
+    return lambda current: {name: {value}}
+
+
 def _plan_leaf(expr, target: type):
     """The plan of a formula that is not a junction: `v = e` (either way
     round) or `v \\in S`, where `v` is a `target` node and `e` or `S`
-    mentions none; None for any other formula, which never narrows."""
+    mentions none, or a bare `v` or `~v`, read as `v = TRUE` or
+    `v = FALSE`; None for any other formula, which never narrows."""
+    if isinstance(expr, target):
+        return _assigns(expr.name, TRUE)
+    if isinstance(expr, sp.Not) and isinstance(expr.operand, target):
+        return _assigns(expr.operand.name, FALSE)
     if isinstance(expr, sp.Eq):
         for side, other in ((expr.left, expr.right), (expr.right, expr.left)):
             if isinstance(side, target) and not _mentions(other, target):
@@ -284,9 +204,10 @@ def candidate_plan(formula, target: type):
     current state) or `sp.Var` for Init (initial values, given the empty
     state).  Conjuncts intersect their candidates and disjuncts unite
     them; `v = e` offers the value of `e` and `v \\in S` the members of
-    `S`, when these evaluate.  An absent variable is unconstrained and
-    None means nothing is known.  Only a pruning aid: every candidate
-    set is a superset of the values the full evaluation accepts.
+    `S`, when these evaluate, and a bare `v` or `~v` offers TRUE or
+    FALSE.  An absent variable is unconstrained and None means nothing
+    is known.  Every candidate set is a superset of the values the full
+    evaluation accepts, so narrowing loses no state.
     """
     if not isinstance(formula, sp.ExprNode):
         return _build_plan(formula, target)
@@ -297,50 +218,65 @@ def candidate_plan(formula, target: type):
     return cache[key]
 
 
-def _domain_index(domains: dict) -> dict:
-    """Per variable, each domain value mapped to itself: a set of the
-    domain that also yields the domain's own value objects, so that
-    successor states share them instead of holding fresh copies."""
-    return {name: {value: value for value in values}
-            for name, values in domains.items()}
+def derive_domains(spec: sp.TemporalSpec) -> dict:
+    """Each variable's domain as the TypeOK invariant states it.
+
+    TypeOK is read by Init's candidate plan on the empty state, so its
+    `v \\in S` and `v = e` conjuncts and disjuncts give the values.  Per
+    variable it is a dict mapping each value to itself, in canonical
+    order: it iterates as the sorted domain, and a lookup yields the
+    domain's own value object, so that states share them instead of
+    holding fresh copies.  A variable TypeOK does not narrow, or any
+    variable of a spec without TypeOK, is absent.
+    """
+    type_ok = spec.invariant_map().get(TYPE_OK_NAME)
+    if type_ok is None:
+        return {}
+    narrowed = candidate_plan(type_ok, sp.Var)(_EMPTY) or {}
+    return {name: {value: value for value in sorted_values(narrowed[name])}
+            for name in spec.variables if name in narrowed}
 
 
 def _candidates(variables: tuple, narrowed: dict | None, domains: dict,
-                domain_index: dict) -> list:
-    """Per variable, its narrowed values that lie in its domain, or its
-    whole domain where the plan leaves it free; canonically sorted."""
+                formula: str) -> list:
+    """Per variable, its narrowed values, or its domain where the plan
+    of `formula` (named for the error) leaves it free; canonically
+    sorted."""
     per_var = []
     for name in variables:
+        domain = domains.get(name)
         if narrowed and name in narrowed:
-            index = domain_index[name]
-            per_var.append(sorted_values(index[value] for value in narrowed[name]
-                                         if value in index))
+            values = narrowed[name]
+            if domain is not None:
+                values = [domain.get(value, value) for value in values]
+            per_var.append(sorted_values(values))
+        elif domain is not None:
+            per_var.append(domain)
         else:
-            per_var.append(domains[name])
+            msg = (f"no finite domain for variable {name}: {formula} leaves it "
+                   f"free and {TYPE_OK_NAME} gives it no domain")
+            raise UnboundedDomain(msg)
     return per_var
 
 
 def successors(spec: sp.TemporalSpec, state: sp.State,
-               domains: dict | None = None,
-               domain_index: dict | None = None) -> list:
+               domains: dict | None = None) -> list:
     """All (actionName, nextState) steps enabled from `state`.
 
     Entries are ordered by action declaration order, then canonically by
     next state.  The same next state reached through two actions appears
     twice; a stuttering step appears only if some action admits it.
-    `domains` maps each variable to its canonically sorted candidate
-    values, as derive_domains returns them, and `domain_index` is
-    `_domain_index(domains)`.  explore() builds both once and passes
-    them for every state.
+    Each action tries the values its plan narrows to, and the `domains`
+    of derive_domains for the variables it leaves free; explore()
+    derives them once and passes them for every state.
     """
     if domains is None:
         domains = derive_domains(spec)
-    if domain_index is None:
-        domain_index = _domain_index(domains)
     out = []
     for action in spec.actions:
         narrowed = candidate_plan(action.formula, sp.Primed)(state)
-        per_var = _candidates(spec.variables, narrowed, domains, domain_index)
+        per_var = _candidates(spec.variables, narrowed, domains,
+                              f"action {action.name}")
         accepted = []
         for combo in itertools.product(*per_var):
             candidate = sp.State(zip(spec.variables, combo))
@@ -352,18 +288,18 @@ def successors(spec: sp.TemporalSpec, state: sp.State,
 
 
 def initial_states(spec: sp.TemporalSpec, domains: dict | None = None) -> list:
-    """States over the derived domains satisfying init, canonically sorted.
+    """The states satisfying init, canonically sorted.
 
     Init is narrowed like Next: its candidate plan, evaluated against the
-    empty state, picks each variable's candidates from its domain, so
-    `x = 0 /\\ y \\in {1, 2}` tries two states and not the domain
-    product.  Each candidate is then checked against the whole of init.
+    empty state, gives each variable's candidates, so
+    `x = 0 /\\ y \\in {1, 2}` tries two states; a variable it leaves free
+    takes its domain from `domains`.  Each candidate is then checked
+    against the whole of init.
     """
     if domains is None:
         domains = derive_domains(spec)
     narrowed = candidate_plan(spec.init, sp.Var)(_EMPTY)
-    per_var = _candidates(spec.variables, narrowed, domains,
-                          _domain_index(domains))
+    per_var = _candidates(spec.variables, narrowed, domains, "Init")
     found = []
     for combo in itertools.product(*per_var):
         candidate = sp.State(zip(spec.variables, combo))
@@ -389,7 +325,6 @@ def explore(spec: sp.TemporalSpec, max_distinct: int | None = None,
     only what was actually generated.
     """
     domains = derive_domains(spec)
-    domain_index = _domain_index(domains)
     inits = initial_states(spec, domains)
 
     depth = {s: 0 for s in inits}
@@ -407,7 +342,7 @@ def explore(spec: sp.TemporalSpec, max_distinct: int | None = None,
             break
         next_level = []
         for state in level:
-            succs = successors(spec, state, domains, domain_index)
+            succs = successors(spec, state, domains)
             states_found += len(succs)
             for action_name, target in succs:
                 if target not in nodes:
@@ -483,7 +418,6 @@ def behaviors(spec: sp.TemporalSpec, count: int, max_len: int,
     share a name share the place of the last of them.
     """
     domains = derive_domains(spec)
-    domain_index = _domain_index(domains)
     inits = initial_states(spec, domains)
     if not inits:
         msg = f"spec {spec.name}: init is unsatisfiable over the derived domains"
@@ -493,7 +427,7 @@ def behaviors(spec: sp.TemporalSpec, count: int, max_len: int,
 
     def steps_from(state) -> list:
         if state not in steps:
-            found = set(successors(spec, state, domains, domain_index))
+            found = set(successors(spec, state, domains))
             steps[state] = sorted(found, key=lambda step: (
                 action_order[step[0]], sp.state_key(step[1])))
         return steps[state]

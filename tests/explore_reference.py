@@ -1,13 +1,21 @@
 """Successor and initial-state enumeration as `tmbt.explore` shipped them
 before Init and Next were narrowed by candidate plans, kept as the
-reference.
+reference, with the variable domains they were drawn from.
+
+`derive_domains`, `_closed_eval`, `_membership_domains`,
+`_mine_constants` and `_domain_index` are the domain derivation as it
+was before domains came from TypeOK alone: TypeOK membership, else
+Init membership, else constants compared with the variable anywhere in
+the spec.  Narrowed values outside these domains were dropped.
 
 `_primed_candidates`, `_mentions_primed`, `_try_eval` and `successors`
 are unchanged: every state re-walks each action's formula to find its
 primed assignments.  `initial_states` is the brute force: it evaluates
-Init on every state of the derived domains' product.  The differential
-tests in test_candidate_plan.py hold the new code to the states these
-give, in the same order, and to their error types and messages.
+Init on every state of the derived domains' product.
+`per_variable_candidates` is the candidate lists `successors` tries.
+The differential tests in test_candidate_plan.py hold the new code to
+the states these give and to their errors, except where a value lies
+outside these domains or a variable has none left.
 
 `behaviors` is the random walk as it was before it walked on the fly:
 it explores the whole reachable graph first and walks its edges.
@@ -20,9 +28,108 @@ import itertools
 import random
 
 import tmbt.spec as sp
-from tmbt.errors import NoInitialStates, TmbtError
-from tmbt.explore import _domain_index, derive_domains, explore
+from tmbt.errors import NoInitialStates, TmbtError, UnboundedDomain
+from tmbt.explore import explore
 from tmbt.values import SetVal, Value, sorted_values
+
+TYPE_OK_NAME = "TypeOK"
+_EMPTY = sp.State({})
+
+
+# ---------------------------------------------------------------------------
+# Domain derivation
+
+
+def _closed_eval(expr) -> Value | None:
+    """Evaluate an expression with nothing in scope, or None if it needs one."""
+    try:
+        return sp.eval_expr(expr, _EMPTY, _EMPTY)
+    except TmbtError:
+        return None
+
+
+def _membership_domains(expr, through_or: bool) -> dict:
+    """Per-variable value sets from `v \\in D` constraints with constant D.
+
+    Conjuncts intersect; disjunct branches union when `through_or` is set.
+    """
+    if isinstance(expr, sp.And):
+        left = _membership_domains(expr.left, through_or)
+        right = _membership_domains(expr.right, through_or)
+        out = dict(left)
+        for name, vals in right.items():
+            out[name] = out[name] & vals if name in out else vals
+        return out
+    if through_or and isinstance(expr, sp.Or):
+        left = _membership_domains(expr.left, through_or)
+        right = _membership_domains(expr.right, through_or)
+        # a variable unconstrained on either side stays unconstrained
+        out = {}
+        for name in left.keys() & right.keys():
+            out[name] = left[name] | right[name]
+        return out
+    if isinstance(expr, sp.In) and isinstance(expr.element, sp.Var):
+        domain = _closed_eval(expr.domain)
+        if isinstance(domain, SetVal):
+            return {expr.element.name: set(domain.elements)}
+    return {}
+
+
+def _mine_constants(expr, out: dict) -> None:
+    """Collect constants equated with or containing a variable, any polarity."""
+    if isinstance(expr, (sp.And, sp.Or, sp.Implies, sp.Eq, sp.Neq)):
+        pairs = [(expr.left, expr.right), (expr.right, expr.left)]
+        if isinstance(expr, (sp.Eq, sp.Neq)):
+            for side, other in pairs:
+                if isinstance(side, (sp.Var, sp.Primed)):
+                    value = _closed_eval(other)
+                    if value is not None:
+                        out.setdefault(side.name, set()).add(value)
+        _mine_constants(expr.left, out)
+        _mine_constants(expr.right, out)
+        return
+    if isinstance(expr, sp.In) and isinstance(expr.element, (sp.Var, sp.Primed)):
+        domain = _closed_eval(expr.domain)
+        if isinstance(domain, SetVal):
+            out.setdefault(expr.element.name, set()).update(domain.elements)
+        return
+    if isinstance(expr, sp.Not):
+        _mine_constants(expr.operand, out)
+    if isinstance(expr, sp.QUANTIFIERS):
+        _mine_constants(expr.body, out)
+
+
+def derive_domains(spec: sp.TemporalSpec) -> dict:
+    """Finite candidate domain per variable, canonically sorted.
+
+    Raises UnboundedDomain naming the first variable (in declaration
+    order) for which no source yields any candidate values.
+    """
+    type_ok = spec.invariant_map().get(TYPE_OK_NAME)
+    from_type_ok = _membership_domains(type_ok, False) if type_ok is not None else {}
+    from_init = _membership_domains(spec.init, True)
+    mined: dict = {}
+    _mine_constants(spec.init, mined)
+    for action in spec.actions:
+        _mine_constants(action.formula, mined)
+
+    domains = {}
+    for name in spec.variables:
+        values = from_type_ok.get(name) or from_init.get(name) or mined.get(name)
+        if not values:
+            msg = (f"no finite domain for variable {name}: not constrained by "
+                   f"{TYPE_OK_NAME}, init membership, or literal comparisons")
+            raise UnboundedDomain(msg)
+        domains[name] = sorted_values(values)
+    return domains
+
+def _domain_index(domains: dict) -> dict:
+    """Per variable, each domain value mapped to itself: a set of the
+    domain that also yields the domain's own value objects, so that
+    successor states share them instead of holding fresh copies."""
+    return {name: {value: value for value in values}
+            for name, values in domains.items()}
+
 
 
 def _primed_candidates(expr, current: sp.State) -> dict | None:
@@ -93,6 +200,20 @@ def _try_eval(expr, current: sp.State) -> Value | None:
         return None
 
 
+def per_variable_candidates(spec, action, state, domains, domain_index) -> list:
+    """The candidate values `successors` tries for each variable."""
+    narrowed = _primed_candidates(action.formula, state) or {}
+    per_var = []
+    for name in spec.variables:
+        if name in narrowed:
+            index = domain_index[name]
+            per_var.append(sorted_values(index[value] for value in narrowed[name]
+                                         if value in index))
+        else:
+            per_var.append(domains[name])
+    return per_var
+
+
 def successors(spec: sp.TemporalSpec, state: sp.State,
                domains: dict | None = None,
                domain_index: dict | None = None) -> list:
@@ -102,15 +223,8 @@ def successors(spec: sp.TemporalSpec, state: sp.State,
         domain_index = _domain_index(domains)
     out = []
     for action in spec.actions:
-        narrowed = _primed_candidates(action.formula, state) or {}
-        per_var = []
-        for name in spec.variables:
-            if name in narrowed:
-                index = domain_index[name]
-                per_var.append(sorted_values(index[value] for value in narrowed[name]
-                                             if value in index))
-            else:
-                per_var.append(domains[name])
+        per_var = per_variable_candidates(spec, action, state, domains,
+                                          domain_index)
         accepted = []
         for combo in itertools.product(*per_var):
             candidate = sp.State(zip(spec.variables, combo))

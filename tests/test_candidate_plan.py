@@ -1,13 +1,21 @@
 """Init and Next enumerated through candidate plans, against the reference.
 
-`explore_reference` holds successor enumeration as it was before
-candidate plans (each state re-walked each action's formula) and the
-brute-force `initial_states` (Init evaluated on every state of the
-domain product).  On the examples and on random small specs, the new
-code must give the same states in the same order, or raise the same
-exception type with the same message.  The one intended difference is
-in Init: where the brute force raised on a candidate that the plan now
-skips, the new code does not evaluate that candidate.
+`explore_reference` holds enumeration as it was before candidate plans
+took narrowed values as they are: each state re-walked each action's
+formula, Init was evaluated on every state of the domain product, and
+both drew from domains guessed from TypeOK, Init membership or mined
+constants, dropping any value outside them.  On the examples the new
+code gives the same states in the same order.  On random small specs it
+keeps the reference's contract but for the guessing it removes:
+
+- where both give states, the new states are the reference's states, in
+  their order, plus only states with some variable outside its old
+  domain, all in canonical order;
+- where the outcomes differ otherwise, the new code raised
+  UnboundedDomain, or it raised on a candidate the reference never
+  tried (one with a value outside the old domains), or the reference
+  raised on a candidate the new code never tries (its plan, which now
+  also reads bare booleans, excludes it).
 """
 
 import itertools
@@ -19,9 +27,9 @@ import pytest
 
 import tmbt.spec as sp
 import tmbt.specs as specs
+from tmbt.errors import UnboundedDomain
 from tmbt.explore import (
     _candidates,
-    _domain_index,
     candidate_plan,
     derive_domains,
     explore,
@@ -29,7 +37,7 @@ from tmbt.explore import (
     successors,
 )
 from tmbt.tla import parse_module, to_spec
-from tmbt.values import BOOLEANS, IntVal, SetVal
+from tmbt.values import BOOLEANS, TRUE, IntVal, SetVal
 
 VARIABLES = ("x", "y", "b")
 TYPE_OK = sp.conj(
@@ -43,6 +51,53 @@ def _outcome(call, *args):
         return ("value", call(*args))
     except Exception as error:  # any divergence, of any type, is a finding
         return ("error", type(error), str(error))
+
+
+def _outside(state, old_domains) -> bool:
+    return any(state[name] not in values for name, values in old_domains.items())
+
+
+def _first_raising(variables, tries):
+    """The first (try index, candidate) on which a try's check raises;
+    `tries` yields (check, per-variable candidates) in evaluation order."""
+    for index, (check, per_var) in enumerate(tries):
+        for combo in itertools.product(*per_var):
+            candidate = sp.State(zip(variables, combo))
+            try:
+                check(candidate)
+            except Exception:
+                return index, candidate
+    return None
+
+
+def judge(variables, old, new, old_domains, old_tries, new_tries,
+          state_of, key) -> str:
+    """Holds one new outcome to the reference's under the contract in the
+    module docstring; returns which kind of agreement it found.  The
+    tries are callables giving each side's `_first_raising` input;
+    `state_of` reads the state of an outcome's entry and `key` is the
+    entries' canonical sort key."""
+    if new == old:
+        return "states" if old[0] == "value" and old[1] else old[0]
+    if old[0] == new[0] == "value":
+        known = set(old[1])
+        assert [entry for entry in new[1] if entry in known] == old[1], (old, new)
+        assert all(_outside(state_of(entry), old_domains)
+                   for entry in new[1] if entry not in known), (old, new)
+        assert new[1] == sorted(new[1], key=key), new
+        return "widened"
+    if new[0] == "error" and new[1] is UnboundedDomain:
+        return "unbounded"
+    if new[0] == "error":
+        _, raising = _first_raising(variables, new_tries())
+        if _outside(raising, old_domains):
+            return "evaluated"
+    assert old[0] == "error", (old, new)
+    index, raising = _first_raising(variables, old_tries())
+    _, tried = next(itertools.islice(new_tries(), index, None))
+    assert any(raising[name] not in values
+               for name, values in zip(variables, tried)), (old, new)
+    return "skipped"
 
 
 # ---------------------------------------------------------------------------
@@ -125,20 +180,9 @@ def random_spec(rng: random.Random) -> sp.TemporalSpec:
 # Init
 
 
-def _first_raising(spec, domains):
-    """The first state of the brute-force order on which Init raises."""
-    for combo in itertools.product(*(domains[name] for name in spec.variables)):
-        candidate = sp.State(zip(spec.variables, combo))
-        try:
-            sp.eval_state_formula(spec.init, candidate)
-        except Exception:
-            return candidate
-    return None
-
-
 def _planned(spec, domains):
     narrowed = candidate_plan(spec.init, sp.Var)(sp.State({}))
-    return _candidates(spec.variables, narrowed, domains, _domain_index(domains))
+    return _candidates(spec.variables, narrowed, domains, "Init")
 
 
 def compare_init(spec) -> str:
@@ -146,27 +190,33 @@ def compare_init(spec) -> str:
     kind of agreement it found."""
     old = _outcome(ref.initial_states, spec)
     new = _outcome(initial_states, spec)
-    if new == old:
-        return "states" if old[0] == "value" and old[1] else old[0]
-    # the declared difference: the brute force raised on a candidate
-    # outside the plan's product, which the new code never evaluates
-    assert old[0] == "error", (old, new)
-    domains = derive_domains(spec)
-    raising = _first_raising(spec, domains)
-    per_var = _planned(spec, domains)
-    assert any(raising[name] not in values
-               for name, values in zip(spec.variables, per_var)), (old, new)
-    return "skipped"
+
+    def old_tries():
+        old_domains = ref.derive_domains(spec)
+        yield check, [old_domains[name] for name in spec.variables]
+
+    def new_tries():
+        yield check, _planned(spec, derive_domains(spec))
+
+    def check(candidate):
+        sp.eval_state_formula(spec.init, candidate)
+    try:
+        old_domains = ref.derive_domains(spec)
+    except UnboundedDomain:
+        old_domains = {}
+    return judge(spec.variables, old, new, old_domains, old_tries, new_tries,
+                 lambda state: state, sp.state_key)
 
 
 class TestInit:
     def test_random_specs(self):
         rng = random.Random(2024)
-        seen = {"states": 0, "value": 0, "error": 0, "skipped": 0}
+        seen = dict.fromkeys(("states", "value", "error", "widened", "unbounded",
+                              "evaluated", "skipped"), 0)
         for _ in range(1500):
             seen[compare_init(random_spec(rng))] += 1
         # every kind of outcome is common, so none is compared vacuously
-        assert all(count >= 40 for count in seen.values()), seen
+        assert all(count >= 25 for count in seen.values()), seen
 
     @pytest.mark.parametrize("name,params", [
         ("onebit", {}), ("diehard", {}), ("euclid", {}), ("therac25", {}),
@@ -180,34 +230,65 @@ class TestInit:
     def test_init_that_assigns_nothing_tries_the_whole_product(self):
         spec = sp.TemporalSpec("t", VARIABLES, sp.Lt(sp.Var("x"), sp.Var("y")),
                                (), (("TypeOK", TYPE_OK),))
-        assert _planned(spec, derive_domains(spec)) == \
-            [derive_domains(spec)[name] for name in VARIABLES]
+        assert [list(values) for values in _planned(spec, derive_domains(spec))] == \
+            [ref.derive_domains(spec)[name] for name in VARIABLES]
         assert initial_states(spec) == ref.initial_states(spec)
 
-    def test_values_outside_the_domain_are_not_tried(self):
+    def test_values_outside_the_domain_are_tried(self):
+        # x = 9 lies outside TypeOK's -2..3 and b is read as b = TRUE
         init = sp.conj(sp.In(sp.Var("x"), sp.SetLit((sp.intval(9), sp.intval(1)))),
                        sp.Eq(sp.Var("y"), sp.intval(0)), sp.Var("b"))
         spec = sp.TemporalSpec("t", VARIABLES, init, (), (("TypeOK", TYPE_OK),))
-        assert _planned(spec, derive_domains(spec))[:2] == \
-            [[IntVal(1)], [IntVal(0)]]
-        assert initial_states(spec) == ref.initial_states(spec)
+        domains = derive_domains(spec)
+        planned = _planned(spec, domains)
+        assert planned == [[IntVal(1), IntVal(9)], [IntVal(0)], [TRUE]]
+        # a value the domain holds is the domain's own object
+        assert planned[0][0] is domains["x"][IntVal(1)]
+        found = initial_states(spec)
+        assert [state["x"] for state in found] == [IntVal(1), IntVal(9)]
+        assert found[:1] == ref.initial_states(spec)
 
 
 # ---------------------------------------------------------------------------
 # Next
 
 
-def compare_successors(spec, states) -> int:
-    """Holds the new `successors` to the reference on every state; returns
-    how many states had any successor."""
+def compare_successors(spec, states, kinds=None) -> int:
+    """Holds the new `successors` to the reference on every state, and
+    tallies the kinds of agreement in `kinds` if given; returns how
+    many states had any successor."""
+    old_domains = ref.derive_domains(spec)
+    index = ref._domain_index(old_domains)
     domains = derive_domains(spec)
-    index = _domain_index(domains)
+    order = {action.name: i for i, action in enumerate(spec.actions)}
     enabled = 0
     for state in states:
-        old = _outcome(ref.successors, spec, state, domains, index)
-        new = _outcome(successors, spec, state, domains, index)
-        assert new == old, (state, old, new)
-        enabled += old[0] == "value" and bool(old[1])
+        old = _outcome(ref.successors, spec, state, old_domains, index)
+        new = _outcome(successors, spec, state, domains)
+
+        def tries(plan):
+            for action in spec.actions:
+                def check(candidate, formula=action.formula):
+                    sp.eval_action_formula(formula, state, candidate)
+                yield check, plan(action)
+
+        def old_tries():
+            return tries(lambda action: ref.per_variable_candidates(
+                spec, action, state, old_domains, index))
+
+        def new_tries():
+            return tries(lambda action: _candidates(
+                spec.variables, candidate_plan(action.formula, sp.Primed)(state),
+                domains, f"action {action.name}"))
+
+        kind = judge(spec.variables, old, new, old_domains, old_tries, new_tries,
+                     lambda step: step[1],
+                     lambda step: (order[step[0]], sp.state_key(step[1])))
+        if kinds is None:
+            assert kind in ("states", "value", "error"), (state, old, new)
+        else:
+            kinds[kind] = kinds.get(kind, 0) + 1
+        enabled += new[0] == "value" and bool(new[1])
     return enabled
 
 
@@ -218,12 +299,16 @@ class TestNext:
                    for x in range(-2, 4) for y in range(-2, 4)
                    for b in BOOLEANS.elements]
         enabled = 0
+        kinds: dict = {}
         for _ in range(400):
             spec = random_spec(rng)
             spec = sp.TemporalSpec(spec.name, VARIABLES, spec.init, spec.actions,
                                    (("TypeOK", TYPE_OK),))
-            enabled += compare_successors(spec, rng.sample(product, 6))
+            enabled += compare_successors(spec, rng.sample(product, 6), kinds)
         assert enabled > 300
+        # the outcomes that may change do, so none is compared vacuously
+        assert kinds["widened"] >= 25 and kinds["evaluated"] >= 25, kinds
+        assert kinds["skipped"] >= 1, kinds
 
     @pytest.mark.parametrize("name,params", [
         ("onebit", {}), ("diehard", {}), ("euclid", {}), ("therac25", {}),
@@ -257,7 +342,6 @@ class TestNext:
         spec = specs.load("steamboiler", {"low": 300, "high": 700})
         graph, _, _ = explore(spec)
         domains = derive_domains(spec)
-        index = _domain_index(domains)
         built = []
         original = SetVal.__init__
 
@@ -265,7 +349,7 @@ class TestNext:
             built.append(self)
             original(self, elements)
         monkeypatch.setattr(SetVal, "__init__", counted)
-        steps = sum(len(successors(spec, state, domains, index))
+        steps = sum(len(successors(spec, state, domains))
                     for state in graph.nodes)
         assert len(graph.nodes) == 818 and steps == 4908
         assert built == []

@@ -290,12 +290,19 @@ class TestTest:
 class TestDeepFormulas:
     """A formula nested past the recursion limit is an input error."""
 
-    @pytest.fixture
-    def deep_source(self, tmp_path):
-        init = " /\\ ".join(["x = 0"] * 1000)
+    def source(self, tmp_path, init):
         path = tmp_path / "deep.tla"
         path.write_text(f"VARIABLE x\nInit == {init}\nNext == x' = x\n")
         return path
+
+    @pytest.fixture
+    def deep_source(self, tmp_path):
+        return self.source(tmp_path, " /\\ ".join(["x = 0"] * 1000))
+
+    @pytest.fixture
+    def deep_sum(self, tmp_path):
+        return self.source(tmp_path, "x = " + "(" * 1000 + "0"
+                           + " + 0)" * 1000)
 
     def run(self, *args):
         src = str(pathlib.Path(tmbt.__file__).parent.parent)
@@ -304,11 +311,19 @@ class TestDeepFormulas:
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path})
 
-    def test_check_reports_it(self, deep_source):
-        result = self.run("check", "--spec", str(deep_source))
+    def test_check_reports_it(self, deep_sum):
+        result = self.run("check", "--spec", str(deep_sum))
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert result.stderr == "error: formula nests too deeply\n"
+
+    def test_check_passes_a_long_conjunction(self, deep_source):
+        # the explorer walks a 1,000-conjunct Init without recursion
+        result = self.run("check", "--spec", str(deep_source), "--format", "json")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout) == {
+            "diameter": 1, "distinct_states": 1, "states_found": 2,
+            "truncated": False}
 
     def test_translate_reports_it(self, deep_source):
         result = self.run("translate", str(deep_source))
@@ -316,6 +331,19 @@ class TestDeepFormulas:
         assert "Traceback" not in result.stderr
         assert result.stderr == "deep.tla: formula nests too deeply\n"
         assert result.stdout == ""
+
+
+class TestUnboundedDomain:
+    """A variable with no candidates and no TypeOK domain is an input error."""
+
+    def test_check_names_the_action_and_the_variable(self, runner, tmp_path):
+        path = tmp_path / "free.tla"
+        path.write_text("VARIABLE x\nInit == x = 0\nGrow == x' > x\nNext == Grow\n")
+        result = invoke(runner, "check", "--spec", str(path))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: no finite domain for variable x: action "
+                                 "Grow leaves it free and TypeOK gives it no domain\n")
 
 
 class TestDeadSut:

@@ -36,36 +36,110 @@ def therac_tuple(state):
             state["beamHigh"].value, state["fired"].value)
 
 
+def parsed(*lines, invariants=()):
+    source = "\n".join(lines) + "\n"
+    return to_spec(parse_module(source), name="t", invariant_names=invariants)
+
+
 class TestDomains:
-    def test_type_ok_membership_wins(self):
+    def test_domains_come_from_type_ok(self):
         init = sp.Eq(sp.Var("x"), sp.intval(0))
         type_ok = sp.In(sp.Var("x"), sp.IntRange(sp.intval(0), sp.intval(3)))
         spec = sp.TemporalSpec("t", ("x",), init, (), {"TypeOK": type_ok})
-        assert derive_domains(spec) == {"x": [IntVal(n) for n in range(4)]}
+        domains = derive_domains(spec)
+        assert list(domains["x"]) == [IntVal(n) for n in range(4)]
+        # each value maps to itself, so states can share the domain's objects
+        assert all(domains["x"][value] is value for value in domains["x"])
 
-    def test_init_membership_through_disjunction(self):
+    def test_domains_are_canonically_sorted(self):
+        type_ok = sp.In(sp.Var("x"), sp.SetLit((sp.intval(2), sp.intval(-1))))
+        spec = sp.TemporalSpec("t", ("x",), sp.boolval(True), (),
+                               {"TypeOK": type_ok})
+        assert list(derive_domains(spec)["x"]) == [IntVal(-1), IntVal(2)]
+
+    def test_init_membership_gives_no_domain(self):
+        # Init narrows through its disjunction without any domain
         init = sp.Or(sp.In(sp.Var("x"), sp.SetLit((sp.intval(0),))),
                      sp.In(sp.Var("x"), sp.SetLit((sp.intval(5),))))
         spec = sp.TemporalSpec("t", ("x",), init, ())
-        assert derive_domains(spec) == {"x": [IntVal(0), IntVal(5)]}
+        assert derive_domains(spec) == {}
+        assert [s["x"] for s in initial_states(spec)] == [IntVal(0), IntVal(5)]
 
-    def test_mined_constants_as_last_resort(self):
+    def test_narrowed_values_need_no_domain(self):
+        # no constants are mined: x' = 1 offers 1 whatever the domains hold
         init = sp.Eq(sp.Var("x"), sp.intval(0))
         step = sp.NamedAction("A", sp.Eq(sp.Primed("x"), sp.intval(1)))
         spec = sp.TemporalSpec("t", ("x",), init, (step,))
-        assert derive_domains(spec) == {"x": [IntVal(0), IntVal(1)]}
+        assert derive_domains(spec) == {}
+        graph, stats, _ = explore(spec)
+        assert sorted(s["x"].value for s in graph.nodes) == [0, 1]
+        assert (stats.diameter, stats.states_found, stats.distinct_states) == (2, 3, 2)
 
     def test_unconstrained_variable_is_rejected(self):
         step = sp.NamedAction("A", sp.Eq(sp.Primed("x"), sp.Add(sp.Var("x"),
                                                                 sp.intval(1))))
         spec = sp.TemporalSpec("t", ("x",), sp.boolval(True), (step,))
-        with pytest.raises(UnboundedDomain, match="variable x"):
-            derive_domains(spec)
+        with pytest.raises(UnboundedDomain,
+                           match="variable x: Init leaves it free and TypeOK"):
+            explore(spec)
 
-    def test_domains_are_canonically_sorted(self):
-        init = sp.In(sp.Var("x"), sp.SetLit((sp.intval(2), sp.intval(-1))))
-        spec = sp.TemporalSpec("t", ("x",), init, ())
-        assert derive_domains(spec) == {"x": [IntVal(-1), IntVal(2)]}
+    def test_variable_an_action_leaves_free_takes_its_type_ok_domain(self):
+        lines = ("VARIABLE x", "Init == x = 0", "Grow == x' > x", "Next == Grow")
+        spec = parsed(*lines)
+        assert initial_states(spec) == [sp.State({"x": IntVal(0)})]
+        with pytest.raises(UnboundedDomain,
+                           match="variable x: action Grow leaves it free"):
+            explore(spec)
+        typed = parsed(lines[0], "TypeOK == x \\in 0..2", *lines[1:])
+        graph, _, cexs = explore(typed)
+        assert sorted(s["x"].value for s in graph.nodes) == [0, 1, 2]
+        assert cexs == []
+
+    def test_bare_booleans_assign(self):
+        # b' = ~b assigns b, and the bare c' reads as c' = TRUE
+        spec = parsed("VARIABLES b, c", "Init == b = TRUE /\\ ~c",
+                      "Next == b' = (~b) /\\ c'")
+        assert derive_domains(spec) == {}
+        graph, stats, _ = explore(spec)
+        got = sorted((s["b"].value, s["c"].value) for s in graph.nodes)
+        assert got == [(False, True), (True, False), (True, True)]
+        assert (stats.diameter, stats.states_found, stats.distinct_states) == (3, 4, 3)
+
+    def test_deep_type_ok_derives_without_recursion(self):
+        parts = [sp.In(sp.Var("x"), sp.IntRange(sp.intval(0), sp.intval(n % 3 + 1)))
+                 for n in range(5000)]
+        spec = sp.TemporalSpec("t", ("x",), sp.boolval(True), (),
+                               {"TypeOK": sp.conj(*parts)})
+        assert list(derive_domains(spec)["x"]) == [IntVal(0), IntVal(1)]
+
+
+class TestSoundness:
+    """The formula's next values are taken as they are, even outside TypeOK."""
+
+    @pytest.mark.parametrize("type_high,limit", [(3, 8), (5, 9), (0, 3)])
+    def test_counter_past_its_type_bound(self, type_high, limit):
+        spec = parsed("VARIABLE x", f"TypeOK == x \\in 0..{type_high}",
+                      "Init == x = 0", "Next == x' = x + 1")
+        _, stats, cexs = explore(spec, max_distinct=limit)
+        assert (stats.states_found, stats.distinct_states, stats.diameter) == \
+            (limit + 1, limit, limit)
+        assert stats.truncated
+        [cex] = cexs
+        assert cex.invariant == "TypeOK"
+        assert [s["x"].value for s in cex.trace.states] == list(range(type_high + 2))
+
+    @pytest.mark.parametrize("bound,inv_bound", [(5, 3), (9, 2), (4, 4)])
+    def test_guarded_counter_without_type_ok(self, bound, inv_bound):
+        spec = parsed("VARIABLE x", "Init == x = 0",
+                      f"Next == x' = x + 1 /\\ x < {bound}",
+                      f"Inv == x < {inv_bound}", invariants=("Inv",))
+        _, stats, cexs = explore(spec)
+        assert (stats.states_found, stats.distinct_states, stats.diameter) == \
+            (bound + 1, bound + 1, bound + 1)
+        assert not stats.truncated
+        [cex] = cexs
+        assert cex.invariant == "Inv"
+        assert [s["x"].value for s in cex.trace.states] == list(range(inv_bound + 1))
 
 
 class TestEnumeration:

@@ -1,0 +1,56 @@
+"""`tmbt check --format json` output pinned byte for byte.
+
+Each file under `golden/` is the stdout of one `check` run, and CASES
+gives its arguments and exit code.  A change that alters counts,
+traces, their order or the JSON layout shows up here as a diff.
+
+To rewrite the files from the code under test, run
+`PYTHONPATH=src python tests/test_golden.py`; it refuses to write a
+file whose exit code differs from the one CASES declares.
+"""
+
+import pathlib
+import sys
+
+import pytest
+from click.testing import CliRunner
+
+from tmbt.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# name: (arguments after `check`, exit code)
+CASES = {
+    "onebit": (["--example", "onebit"], 0),
+    "diehard": (["--example", "diehard"], 1),
+    "diehard-big_ne_4": (["--example", "diehard", "--invariant", "big_ne_4"], 1),
+    "euclid": (["--example", "euclid"], 0),
+    "euclid-284x355": (["--example", "euclid", "--param", "M=284",
+                        "--param", "N=355"], 0),
+    "therac25": (["--example", "therac25"], 1),
+    "steamboiler": (["--example", "steamboiler"], 0),
+    "steamboiler-190-810": (["--example", "steamboiler", "--param", "low=190",
+                             "--param", "high=810"], 1),
+    "steamboiler-296-704": (["--example", "steamboiler", "--param", "low=296",
+                             "--param", "high=704"], 0),
+}
+
+
+def run_check(args: list):
+    result = CliRunner().invoke(main, ["check", *args, "--format", "json"])
+    return result.exit_code, result.stdout
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_check_output_is_unchanged(name):
+    args, exit_code = CASES[name]
+    assert run_check(args) == (exit_code, (GOLDEN / f"{name}.jsonl").read_text())
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (args, exit_code) in CASES.items():
+        got, stdout = run_check(args)
+        if got != exit_code:
+            sys.exit(f"{name}: exit {got}, CASES declares {exit_code}")
+        (GOLDEN / f"{name}.jsonl").write_text(stdout)

@@ -6,6 +6,7 @@ long since imported everything.
 """
 
 import importlib
+import inspect
 import json
 import os
 import pathlib
@@ -137,6 +138,17 @@ def test_every_public_name_is_its_defining_modules_object():
         home = importlib.import_module(module_name)
         for name in names:
             assert getattr(tmbt, name) is getattr(home, name), name
+
+
+def test_tmbt_explore_is_the_function_and_the_module_is_reached_by_path():
+    # the function shadows the submodule of the same name, by design
+    module = importlib.import_module("tmbt.explore")
+    assert inspect.ismodule(module) and sys.modules["tmbt.explore"] is module
+    assert tmbt.explore is module.explore
+    from tmbt.explore import successors
+    assert successors is module.successors
+    import tmbt.explore as bound  # binds the package's attribute
+    assert bound is module.explore
 
 
 def test_lazy_names_resolve_in_a_fresh_interpreter():
