@@ -31,9 +31,9 @@ from collections import deque
 from . import spec as sp
 from .errors import NoInitialStates, TmbtError, UnboundedDomain
 from .record import Record
-from .values import FALSE, TRUE, IntVal, SetVal, Value, sorted_values, value_to_json
+from .values import FALSE, TRUE, Value, sorted_values, value_to_json
 
-TYPE_OK_NAME = "TypeOK"
+TYPE_OK_NAME = sp.TYPE_OK_NAME
 _EMPTY = sp.State({})
 
 
@@ -122,24 +122,13 @@ def _plan_leaf(expr, target: type):
                 return assignment
     if (isinstance(expr, sp.In) and isinstance(expr.element, target)
             and not _mentions(expr.domain, target)):
-        name, domain = expr.element.name, expr.domain
-        if isinstance(domain, sp.IntRange):
-            members = sp.set_view(domain).members
-
-            def range_membership(current):
-                # read through the range's bounds, not built as a SetVal
-                try:
-                    numbers = members(current, _EMPTY, None, "range").numbers
-                except TmbtError:
-                    return None
-                return {name: set(map(IntVal, numbers))}
-            return range_membership
+        name, members = expr.element.name, sp.set_view(expr.domain).members
 
         def membership(current):
-            members = _try_eval(domain, current)
-            if isinstance(members, SetVal):
-                return {name: set(members.elements)}
-            return None
+            try:
+                return {name: set(members(current, _EMPTY, None, "domain"))}
+            except TmbtError:
+                return None
         return membership
     return None
 

@@ -134,11 +134,6 @@ def _arg_domain(arg: ArgSpec, state: State, chosen: dict) -> t.Sequence:
                                         f"domain of argument {arg.name}")
 
 
-def _apply_effect(op: OpSpec, state: State, args: dict):
-    nxt, observed = op.effect(state, dict(args))
-    return nxt, observed
-
-
 def _check_step(binding: ModelBinding, state: State, command: Command,
                 index: int) -> OpSpec:
     """Validate one command against the model; raises PreconditionViolated."""
@@ -198,7 +193,7 @@ def generate_commands(binding: ModelBinding, spec: TemporalSpec,
             candidates.remove(op)  # an argument domain was empty
         if command is None:
             break
-        state, _ = _apply_effect(op, state, command.arg_map())
+        state, _ = op.effect(state, command.arg_map())
         commands.append(command)
     return tuple(commands)
 
@@ -209,7 +204,6 @@ def generate_commands(binding: ModelBinding, spec: TemporalSpec,
 
 class SutAdapter(t.Protocol):
     def reset(self) -> None: ...
-    def restart(self) -> None: ...
     def apply(self, command: Command) -> dict: ...
 
     def replies(self, commands) -> t.Iterator[dict]:
@@ -231,9 +225,6 @@ class InProcessAdapter:
         self.system = system
 
     def reset(self) -> None:
-        self.system.reset()
-
-    def restart(self) -> None:
         self.system.reset()
 
     def apply(self, command: Command) -> dict:
@@ -300,7 +291,7 @@ def _expected(binding: ModelBinding, commands) -> list:
     expected = []
     for index, command in enumerate(commands):
         op = _check_step(binding, state, command, index)
-        state, observed = _apply_effect(op, state, command.arg_map())
+        state, observed = op.effect(state, command.arg_map())
         expected.append(observed)
     return expected
 
@@ -351,15 +342,16 @@ def _int_shrink_candidates(n: int) -> list:
     return out
 
 
-def _shrink_segments(binding, sut, commands: list) -> bool:
-    """Drop contiguous chunks, halving the window; True if anything dropped.
+def _shrink_removals(binding, sut, commands: list) -> bool:
+    """Drop contiguous chunks, halving the window from half the sequence
+    down to single commands; True if anything dropped.
 
     Chunks catch command pairs whose members are individually load-bearing
     (a startSystem/endSystem bracket, say) but removable together.
     """
     progress = False
-    size = len(commands) // 2
-    while size >= 2:
+    size = max(1, len(commands) // 2)
+    while size >= 1:
         index = 0
         while index + size <= len(commands):
             candidate = commands[:index] + commands[index + size:]
@@ -369,20 +361,6 @@ def _shrink_segments(binding, sut, commands: list) -> bool:
             else:
                 index += 1
         size //= 2
-    return progress
-
-
-def _shrink_removals(binding, sut, commands: list) -> bool:
-    """One pass of single-command removals; True if anything dropped."""
-    progress = False
-    index = 0
-    while index < len(commands):
-        candidate = commands[:index] + commands[index + 1:]
-        if _still_fails(binding, sut, candidate):
-            commands[:] = candidate
-            progress = True
-        else:
-            index += 1
     return progress
 
 
@@ -415,10 +393,9 @@ def shrink(binding: ModelBinding, sut, failing) -> tuple:
         raise PreconditionViolated(msg)
     commands = list(failing)
     while True:
-        chunked = _shrink_segments(binding, sut, commands)
         removed = _shrink_removals(binding, sut, commands)
         adjusted = _shrink_args(binding, sut, commands)
-        if not chunked and not removed and not adjusted:
+        if not removed and not adjusted:
             return tuple(commands)
 
 
@@ -431,7 +408,6 @@ class TestConfig(Record):
     max_len: int = 40
     seed: int = 0
     continue_on_fail: bool = False
-    restart_processes: bool = False
 
 
 class FailingCase(Record):
@@ -486,8 +462,6 @@ def test(binding: ModelBinding, spec: TemporalSpec, sut,
     for _ in range(config.cases):
         case_seed = rng.getrandbits(64)
         commands = generate_commands(binding, spec, config.max_len, case_seed)
-        if config.restart_processes:
-            sut.restart()
         result = run_case(binding, sut, commands)
         cases_run += 1
         executed = len(commands) if result.ok else result.index + 1

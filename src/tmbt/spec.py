@@ -8,11 +8,12 @@ Formulas are immutable expression trees evaluated against one state
 
 Evaluation compiles each formula into Python closures on its first
 evaluation and caches them on the expression node, so a spec's formulas
-compile once however often they are evaluated.  Membership in an
-integer range, `e \\in a..b`, is a bounds check, and quantifiers over a
-range count through it; neither builds the range as a set.  Callers
-that need a set expression's members or a membership test read it
-through `set_view`, which indexes a range instead of building it.
+compile once however often they are evaluated.  A set expression is read
+in one place, `set_view`: every `e \\in S`, quantifier domain and range
+value, the explorer's candidate plan and PBT's argument domains take its
+members or its membership test from there.  A range `a..b` is read
+through its bounds there, so membership in it is a bounds check and a
+quantifier over it counts through it without building the set.
 """
 
 from __future__ import annotations
@@ -381,6 +382,11 @@ class NamedAction(Record):
     formula: Expr
 
 
+# The invariant that states the variables' types, and with them the
+# domains of the variables a formula leaves free.
+TYPE_OK_NAME = "TypeOK"
+
+
 class TemporalSpec(Record):
     name: str
     variables: tuple
@@ -509,12 +515,10 @@ def _build(expr: ExprNode) -> t.Callable:
             return container(item(current, nxt, env) for item in items)
         return literal
     if isinstance(expr, IntRange):
-        low, high = _closure(expr.low), _closure(expr.high)
+        members = set_view(expr).members
 
         def int_range(current, nxt, env):
-            lo = require_int(low(current, nxt, env), "range bound")
-            hi = require_int(high(current, nxt, env), "range bound")
-            return SetVal(IntVal(n) for n in range(lo, hi + 1))
+            return SetVal(members(current, nxt, env, "range"))
         return int_range
     if isinstance(expr, QUANTIFIERS):
         return _build_quantifier(expr)
@@ -601,34 +605,20 @@ def _build_binary(expr: ExprNode, left: t.Callable, right: t.Callable) -> t.Call
 
 
 def _build_in(expr: In) -> t.Callable:
-    element = _closure(expr.element)
-    if isinstance(expr.domain, IntRange):
-        low, high = _closure(expr.domain.low), _closure(expr.domain.high)
+    element, contains = _closure(expr.element), set_view(expr.domain).contains
 
-        def in_range(current, nxt, env):
-            value = element(current, nxt, env)
-            lo = require_int(low(current, nxt, env), "range bound")
-            hi = require_int(high(current, nxt, env), "range bound")
-            return TRUE if type(value) is IntVal and lo <= value.value <= hi else FALSE
-        return in_range
-    domain = _closure(expr.domain)
-
-    def in_set(current, nxt, env):
+    def membership(current, nxt, env):
         value = element(current, nxt, env)
-        members = require_set(domain(current, nxt, env), "right side of \\in")
-        return TRUE if value in members.elements else FALSE
-    return in_set
+        return TRUE if contains(value, current, nxt, env) else FALSE
+    return membership
 
 
 def _build_quantifier(expr: Forall | Exists | Choose) -> t.Callable:
-    """One closure for all three binders; the domain's closures are called
-    from it directly, so a binder nests no deeper than one tree level."""
+    """One closure for all three binders; the domain is read through its
+    set view and the body's closure is called directly, so a binder nests
+    no deeper than one tree level."""
     var, body = expr.var, _closure(expr.body)
-    ranged = isinstance(expr.domain, IntRange)
-    if ranged:
-        low, high = _closure(expr.domain.low), _closure(expr.domain.high)
-    else:
-        domain = _closure(expr.domain)
+    domain = set_view(expr.domain).members
     choosing = isinstance(expr, Choose)
     # \A stops at the first member whose body is FALSE, and is then FALSE;
     # \E and CHOOSE stop at the first member whose body is TRUE.
@@ -636,13 +626,7 @@ def _build_quantifier(expr: Forall | Exists | Choose) -> t.Callable:
     decided, exhausted = (TRUE, FALSE) if stop else (FALSE, TRUE)
 
     def quantifier(current, nxt, env):
-        if ranged:
-            lo = require_int(low(current, nxt, env), "range bound")
-            hi = require_int(high(current, nxt, env), "range bound")
-            members = map(IntVal, range(lo, hi + 1))
-        else:
-            members = set_members(require_set(domain(current, nxt, env),
-                                              "quantifier domain"))
+        members = domain(current, nxt, env, "quantifier domain")
         inner = dict(env) if env else {}
         tried = []
         for member in members:
@@ -660,8 +644,12 @@ def _build_quantifier(expr: Forall | Exists | Choose) -> t.Callable:
 
 
 class SetView(Record):
-    """A set expression read as a set without building it where it is a
-    range `a..b`; `set_view` compiles one per expression node.
+    """A set expression read as a set, the one reader of set expressions:
+    every `\\in`, quantifier domain, range value, candidate-plan membership
+    and PBT argument domain reads its set here, so the bounds of `a..b`,
+    their `range bound` errors and the order of evaluation are written
+    once.  `set_view` compiles one per expression node; a range `a..b` is
+    read through its bounds and never built.
 
     `members(current, nxt, env, what)` gives the members in canonical
     order as an indexable sequence, and raises TypeMismatch naming `what`
@@ -676,7 +664,7 @@ class SetView(Record):
 
 class RangeMembers(collections.abc.Sequence):
     """The members of a range in ascending (canonical) order, each made as
-    an `IntVal` when it is indexed."""
+    an `IntVal` when it is indexed or iterated."""
 
     def __init__(self, numbers: range):
         self.numbers = numbers
@@ -691,6 +679,9 @@ class RangeMembers(collections.abc.Sequence):
     def __len__(self) -> int:
         return len(self.numbers)
 
+    def __iter__(self):
+        return map(IntVal, self.numbers)
+
     def __getitem__(self, index):
         if isinstance(index, slice):
             return RangeMembers(self.numbers[index])
@@ -698,7 +689,8 @@ class RangeMembers(collections.abc.Sequence):
 
 
 def set_view(expr) -> SetView:
-    """The set view of `expr`, cached on the node (see `SetView`)."""
+    """The set view of `expr`, the one reader of a set expression, cached
+    on the node (see `SetView`)."""
     return expr.set_view if isinstance(expr, ExprNode) else _build_set_view(expr)
 
 
@@ -706,17 +698,16 @@ def _build_set_view(expr) -> SetView:
     if isinstance(expr, IntRange):
         low, high = _closure(expr.low), _closure(expr.high)
 
-        def bounds(current, nxt, env) -> range:
+        def range_members(current, nxt, env, what):
             lo = require_int(low(current, nxt, env), "range bound")
             hi = require_int(high(current, nxt, env), "range bound")
-            return range(lo, hi + 1)
-
-        def range_members(current, nxt, env, what):
-            return RangeMembers(bounds(current, nxt, env))
+            return RangeMembers(range(lo, hi + 1))
 
         def in_range(value, current, nxt, env) -> bool:
-            numbers = bounds(current, nxt, env)  # raises before the type test
-            return type(value) is IntVal and value.value in numbers
+            # the bounds raise before the value's type is tested
+            lo = require_int(low(current, nxt, env), "range bound")
+            hi = require_int(high(current, nxt, env), "range bound")
+            return type(value) is IntVal and lo <= value.value <= hi
         return SetView(range_members, in_range)
     domain = _closure(expr)
 

@@ -388,10 +388,8 @@ def parse_module(source: str) -> ParsedModule:
 
 
 def to_spec(module: ParsedModule, name: str = "module",
-            init_name: str = "Init", next_name: str = "Next",
-            type_ok_name: str = "TypeOK",
             invariant_names: tuple = ()) -> sp.TemporalSpec:
-    """Assemble a TemporalSpec from a parsed module.
+    """Assemble a TemporalSpec from a parsed module's Init and Next.
 
     The top-level disjunction of the Next definition becomes the action
     list; a disjunct that is a bare reference keeps that definition's
@@ -399,29 +397,29 @@ def to_spec(module: ParsedModule, name: str = "module",
     and every definition in invariant_names become named invariants.
     """
     expanded = module.definition_map()
-    for required in (init_name, next_name):
+    for required in ("Init", "Next"):
         if required not in expanded:
             raise MissingDefinition(f"no definition named {required!r}")
 
     actions = []
-    disjuncts = sp.junction_parts(module.raw(next_name), sp.Or)
+    disjuncts = sp.junction_parts(module.raw("Next"), sp.Or)
     for index, disjunct in enumerate(disjuncts, start=1):
         action = disjunct.name if isinstance(disjunct, Ref) else f"A{index}"
         actions.append(sp.NamedAction(action, module.expand(disjunct)))
 
     invariants = []
-    if type_ok_name in expanded:
-        invariants.append((type_ok_name, expanded[type_ok_name]))
+    if sp.TYPE_OK_NAME in expanded:
+        invariants.append((sp.TYPE_OK_NAME, expanded[sp.TYPE_OK_NAME]))
     for inv_name in invariant_names:
         if inv_name not in expanded:
             raise MissingDefinition(f"no definition named {inv_name!r}")
-        if inv_name != type_ok_name:
+        if inv_name != sp.TYPE_OK_NAME:
             invariants.append((inv_name, expanded[inv_name]))
 
     spec = sp.TemporalSpec(
         name=name,
         variables=module.variables,
-        init=expanded[init_name],
+        init=expanded["Init"],
         actions=actions,
         invariants=invariants,
     )

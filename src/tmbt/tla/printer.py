@@ -1,37 +1,25 @@
 """Render spec-core expressions and specs back to the ASCII TLA+ subset.
 
-The contract is parse(pretty_print(x)) == x, structurally.  Parentheses
-are inserted whenever a child binds no tighter than its context, and
-comparisons are printed parenthesized under the logical connectives, so
-a disjunction of equations comes out as "(b = 0) \\/ (b = 1)".
+The contract is parse(pretty_print(x)) == x, structurally.  Printing is
+one `spec.fold` over the tree: each node's step gets its parts as
+(text, binding strength) pairs and parenthesizes a part whose strength
+is below the place it occupies, so tree depth never reaches Python's
+recursion limit.  Comparisons are printed parenthesized under the
+logical connectives, so a disjunction of equations comes out as
+"(b = 0) \\/ (b = 1)".
 """
 
 from __future__ import annotations
 
 from .. import spec as sp
 from ..errors import TypeMismatch
-from ..values import BOOLEANS, BoolVal, IntVal, SeqVal, SetVal, set_members
+from ..values import BOOLEANS, BoolVal, IntVal, SeqVal, SetVal
 
 # Binding strength as the printer sees it.  Comparisons and quantified
 # forms share the loosest level so they are parenthesized under every
 # connective; that is safe for parsing (they bind tighter) and matches
 # the conventional way these formulas are written.
 _LOOSE, _OR, _AND, _NOT, _RANGE, _ADD, _ATOM = range(7)
-
-_COMPARISON_LEXEMES = {
-    sp.Eq: "=",
-    sp.Neq: "#",
-    sp.Lt: "<",
-    sp.Le: "<=",
-    sp.Gt: ">",
-    sp.Ge: ">=",
-    sp.NotLt: "\\nless",
-    sp.NotLe: "\\nleq",
-    sp.NotGt: "\\ngtr",
-    sp.NotGe: "\\ngeq",
-}
-
-_QUANTIFIER_LEXEMES = {sp.Forall: "\\A", sp.Exists: "\\E", sp.Choose: "CHOOSE"}
 
 
 def _value_text(v) -> str:
@@ -48,57 +36,82 @@ def _value_text(v) -> str:
     raise TypeMismatch(msg)
 
 
-def _wrap(text: str, level: int, context: int) -> str:
+def _wrap(part: tuple, context: int) -> str:
+    """A printed part's text, parenthesized when it binds looser than the
+    place it occupies."""
+    text, level = part
     return f"({text})" if level < context else text
 
 
-def _print(expr, context: int) -> str:
-    if isinstance(expr, sp.Const):
-        return _value_text(expr.value)
-    if isinstance(expr, sp.Var):
-        return expr.name
-    if isinstance(expr, sp.Primed):
-        return expr.name + "'"
-    if isinstance(expr, sp.Implies):
-        text = f"{_print(expr.left, _OR)} => {_print(expr.right, _LOOSE)}"
-        return _wrap(text, _LOOSE, context)
-    if isinstance(expr, sp.Or):
-        text = f"{_print(expr.left, _OR)} \\/ {_print(expr.right, _AND)}"
-        return _wrap(text, _OR, context)
-    if isinstance(expr, sp.And):
-        text = f"{_print(expr.left, _AND)} /\\ {_print(expr.right, _NOT)}"
-        return _wrap(text, _AND, context)
-    if isinstance(expr, sp.Not):
-        return _wrap("~" + _print(expr.operand, _ATOM), _NOT, context)
-    if isinstance(expr, sp.In):
-        text = f"{_print(expr.element, _RANGE)} \\in {_print(expr.domain, _RANGE)}"
-        return _wrap(text, _LOOSE, context)
-    if isinstance(expr, tuple(_COMPARISON_LEXEMES)):
-        lexeme = _COMPARISON_LEXEMES[type(expr)]
-        text = f"{_print(expr.left, _RANGE)} {lexeme} {_print(expr.right, _RANGE)}"
-        return _wrap(text, _LOOSE, context)
-    if isinstance(expr, sp.IntRange):
-        text = f"{_print(expr.low, _ADD)}..{_print(expr.high, _ADD)}"
-        return _wrap(text, _RANGE, context)
-    if isinstance(expr, (sp.Add, sp.Sub)):
-        lexeme = "+" if isinstance(expr, sp.Add) else "-"
-        text = f"{_print(expr.left, _ADD)} {lexeme} {_print(expr.right, _ATOM)}"
-        return _wrap(text, _ADD, context)
-    if isinstance(expr, sp.QUANTIFIERS):
-        lexeme = _QUANTIFIER_LEXEMES[type(expr)]
-        text = (f"{lexeme} {expr.var} \\in {_print(expr.domain, _RANGE)} : "
-                f"{_print(expr.body, _LOOSE)}")
-        return _wrap(text, _LOOSE, context)
-    if isinstance(expr, sp.SetLit):
-        return "{" + ", ".join(_print(i, _LOOSE) for i in expr.items) + "}"
-    if isinstance(expr, sp.SeqLit):
-        return "<<" + ", ".join(_print(i, _LOOSE) for i in expr.items) + ">>"
-    msg = f"not an expression: {expr!r}"
-    raise TypeMismatch(msg)
+def _infix(lexeme: str, level: int, left: int, right: int):
+    """The step of a binary operator whose operands sit at strengths
+    `left` and `right`."""
+    def step(node, parts) -> tuple:
+        return f"{_wrap(parts[0], left)}{lexeme}{_wrap(parts[1], right)}", level
+    return step
+
+
+def _quantifier(lexeme: str):
+    def step(node, parts) -> tuple:
+        domain, body = parts
+        return (f"{lexeme} {node.var} \\in {_wrap(domain, _RANGE)} : "
+                f"{_wrap(body, _LOOSE)}", _LOOSE)
+    return step
+
+
+def _items(opening: str, closing: str):
+    # an item sits at the loosest place, so it is never parenthesized
+    def step(node, parts) -> tuple:
+        return opening + ", ".join(text for text, _ in parts) + closing, _ATOM
+    return step
+
+
+_COMPARISON_LEXEMES = {
+    sp.Eq: "=",
+    sp.Neq: "#",
+    sp.Lt: "<",
+    sp.Le: "<=",
+    sp.Gt: ">",
+    sp.Ge: ">=",
+    sp.NotLt: "\\nless",
+    sp.NotLe: "\\nleq",
+    sp.NotGt: "\\ngtr",
+    sp.NotGe: "\\ngeq",
+}
+
+# One step per node class: (node, its parts' (text, strength) pairs) ->
+# the node's (text, strength).
+_STEPS = {
+    sp.Const: lambda node, parts: (_value_text(node.value), _ATOM),
+    sp.Var: lambda node, parts: (node.name, _ATOM),
+    sp.Primed: lambda node, parts: (node.name + "'", _ATOM),
+    sp.Implies: _infix(" => ", _LOOSE, _OR, _LOOSE),
+    sp.Or: _infix(" \\/ ", _OR, _OR, _AND),
+    sp.And: _infix(" /\\ ", _AND, _AND, _NOT),
+    sp.Not: lambda node, parts: ("~" + _wrap(parts[0], _ATOM), _NOT),
+    sp.In: _infix(" \\in ", _LOOSE, _RANGE, _RANGE),
+    sp.IntRange: _infix("..", _RANGE, _ADD, _ADD),
+    sp.Add: _infix(" + ", _ADD, _ADD, _ATOM),
+    sp.Sub: _infix(" - ", _ADD, _ADD, _ATOM),
+    sp.Forall: _quantifier("\\A"),
+    sp.Exists: _quantifier("\\E"),
+    sp.Choose: _quantifier("CHOOSE"),
+    sp.SetLit: _items("{", "}"),
+    sp.SeqLit: _items("<<", ">>"),
+}
+_STEPS.update((kind, _infix(f" {lexeme} ", _LOOSE, _RANGE, _RANGE))
+              for kind, lexeme in _COMPARISON_LEXEMES.items())
+
+
+def _print_node(node, parts: list) -> tuple:
+    step = _STEPS.get(type(node))
+    if step is None:
+        raise sp.not_an_expression(node)
+    return step(node, parts)
 
 
 def print_expression(expr) -> str:
-    return _print(expr, _LOOSE)
+    return sp.fold(expr, _print_node)[0]
 
 
 def print_spec(spec: sp.TemporalSpec) -> str:

@@ -59,7 +59,6 @@ class TestConfig:
     max_len: int = 40
     seed: int = 0
     continue_on_fail: bool = False
-    restart_processes: bool = False
 
 
 @dataclasses.dataclass(frozen=True)

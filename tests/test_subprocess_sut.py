@@ -119,13 +119,6 @@ class TestBoilerProcess:
         finally:
             sut.close()
 
-    def test_restarting_processes_between_cases(self):
-        config = pbt.TestConfig(seed=2, cases=3, max_len=10,
-                                restart_processes=True)
-        with boiler_process() as sut:
-            report = pbt.test(BINDING, SPEC, sut, config)
-        assert report.verdict == "pass"
-
     def test_close_is_idempotent(self):
         sut = boiler_process()
         sut.close()

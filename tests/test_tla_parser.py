@@ -7,9 +7,11 @@ from tmbt.errors import (
     MissingDefinition,
     ParseError,
     PrimedInStateFormula,
+    UnboundedDomain,
     UnboundVariable,
     UnsupportedConstruct,
 )
+from tmbt.explore import explore
 from tmbt.tla import parse_expression, parse_module, to_spec
 from tmbt.values import BOOLEANS, IntVal
 
@@ -273,8 +275,20 @@ class TestToSpec:
         with pytest.raises(UnboundVariable):
             to_spec(parse_module(source))
 
-    def test_custom_definition_names(self):
-        source = "VARIABLE b\nStart == b = 0\nStep == b' = 1 - b\n"
-        spec = to_spec(parse_module(source), init_name="Start",
-                       next_name="Step")
-        assert spec.init == sp.Eq(B, ZERO)
+    def test_a_named_invariant_is_checked_but_gives_no_domain(self):
+        # only TypeOK states domains: `Inv` is an ordinary invariant
+        source = ("VARIABLE b\n"
+                  "Inv == b \\in 0..1\n"
+                  "Init == b = 0\n"
+                  "Next == b' > b\n")
+        spec = to_spec(parse_module(source), invariant_names=("Inv",))
+        assert [n for n, _ in spec.invariants] == ["Inv"]
+        with pytest.raises(UnboundedDomain, match="TypeOK gives it no domain"):
+            explore(spec)
+        typed_source = source.replace("Inv ==", "TypeOK == b \\in 0..2\nInv ==")
+        typed = to_spec(parse_module(typed_source), invariant_names=("Inv",))
+        assert [n for n, _ in typed.invariants] == ["TypeOK", "Inv"]
+        _, stats, cexs = explore(typed)
+        assert stats.distinct_states == 3
+        assert [c.invariant for c in cexs] == ["Inv"]
+        assert [s["b"] for s in cexs[0].trace.states] == [IntVal(0), IntVal(2)]

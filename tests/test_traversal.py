@@ -1,14 +1,18 @@
 """The generic tree traversal against the recursive walkers it replaced.
 
 `tree_walkers` holds the compiler's operand walk, the well-formedness
-scan, definition expansion, the Next spine and the IR codec as they were
-before every whole-tree walk ran on `tmbt.spec.fold`.  On random trees
-the new walkers must give the same IR, the same decoded trees, the same
-diagnostics in the same order, the same expansions and the same "not an
-expression" errors; and unlike the old ones they must handle trees far
-deeper than Python's recursion limit.
+scan, definition expansion, the Next spine, the IR codec and the TLA
+printer as they were before every whole-tree walk ran on
+`tmbt.spec.fold`.  On random trees the new walkers must give the same
+IR, the same decoded trees, the same diagnostics in the same order, the
+same expansions, the same printed text and the same "not an expression"
+errors; and unlike the old ones they must handle trees far deeper than
+Python's recursion limit.  No function in `tmbt` may call itself, apart
+from the parser's recursive descent and the value codecs.
 """
 
+import ast
+import pathlib
 import random
 
 import astgen
@@ -20,9 +24,9 @@ import tmbt.ir as ir
 import tmbt.spec as sp
 import tmbt.specs as specs
 from tmbt.errors import TypeMismatch
-from tmbt.tla import parse_module, to_spec
+from tmbt.tla import parse_expression, parse_module, print_expression, to_spec
 from tmbt.tla.parser import ParsedModule, Ref
-from tmbt.values import TRUE, IntVal
+from tmbt.values import BOOLEANS, TRUE, IntVal, SetVal
 
 NOT_EXPRESSIONS = (5, "x", None, IntVal(3))
 
@@ -157,6 +161,31 @@ class TestNotAnExpression:
             sp.eval_expr(tree, sp.State({}))
 
 
+class TestPrinter:
+    @pytest.mark.parametrize("name", specs.EXAMPLE_NAMES)
+    def test_examples_print_as_the_recursive_printer(self, name):
+        spec = specs.load(name)
+        formulas = [spec.init, *(a.formula for a in spec.actions),
+                    *(formula for _, formula in spec.invariants)]
+        for formula in formulas:
+            assert print_expression(formula) == tree_walkers.print_expression(formula)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_trees_print_as_the_recursive_printer(self, seed):
+        rng = random.Random(seed)
+        # leaves with no printed form: non-expressions, container constants
+        unprintable = NOT_EXPRESSIONS + (Ref("D0"), sp.Const(SetVal((IntVal(1),))),
+                                         sp.Const(BOOLEANS), sp.Const("x"))
+        failed = 0
+        for tree in astgen.random_exprs(seed=seed, count=300, depth=5):
+            for planted in (tree, _plant(tree, rng, lambda: rng.choice(unprintable),
+                                         rate=0.05)):
+                want = _outcome(tree_walkers.print_expression, planted)
+                assert _outcome(print_expression, planted) == want
+                failed += want[0] == "error"
+        assert failed > 50
+
+
 class TestWellFormed:
     @pytest.mark.parametrize("seed", range(3))
     def test_diagnostics_match_the_recursive_scan_in_order(self, seed):
@@ -240,6 +269,7 @@ class TestLayout:
         tree = astgen.random_exprs(seed=7, count=1, depth=6)[0]
         before = [dict(vars(node)) for node in _nodes(tree)]
         ir.expr_to_json(tree)
+        print_expression(tree)
         sp.well_formed(sp.TemporalSpec("t", astgen.NAMES, tree, ()))
         assert [dict(vars(node)) for node in _nodes(tree)] == before
 
@@ -304,3 +334,58 @@ class TestDepth:
         found = [d.message for d in sp.well_formed(spec)]
         assert found == [f"v{i} is not declared"
                          for i in range(self.PARTS) if i != 1]
+
+    def test_a_long_conjunction_prints(self):
+        parts = [sp.Eq(sp.Var(f"v{i}"), sp.intval(0)) for i in range(self.PARTS)]
+        tree = sp.conj(*parts)
+        text = print_expression(tree)
+        assert text == " /\\ ".join(f"(v{i} = 0)" for i in range(self.PARTS))
+        assert sp.junction_parts(parse_expression(text), sp.And) == parts
+
+    def test_a_deep_negation_prints(self):
+        tree = sp.Var("b")
+        for _ in range(3_000):
+            tree = sp.Not(tree)
+        # a negation is printed parenthesized under a negation
+        assert print_expression(tree) == "~(" * 2_999 + "~b" + ")" * 2_999
+
+
+# Functions that may call themselves: the parser's recursive descent and
+# its expansion of a definition used before it is defined (their depth is
+# set by the nesting in the source text), and the value codecs (their
+# depth is the nesting of set and sequence values).
+RECURSIVE = {
+    ("tla/parser.py", "expression"), ("tla/parser.py", "unary"),
+    ("tla/parser.py", "_expand"),
+    ("values.py", "canonical_key"), ("values.py", "describe"),
+    ("values.py", "value_to_json"), ("values.py", "value_from_json"),
+}
+
+
+def _self_calls(function: ast.FunctionDef) -> bool:
+    """Whether `function` calls itself by name, or as `self.name` or
+    `cls.name`, in its body or in a function nested there."""
+    for node in ast.walk(function):
+        if not isinstance(node, ast.Call):
+            continue
+        called = node.func
+        if isinstance(called, ast.Name) and called.id == function.name:
+            return True
+        if (isinstance(called, ast.Attribute) and called.attr == function.name
+                and isinstance(called.value, ast.Name)
+                and called.value.id in ("self", "cls")):
+            return True
+    return False
+
+
+class TestNoRecursion:
+    def test_only_the_parser_and_value_codecs_call_themselves(self):
+        package = pathlib.Path(sp.__file__).parent
+        found = set()
+        for path in package.rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and _self_calls(node)):
+                    found.add((path.relative_to(package).as_posix(), node.name))
+        assert found == RECURSIVE

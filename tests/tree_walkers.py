@@ -4,10 +4,11 @@ These are the walkers `tmbt` shipped before every whole-tree walk ran on
 `tmbt.spec.fold`, unchanged apart from their imports: the compiler's
 operand walk (`_operands`, `_junction_parts`), the well-formedness scan
 (`_scan`, `well_formed`), definition expansion and the Next spine of the
-parser (`_expand`, `_spine`) and the IR codec (`expr_to_json`,
-`expr_from_json`).  Each recurses once per tree level.  The differential
-tests in test_traversal.py hold the new walkers to their results and to
-their "not an expression" errors.
+parser (`_expand`, `_spine`), the IR codec (`expr_to_json`,
+`expr_from_json`) and the TLA printer (`_print`, `print_expression`).
+Each recurses once per tree level.  The differential tests in
+test_traversal.py hold the new walkers to their results and to their
+"not an expression" errors.
 """
 
 from __future__ import annotations
@@ -40,7 +41,15 @@ from tmbt.spec import (
     Var,
 )
 from tmbt.tla.parser import Ref
-from tmbt.values import value_from_json, value_to_json
+from tmbt.values import (
+    BOOLEANS,
+    BoolVal,
+    IntVal,
+    SeqVal,
+    SetVal,
+    value_from_json,
+    value_to_json,
+)
 
 _BINARY = (Implies, Eq, Neq, Add, Sub) + COMPARISONS
 
@@ -250,3 +259,97 @@ def expr_from_json(data: dict):
         return _BINARY_TYPES[op](args[0], args[1])
     msg = f"unknown expression op {op!r}"
     raise TypeMismatch(msg)
+
+
+# ---------------------------------------------------------------------------
+# The TLA printer
+
+
+
+# Binding strength as the printer sees it.  Comparisons and quantified
+# forms share the loosest level so they are parenthesized under every
+# connective; that is safe for parsing (they bind tighter) and matches
+# the conventional way these formulas are written.
+_LOOSE, _OR, _AND, _NOT, _RANGE, _ADD, _ATOM = range(7)
+
+_COMPARISON_LEXEMES = {
+    sp.Eq: "=",
+    sp.Neq: "#",
+    sp.Lt: "<",
+    sp.Le: "<=",
+    sp.Gt: ">",
+    sp.Ge: ">=",
+    sp.NotLt: "\\nless",
+    sp.NotLe: "\\nleq",
+    sp.NotGt: "\\ngtr",
+    sp.NotGe: "\\ngeq",
+}
+
+_QUANTIFIER_LEXEMES = {sp.Forall: "\\A", sp.Exists: "\\E", sp.Choose: "CHOOSE"}
+
+
+def _value_text(v) -> str:
+    if isinstance(v, IntVal):
+        return str(v.value)
+    if isinstance(v, BoolVal):
+        return "TRUE" if v.value else "FALSE"
+    if v == BOOLEANS:
+        return "BOOLEAN"
+    if isinstance(v, (SetVal, SeqVal)):
+        msg = "only BOOLEAN has a literal form among container constants"
+        raise TypeMismatch(msg)
+    msg = f"not a value: {v!r}"
+    raise TypeMismatch(msg)
+
+
+def _wrap(text: str, level: int, context: int) -> str:
+    return f"({text})" if level < context else text
+
+
+def _print(expr, context: int) -> str:
+    if isinstance(expr, sp.Const):
+        return _value_text(expr.value)
+    if isinstance(expr, sp.Var):
+        return expr.name
+    if isinstance(expr, sp.Primed):
+        return expr.name + "'"
+    if isinstance(expr, sp.Implies):
+        text = f"{_print(expr.left, _OR)} => {_print(expr.right, _LOOSE)}"
+        return _wrap(text, _LOOSE, context)
+    if isinstance(expr, sp.Or):
+        text = f"{_print(expr.left, _OR)} \\/ {_print(expr.right, _AND)}"
+        return _wrap(text, _OR, context)
+    if isinstance(expr, sp.And):
+        text = f"{_print(expr.left, _AND)} /\\ {_print(expr.right, _NOT)}"
+        return _wrap(text, _AND, context)
+    if isinstance(expr, sp.Not):
+        return _wrap("~" + _print(expr.operand, _ATOM), _NOT, context)
+    if isinstance(expr, sp.In):
+        text = f"{_print(expr.element, _RANGE)} \\in {_print(expr.domain, _RANGE)}"
+        return _wrap(text, _LOOSE, context)
+    if isinstance(expr, tuple(_COMPARISON_LEXEMES)):
+        lexeme = _COMPARISON_LEXEMES[type(expr)]
+        text = f"{_print(expr.left, _RANGE)} {lexeme} {_print(expr.right, _RANGE)}"
+        return _wrap(text, _LOOSE, context)
+    if isinstance(expr, sp.IntRange):
+        text = f"{_print(expr.low, _ADD)}..{_print(expr.high, _ADD)}"
+        return _wrap(text, _RANGE, context)
+    if isinstance(expr, (sp.Add, sp.Sub)):
+        lexeme = "+" if isinstance(expr, sp.Add) else "-"
+        text = f"{_print(expr.left, _ADD)} {lexeme} {_print(expr.right, _ATOM)}"
+        return _wrap(text, _ADD, context)
+    if isinstance(expr, sp.QUANTIFIERS):
+        lexeme = _QUANTIFIER_LEXEMES[type(expr)]
+        text = (f"{lexeme} {expr.var} \\in {_print(expr.domain, _RANGE)} : "
+                f"{_print(expr.body, _LOOSE)}")
+        return _wrap(text, _LOOSE, context)
+    if isinstance(expr, sp.SetLit):
+        return "{" + ", ".join(_print(i, _LOOSE) for i in expr.items) + "}"
+    if isinstance(expr, sp.SeqLit):
+        return "<<" + ", ".join(_print(i, _LOOSE) for i in expr.items) + ">>"
+    msg = f"not an expression: {expr!r}"
+    raise TypeMismatch(msg)
+
+
+def print_expression(expr) -> str:
+    return _print(expr, _LOOSE)
