@@ -198,7 +198,7 @@ def test(example, params, sut_cmdline, cases, max_len, seed,
          continue_on_fail, fmt) -> None:
     """Property-test a system under test against the model."""
     from . import pbt
-    from .boiler import build_boiler_binding, build_sut_model_spec, reference_adapter
+    from .boiler import build_boiler_binding, reference_adapter
 
     if example is None:
         example = "steamboiler"
@@ -211,7 +211,6 @@ def test(example, params, sut_cmdline, cases, max_len, seed,
     if unknown:
         raise click.UsageError(f"unknown parameter {sorted(unknown)[0]!r}")
     binding = build_boiler_binding(low, high)
-    spec = build_sut_model_spec()
     config = pbt.TestConfig(cases=cases, max_len=max_len, seed=seed,
                             continue_on_fail=continue_on_fail)
     adapter = None
@@ -220,7 +219,7 @@ def test(example, params, sut_cmdline, cases, max_len, seed,
             adapter = reference_adapter()
         else:
             adapter = pbt.SubprocessAdapter(shlex.split(sut_cmdline))
-        report = pbt.test(binding, spec, adapter, config)
+        report = pbt.test(binding, adapter, config)
     except INPUT_ERRORS as problem:
         _usage_error("error", problem)
     finally:

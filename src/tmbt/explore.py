@@ -12,7 +12,8 @@ Init's plan narrows the variables given the empty state.  A narrowed
 variable takes the values the formula states, whatever they are.  A
 variable the plan leaves free takes its domain from the TypeOK
 invariant, read by the same plan; without one it is an UnboundedDomain
-error.  Every candidate is then checked against the whole formula.
+error, or the error its `v = e` or `v \\in S` raised.  Every candidate is
+then checked against the whole formula.
 
 Counting contract:
   states_found    initial states plus every successor generated from a
@@ -87,11 +88,29 @@ def counterexample_to_json(cex: Counterexample) -> dict:
 # Candidate plans: Init and Next are enumerated by one engine
 
 
-def _try_eval(expr, current: sp.State) -> Value | None:
-    try:
-        return sp.eval_expr(expr, current, _EMPTY)
-    except TmbtError:
-        return None
+class _Unevaluated:
+    """A variable left free because its `v = e` or `v \\in S` raised
+    `error`: `&` gives the other side's candidates and `|` stays free."""
+
+    def __init__(self, error: TmbtError):
+        self.error = error
+
+    def __and__(self, other):
+        return other
+
+    def __or__(self, other):
+        return self
+
+    __rand__, __ror__ = __and__, __or__
+
+
+def _reading(name: str, read):
+    def plan(current):
+        try:
+            return {name: read(current)}
+        except TmbtError as error:
+            return {name: _Unevaluated(error)}
+    return plan
 
 
 def _mentions(expr, target: type) -> bool:
@@ -114,22 +133,13 @@ def _plan_leaf(expr, target: type):
     if isinstance(expr, sp.Eq):
         for side, other in ((expr.left, expr.right), (expr.right, expr.left)):
             if isinstance(side, target) and not _mentions(other, target):
-                name = side.name
-
-                def assignment(current):
-                    value = _try_eval(other, current)
-                    return None if value is None else {name: {value}}
-                return assignment
+                return _reading(side.name, lambda current, value=other: {
+                    sp.eval_expr(value, current, _EMPTY)})
     if (isinstance(expr, sp.In) and isinstance(expr.element, target)
             and not _mentions(expr.domain, target)):
-        name, members = expr.element.name, sp.set_view(expr.domain).members
-
-        def membership(current):
-            try:
-                return {name: set(members(current, _EMPTY, None, "domain"))}
-            except TmbtError:
-                return None
-        return membership
+        members = sp.set_view(expr.domain).members
+        return _reading(expr.element.name, lambda current: set(
+            members(current, _EMPTY, None, "right side of \\in")))
     return None
 
 
@@ -193,10 +203,11 @@ def candidate_plan(formula, target: type):
     current state) or `sp.Var` for Init (initial values, given the empty
     state).  Conjuncts intersect their candidates and disjuncts unite
     them; `v = e` offers the value of `e` and `v \\in S` the members of
-    `S`, when these evaluate, and a bare `v` or `~v` offers TRUE or
-    FALSE.  An absent variable is unconstrained and None means nothing
-    is known.  Every candidate set is a superset of the values the full
-    evaluation accepts, so narrowing loses no state.
+    `S` (if these raise, the variable is free and keeps the error), and
+    a bare `v` or `~v` offers TRUE or FALSE.  An absent variable is
+    unconstrained and None means nothing is known.  Every candidate set
+    is a superset of the values the full evaluation accepts, so
+    narrowing loses no state.
     """
     if not isinstance(formula, sp.ExprNode):
         return _build_plan(formula, target)
@@ -223,7 +234,7 @@ def derive_domains(spec: sp.TemporalSpec) -> dict:
         return {}
     narrowed = candidate_plan(type_ok, sp.Var)(_EMPTY) or {}
     return {name: {value: value for value in sorted_values(narrowed[name])}
-            for name in spec.variables if name in narrowed}
+            for name in spec.variables if isinstance(narrowed.get(name), set)}
 
 
 def _candidates(variables: tuple, narrowed: dict | None, domains: dict,
@@ -234,13 +245,15 @@ def _candidates(variables: tuple, narrowed: dict | None, domains: dict,
     per_var = []
     for name in variables:
         domain = domains.get(name)
-        if narrowed and name in narrowed:
-            values = narrowed[name]
+        values = narrowed.get(name) if narrowed else None
+        if isinstance(values, set):
             if domain is not None:
                 values = [domain.get(value, value) for value in values]
             per_var.append(sorted_values(values))
         elif domain is not None:
             per_var.append(domain)
+        elif values is not None:
+            raise values.error  # the read that left the variable free
         else:
             msg = (f"no finite domain for variable {name}: {formula} leaves it "
                    f"free and {TYPE_OK_NAME} gives it no domain")
@@ -316,8 +329,7 @@ def explore(spec: sp.TemporalSpec, max_distinct: int | None = None,
     domains = derive_domains(spec)
     inits = initial_states(spec, domains)
 
-    depth = {s: 0 for s in inits}
-    nodes = set(inits)
+    depth = {s: 0 for s in inits}  # every reached state, by BFS level
     edges = set()
     states_found = len(inits)
     truncated = False
@@ -334,19 +346,18 @@ def explore(spec: sp.TemporalSpec, max_distinct: int | None = None,
             succs = successors(spec, state, domains)
             states_found += len(succs)
             for action_name, target in succs:
-                if target not in nodes:
-                    if max_distinct is not None and len(nodes) >= max_distinct:
+                if target not in depth:
+                    if max_distinct is not None and len(depth) >= max_distinct:
                         truncated = True
                         continue
-                    nodes.add(target)
                     depth[target] = depth[state] + 1
                     next_level.append(target)
                 edges.add((state, action_name, target))
         level = next_level
 
-    graph = StateGraph(frozenset(nodes), frozenset(edges), frozenset(inits))
+    graph = StateGraph(frozenset(depth), frozenset(edges), frozenset(inits))
     diameter = 1 + max(depth.values()) if depth else 0
-    stats = ExplorationStats(diameter, states_found, len(nodes), truncated)
+    stats = ExplorationStats(diameter, states_found, len(depth), truncated)
     cexs = _counterexamples(spec, graph, depth)
     return graph, stats, cexs
 

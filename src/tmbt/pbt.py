@@ -27,7 +27,6 @@ from .record import Record
 from .spec import (
     RangeMembers,
     State,
-    TemporalSpec,
     Var,
     eval_state_formula,
     fold,
@@ -160,16 +159,9 @@ def _check_step(binding: ModelBinding, state: State, command: Command,
 # Generation
 
 
-def generate_commands(binding: ModelBinding, spec: TemporalSpec,
-                      max_len: int, seed: int) -> tuple:
+def generate_commands(binding: ModelBinding, max_len: int, seed: int) -> tuple:
     """Generate one command sequence, walking the model from its
     initial state.  Stops early when no operation is enabled."""
-    if set(binding.initial.variables()) != set(spec.variables):
-        msg = "binding initial state does not bind the spec's variables"
-        raise TypeMismatch(msg)
-    if not eval_state_formula(spec.init, binding.initial):
-        msg = "binding initial state does not satisfy the spec's init"
-        raise TypeMismatch(msg)
     rng = random.Random(seed)
     state = binding.initial
     commands = []
@@ -446,7 +438,7 @@ class TestReport(Record):
         }
 
 
-def test(binding: ModelBinding, spec: TemporalSpec, sut,
+def test(binding: ModelBinding, sut,
          config: TestConfig = TestConfig()) -> TestReport:
     """Run seeded cases against the SUT and aggregate a report.
 
@@ -461,7 +453,7 @@ def test(binding: ModelBinding, spec: TemporalSpec, sut,
     cases_run = 0
     for _ in range(config.cases):
         case_seed = rng.getrandbits(64)
-        commands = generate_commands(binding, spec, config.max_len, case_seed)
+        commands = generate_commands(binding, config.max_len, case_seed)
         result = run_case(binding, sut, commands)
         cases_run += 1
         executed = len(commands) if result.ok else result.index + 1

@@ -253,7 +253,6 @@ class BoilerPlant(Record):
 
 class ClosedLoop(Record):
     boiler: BoilerPlant = BoilerPlant()
-    controller: ControllerState = ControllerState(500, False)
     thresholds: Thresholds = Thresholds()
 
 

@@ -1,8 +1,9 @@
 """Tokenizer for the ASCII TLA+ subset.
 
-Every token carries its line and column; the newline tokens (kind
-"layout") together with those positions are what lets the parser
-interpret bulleted /\\ and \\/ lists, where indentation is meaningful.
+Every token carries its line and column; those positions, not the
+newlines, are what lets the parser interpret bulleted /\\ and \\/ lists,
+where indentation is meaningful.  Newlines, like other white space, make
+no token.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ _BACKSLASH_OPS = frozenset((
 
 
 class Token(Record):
-    kind: str  # "ident" | "int" | "op" | "keyword" | "layout"
+    kind: str  # "ident" | "int" | "op" | "keyword"
     lexeme: str
     line: int
     col: int
@@ -48,7 +49,6 @@ def tokenize(source: str) -> list:
     while i < n:
         c = source[i]
         if c == "\n":
-            tokens.append(Token("layout", "\n", line, col))
             line += 1
             col = 0
             i += 1

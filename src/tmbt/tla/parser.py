@@ -77,25 +77,25 @@ class ParsedModule(Record):
     def _expanded(self) -> dict:
         # Refs point back, so source order expands each before its uses
         expanded: dict = {}
-        raw = dict(self.definitions)
         for name, body in self.definitions:
-            expanded[name] = _expand(body, raw, expanded)
+            expanded[name] = _expand(body, expanded)
         return expanded
 
     def expand(self, expr) -> "sp.Expr":
-        return _expand(expr, dict(self.definitions), self._expanded)
+        return _expand(expr, self._expanded)
 
     def definition_map(self) -> dict:
         return dict(self._expanded)
 
 
-def _expand(expr, raw: dict, memo: dict):
-    """`expr` with its Refs expanded; subtrees without one come back as is."""
+def _expand(expr, expanded: dict):
+    """`expr` with each Ref replaced by its definition in `expanded`;
+    subtrees without one come back as is."""
     def substitute(node, results):
         if isinstance(node, Ref):
-            if node.name not in memo:  # only a module built out of order
-                memo[node.name] = _expand(raw[node.name], raw, memo)
-            return memo[node.name]
+            if node.name not in expanded:  # only a module built out of order
+                raise MissingDefinition(f"no definition named {node.name!r}")
+            return expanded[node.name]
         if not isinstance(node, sp.ExprNode):
             raise sp.not_an_expression(node)
         if all(map(operator.is_, results, node.children())):
@@ -106,13 +106,14 @@ def _expand(expr, raw: dict, memo: dict):
 
 
 class TokenStream:
-    """Cursor over a token list that skips layout tokens transparently."""
+    """Cursor over a token list; the end of input lies just past its
+    last token."""
 
     def __init__(self, tokens):
-        self.tokens = [t for t in tokens if t.kind != "layout"]
+        self.tokens = list(tokens)
         self.pos = 0
-        if tokens:
-            last = tokens[-1]
+        if self.tokens:
+            last = self.tokens[-1]
             self._end = (last.line, last.col + len(last.lexeme))
         else:
             self._end = (1, 0)

@@ -22,11 +22,7 @@ import tmbt.ir as ir
 import tmbt.spec as sp
 import tmbt.specs as specs
 from tmbt import pbt
-from tmbt.boiler import (
-    build_boiler_binding,
-    build_sut_model_spec,
-    reference_adapter,
-)
+from tmbt.boiler import build_boiler_binding, reference_adapter
 from tmbt.cli import main as cli_main
 from tmbt.errors import PreconditionViolated
 from tmbt.explore import (
@@ -161,17 +157,16 @@ def criterion_4():
 def criterion_5():
     started = time.perf_counter()
     binding = build_boiler_binding()
-    spec = build_sut_model_spec()
     ok = True
     aggregate = Counter()
     for seed in range(20):
-        report = pbt.test(binding, spec, reference_adapter(),
+        report = pbt.test(binding, reference_adapter(),
                           pbt.TestConfig(seed=seed))
         ok = ok and report.verdict == "pass" and report.cases_run == 100
         aggregate.update(report.invocation_map())
     for mutant in ("band", "pump"):
         for seed in range(20):
-            report = pbt.test(binding, spec, reference_adapter(mutant),
+            report = pbt.test(binding, reference_adapter(mutant),
                               pbt.TestConfig(seed=seed))
             ok = ok and report.verdict == "fail"
             shrunk = report.failing.shrunk

@@ -12,10 +12,11 @@ keeps the reference's contract but for the guessing it removes:
   their order, plus only states with some variable outside its old
   domain, all in canonical order;
 - where the outcomes differ otherwise, the new code raised
-  UnboundedDomain, or it raised on a candidate the reference never
-  tried (one with a value outside the old domains), or the reference
-  raised on a candidate the new code never tries (its plan, which now
-  also reads bare booleans, excludes it).
+  UnboundedDomain, or the error of the `v = e` or `v \\in S` that left a
+  variable without a domain free, or it raised on a candidate the
+  reference never tried (one with a value outside the old domains), or
+  the reference raised on a candidate the new code never tries (its
+  plan, which now also reads bare booleans, excludes it).
 """
 
 import itertools
@@ -27,7 +28,7 @@ import pytest
 
 import tmbt.spec as sp
 import tmbt.specs as specs
-from tmbt.errors import UnboundedDomain
+from tmbt.errors import TmbtError, UnboundedDomain
 from tmbt.explore import (
     _candidates,
     candidate_plan,
@@ -89,7 +90,11 @@ def judge(variables, old, new, old_domains, old_tries, new_tries,
     if new[0] == "error" and new[1] is UnboundedDomain:
         return "unbounded"
     if new[0] == "error":
-        _, raising = _first_raising(variables, new_tries())
+        try:
+            _, raising = _first_raising(variables, new_tries())
+        except TmbtError as error:  # the read that left a variable free
+            assert new[1:] == (type(error), str(error)), (old, new)
+            return "unbounded"
         if _outside(raising, old_domains):
             return "evaluated"
     assert old[0] == "error", (old, new)

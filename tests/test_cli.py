@@ -345,6 +345,20 @@ class TestUnboundedDomain:
         assert result.stderr == ("error: no finite domain for variable x: action "
                                  "Grow leaves it free and TypeOK gives it no domain\n")
 
+    @pytest.mark.parametrize("type_ok", [
+        "", "TypeOK == x \\in 9223372036854775800..9223372036854775807\n",
+    ], ids=["without-TypeOK", "with-TypeOK"])
+    def test_an_assignment_that_cannot_be_evaluated_says_why(self, runner,
+                                                             tmp_path, type_ok):
+        path = tmp_path / "overflow.tla"
+        path.write_text(f"VARIABLE x\n{type_ok}Init == x = 9223372036854775806\n"
+                        "Next == x' = x + 1\n")
+        result = invoke(runner, "check", "--spec", str(path))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: arithmetic result 9223372036854775808 "
+                                 "outside signed 64-bit range\n")
+
 
 class TestDeadSut:
     """A SUT that dies is an input error, not a failed property."""

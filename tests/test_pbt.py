@@ -13,10 +13,10 @@ from tmbt.boiler import (
 )
 from tmbt import pbt
 from tmbt.errors import PreconditionViolated, ProtocolError, TypeMismatch
+from tmbt.explore import initial_states
 from tmbt.pbt import (
     Command,
     InProcessAdapter,
-    ModelBinding,
     generate_commands,
     run_case,
     shrink,
@@ -63,32 +63,27 @@ class TestBinding:
 
 class TestGeneration:
     def test_same_seed_same_sequence(self):
-        first = generate_commands(BINDING, SPEC, 12, 5)
-        assert first == generate_commands(BINDING, SPEC, 12, 5)
+        first = generate_commands(BINDING, 12, 5)
+        assert first == generate_commands(BINDING, 12, 5)
         assert len(first) == 12
 
     def test_zero_length_budget(self):
-        assert generate_commands(BINDING, SPEC, 0, 5) == ()
+        assert generate_commands(BINDING, 0, 5) == ()
 
     def test_budget_is_an_upper_bound(self):
         for seed in range(10):
-            assert len(generate_commands(BINDING, SPEC, 7, seed)) <= 7
+            assert len(generate_commands(BINDING, 7, seed)) <= 7
 
-    def test_initial_state_must_bind_the_spec_variables(self):
-        odd = ModelBinding(sp.State({"x": TRUE}), BINDING.alphabet)
-        with pytest.raises(TypeMismatch, match="does not bind"):
-            generate_commands(odd, SPEC, 5, 0)
-
-    def test_initial_state_must_satisfy_init(self):
-        started = ModelBinding(BINDING.initial.replace(running=TRUE),
-                               BINDING.alphabet)
-        with pytest.raises(TypeMismatch, match="does not satisfy"):
-            generate_commands(started, SPEC, 5, 0)
+    @pytest.mark.parametrize("low,high", [(300, 700), (190, 810)])
+    def test_the_initial_state_is_the_one_the_spec_admits(self, low, high):
+        assert SPEC.actions == ()
+        (initial,) = initial_states(SPEC)
+        assert build_boiler_binding(low, high).initial == initial
 
     @given(seed=st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40, deadline=None)
     def test_generated_sequences_respect_preconditions(self, seed):
-        commands = generate_commands(BINDING, SPEC, 20, seed)
+        commands = generate_commands(BINDING, 20, seed)
         # run_case raises PreconditionViolated on any invalid step
         assert run_case(BINDING, reference_adapter(), commands).ok
 
@@ -97,7 +92,7 @@ class TestGeneration:
     def test_generation_walk_preserves_the_type_invariant(self, seed):
         type_ok = SPEC.invariant_map()["TypeOK"]
         state = BINDING.initial
-        for command in generate_commands(BINDING, SPEC, 20, seed):
+        for command in generate_commands(BINDING, 20, seed):
             op = BINDING.op(command.op)
             state, _ = op.effect(state, command.arg_map())
             assert sp.eval_state_formula(type_ok, state)
@@ -146,7 +141,7 @@ class RecordingSystem(BoilerSystem):
 
 class TestRunCase:
     def test_reference_system_passes(self):
-        commands = generate_commands(BINDING, SPEC, 30, 1)
+        commands = generate_commands(BINDING, 30, 1)
         result = run_case(BINDING, reference_adapter(), commands)
         assert result == run_case(BINDING, reference_adapter(), commands)
         assert result.ok
@@ -239,14 +234,14 @@ class TestShrink:
             shrink(BINDING, reference_adapter(), commands)
 
     def test_pump_fault_shrinks_to_the_two_step_core(self):
-        commands = generate_commands(BINDING, SPEC, 40, 99)
+        commands = generate_commands(BINDING, 40, 99)
         adapter = reference_adapter("pump")
         assert not run_case(BINDING, adapter, commands).ok
         shrunk = shrink(BINDING, adapter, commands)
         assert shrunk == (Command("startSystem"), Command("openPump"))
 
     def test_band_fault_shrinks_to_a_threshold_crossing(self):
-        report = pbt.test(BINDING, SPEC, reference_adapter("band"),
+        report = pbt.test(BINDING, reference_adapter("band"),
                       pbt.TestConfig(seed=7))
         shrunk = report.failing.shrunk
         assert shrunk[0] == Command("startSystem")
@@ -256,20 +251,20 @@ class TestShrink:
 
     def test_shrunk_sequences_still_fail(self):
         for mutant in ("band", "pump"):
-            report = pbt.test(BINDING, SPEC, reference_adapter(mutant),
+            report = pbt.test(BINDING, reference_adapter(mutant),
                           pbt.TestConfig(seed=7))
             shrunk = report.failing.shrunk
             assert not run_case(BINDING, reference_adapter(mutant), shrunk).ok
 
     def test_shrunk_sequences_are_one_minimal(self):
         for mutant in ("band", "pump"):
-            report = pbt.test(BINDING, SPEC, reference_adapter(mutant),
+            report = pbt.test(BINDING, reference_adapter(mutant),
                           pbt.TestConfig(seed=7))
             assert_one_minimal(report.failing.shrunk,
                                lambda: reference_adapter(mutant))
 
     def test_integer_arguments_are_pulled_toward_zero(self):
-        report = pbt.test(BINDING, SPEC, reference_adapter("band"),
+        report = pbt.test(BINDING, reference_adapter("band"),
                       pbt.TestConfig(seed=7))
         amounts = [c.arg_map()["amount"].value
                    for c in report.failing.shrunk[1:]]
@@ -278,7 +273,7 @@ class TestShrink:
 
 class TestLoop:
     def test_reference_report(self):
-        report = pbt.test(BINDING, SPEC, reference_adapter(),
+        report = pbt.test(BINDING, reference_adapter(),
                       pbt.TestConfig(seed=3, cases=25))
         assert report.verdict == "pass"
         assert report.cases_run == 25
@@ -286,45 +281,45 @@ class TestLoop:
         assert report.seed == 3
 
     def test_failure_stops_the_run(self):
-        report = pbt.test(BINDING, SPEC, reference_adapter("band"),
+        report = pbt.test(BINDING, reference_adapter("band"),
                       pbt.TestConfig(seed=7))
         assert report.verdict == "fail"
         assert report.cases_run == 4  # cases 1-3 passed, case 4 failed
 
     def test_pump_fault_is_found_immediately(self):
-        report = pbt.test(BINDING, SPEC, reference_adapter("pump"),
+        report = pbt.test(BINDING, reference_adapter("pump"),
                       pbt.TestConfig(seed=7))
         assert report.cases_run == 1
         assert report.failing.result.index == 7
 
     def test_continue_on_fail_runs_the_whole_budget(self):
-        report = pbt.test(BINDING, SPEC, reference_adapter("band"),
+        report = pbt.test(BINDING, reference_adapter("band"),
                       pbt.TestConfig(seed=7, cases=10, continue_on_fail=True))
         assert report.verdict == "fail"
         assert report.cases_run == 10
         assert report.failing is not None  # first failure is kept
 
     def test_reports_are_reproducible(self):
-        first = pbt.test(BINDING, SPEC, reference_adapter("pump"),
+        first = pbt.test(BINDING, reference_adapter("pump"),
                      pbt.TestConfig(seed=7))
-        again = pbt.test(BINDING, SPEC, reference_adapter("pump"),
+        again = pbt.test(BINDING, reference_adapter("pump"),
                      pbt.TestConfig(seed=7))
         assert first == again  # elapsed_seconds is excluded from equality
 
     def test_invocation_counts_cover_the_alphabet(self):
-        report = pbt.test(BINDING, SPEC, reference_adapter(), pbt.TestConfig(seed=0))
+        report = pbt.test(BINDING, reference_adapter(), pbt.TestConfig(seed=0))
         counts = report.invocation_map()
         assert set(counts) == set(BINDING.op_names())
         assert all(count > 0 for count in counts.values())
 
     def test_counts_include_the_failing_prefix(self):
-        report = pbt.test(BINDING, SPEC, reference_adapter("pump"),
+        report = pbt.test(BINDING, reference_adapter("pump"),
                       pbt.TestConfig(seed=7))
         executed = report.failing.result.index + 1
         assert sum(report.invocation_map().values()) == executed
 
     def test_report_json_shape(self):
-        report = pbt.test(BINDING, SPEC, reference_adapter("pump"),
+        report = pbt.test(BINDING, reference_adapter("pump"),
                       pbt.TestConfig(seed=7))
         data = report.to_json()
         assert set(data) == {"seed", "cases_run", "verdict",

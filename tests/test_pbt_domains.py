@@ -174,7 +174,7 @@ class TestEnabledCache:
         for _ in range(200):
             binding = random_binding(rng)
             for seed in range(4):
-                outcome = _outcome(pbt.generate_commands, binding, SPEC, 12, seed)
+                outcome = _outcome(pbt.generate_commands, binding, 12, seed)
                 if outcome[0] == "value":
                     for state in _visited(binding, outcome[1]):
                         assert binding.enabled(state) == _direct(binding, state)
@@ -182,11 +182,11 @@ class TestEnabledCache:
         assert checked > 2000
 
     def test_the_boiler_binding(self):
-        from tmbt.boiler import build_boiler_binding, build_sut_model_spec
-        binding, spec = build_boiler_binding(), build_sut_model_spec()
+        from tmbt.boiler import build_boiler_binding
+        binding = build_boiler_binding()
         for seed in range(100):
-            for state in _visited(binding, pbt.generate_commands(binding, spec,
-                                                                 40, seed)):
+            for state in _visited(binding,
+                                  pbt.generate_commands(binding, 40, seed)):
                 assert binding.enabled(state) == _direct(binding, state)
         assert binding._reads == {"running", "pump", "sig"}
         assert len(binding._enabled) == 12
@@ -199,7 +199,7 @@ class TestEnabledCache:
             sp.State({"b": TRUE, "x": IntVal(-3), "y": IntVal(0)}),
             (OpSpec("positive", pre, _effect(1)),
              OpSpec("any", sp.Const(TRUE), _effect(1))))
-        commands = pbt.generate_commands(binding, SPEC, 12, 0)
+        commands = pbt.generate_commands(binding, 12, 0)
         states = list(_visited(binding, commands))
         assert {len(binding.enabled(state)) for state in states} == {1, 2}
         for state in states:
@@ -218,7 +218,7 @@ class TestGenerationMatchesReference:
             binding = random_binding(rng)
             for seed in range(8):
                 old = _outcome(ref.generate_commands, binding, SPEC, 12, seed)
-                new = _outcome(pbt.generate_commands, binding, SPEC, 12, seed)
+                new = _outcome(pbt.generate_commands, binding, 12, seed)
                 _same_generation(old, new)
                 drawn += old[0] == "value" and len(old[1]) > 0
                 failed += old[0] == "error"
@@ -229,7 +229,7 @@ class TestGenerationMatchesReference:
         from tmbt.boiler import build_boiler_binding, build_sut_model_spec
         binding, spec = build_boiler_binding(), build_sut_model_spec()
         for seed in range(40):
-            assert (pbt.generate_commands(binding, spec, 40, seed)
+            assert (pbt.generate_commands(binding, 40, seed)
                     == ref.generate_commands(binding, spec, 40, seed))
 
     def test_empty_ranges_skip_the_operation(self):
@@ -239,7 +239,7 @@ class TestGenerationMatchesReference:
             (OpSpec("never", sp.Const(TRUE), _effect(0), (empty,)),
              OpSpec("always", sp.Const(TRUE), _effect(0))))
         for seed in range(5):
-            commands = pbt.generate_commands(binding, SPEC, 6, seed)
+            commands = pbt.generate_commands(binding, 6, seed)
             assert commands == (Command("always"),) * 6
             assert commands == ref.generate_commands(binding, SPEC, 6, seed)
 
@@ -253,7 +253,7 @@ class TestGenerationMatchesReference:
         with pytest.raises(TypeMismatch,
                            match="^domain of argument amount must be a set, "
                                  "got integer 3$"):
-            pbt.generate_commands(binding, SPEC, 3, 0)
+            pbt.generate_commands(binding, 3, 0)
 
 
 def _listable(op_arg, state, chosen):
@@ -430,7 +430,7 @@ def huge_binding() -> ModelBinding:
 
 class TestHugeRanges:
     def test_drawing_builds_no_set(self, no_sets_built):
-        commands = pbt.generate_commands(huge_binding(), SPEC, 20, 3)
+        commands = pbt.generate_commands(huge_binding(), 20, 3)
         assert len(commands) == 20
         assert all(-HUGE <= c.arg_map()["a0"].value <= HUGE for c in commands)
         assert len({c.args for c in commands}) == 20
@@ -457,7 +457,7 @@ class TestHugeRanges:
         assert members.size == 2**64
         assert members[::3].size == len(range(0, 2**64, 3))
         for seed in range(5):
-            commands = pbt.generate_commands(binding, SPEC, 10, seed)
+            commands = pbt.generate_commands(binding, 10, seed)
             rng = random.Random(seed)
             expected = []
             for _ in range(10):

@@ -8,13 +8,12 @@ import pbt_reference as ref
 import pytest
 
 from tmbt import pbt, wire
-from tmbt.boiler import build_boiler_binding, build_sut_model_spec, reference_adapter
+from tmbt.boiler import build_boiler_binding, reference_adapter
 from tmbt.errors import ProtocolError, SutCrashed
 from tmbt.pbt import CaseResult, Command, SubprocessAdapter, generate_commands, run_case
 from tmbt.values import FALSE, TRUE, IntVal
 
 BINDING = build_boiler_binding()
-SPEC = build_sut_model_spec()
 
 BOILER_ARGV = [sys.executable, "-m", "tmbt.boiler"]
 
@@ -76,13 +75,13 @@ class TestBoilerProcess:
         assert observed == {"level": IntVal(500), "pump": FALSE}
 
     def test_reference_process_passes_generated_cases(self):
-        commands = generate_commands(BINDING, SPEC, 25, 11)
+        commands = generate_commands(BINDING, 25, 11)
         with boiler_process() as sut:
             assert run_case(BINDING, sut, commands).ok
 
     def test_process_and_in_process_adapters_agree(self):
         for mutant_flags, mutant in ((), None), (("--mutant", "pump"), "pump"):
-            commands = generate_commands(BINDING, SPEC, 25, 11)
+            commands = generate_commands(BINDING, 25, 11)
             with boiler_process(*mutant_flags) as sut:
                 over_pipe = run_case(BINDING, sut, commands)
             in_process = run_case(BINDING, reference_adapter(mutant), commands)
@@ -91,8 +90,8 @@ class TestBoilerProcess:
     def test_full_run_matches_the_in_process_report(self):
         config = pbt.TestConfig(seed=7, cases=5)
         with boiler_process("--mutant", "pump") as sut:
-            over_pipe = pbt.test(BINDING, SPEC, sut, config)
-        in_process = pbt.test(BINDING, SPEC, reference_adapter("pump"), config)
+            over_pipe = pbt.test(BINDING, sut, config)
+        in_process = pbt.test(BINDING, reference_adapter("pump"), config)
         assert over_pipe == in_process  # elapsed_seconds excluded from ==
 
     def test_sut_level_fault_is_a_crash(self):
@@ -198,7 +197,7 @@ class TestPipelinedCases:
         for flags in ((), ("--mutant", "band"), ("--mutant", "pump")):
             with boiler_process(*flags) as sut:
                 for seed in range(20):
-                    commands = generate_commands(BINDING, SPEC, 40, seed)
+                    commands = generate_commands(BINDING, 40, seed)
                     result = run_case(BINDING, sut, commands)
                     assert result == ref.run_case(BINDING, sut, commands)
                     if not result.ok:
@@ -210,7 +209,7 @@ class TestPipelinedCases:
         assert {flags[1] for flags in failed} == {"band", "pump"}
 
     def test_a_case_larger_than_the_pipe_buffers(self):
-        commands = generate_commands(BINDING, SPEC, 5000, 3)
+        commands = generate_commands(BINDING, 5000, 3)
         requests = sum(len(json.dumps(c.to_json())) + 1 for c in commands)
         assert len(commands) == 5000 and requests > 1 << 16
         with boiler_process() as sut:
@@ -261,7 +260,7 @@ class TestFailingProcesses:
     def test_dying_sut_fails_a_step_and_shrinks(self, tmp_path, spawned):
         sut = script_adapter(tmp_path, FAULTY_BOILER.format(action="os._exit(3)"))
         try:
-            report = pbt.test(BINDING, SPEC, sut, pbt.TestConfig(seed=1))
+            report = pbt.test(BINDING, sut, pbt.TestConfig(seed=1))
         finally:
             sut.close()
         assert report.verdict == "fail"

@@ -51,10 +51,10 @@ class TestTokenize:
         assert lexemes("= ' ~ < > # : ( ) { } , + -") == [
             ("op", c) for c in "='~<>#:(){},+-"]
 
-    def test_newlines_become_layout_tokens(self):
-        toks = tokenize("a\nb")
-        assert [(t.kind, t.lexeme) for t in toks] == [
-            ("ident", "a"), ("layout", "\n"), ("ident", "b")]
+    def test_newlines_make_no_token(self):
+        toks = tokenize("a\nb\n")
+        assert [(t.kind, t.lexeme, t.line, t.col) for t in toks] == [
+            ("ident", "a", 1, 0), ("ident", "b", 2, 0)]
 
     def test_positions_track_lines_and_columns(self):
         toks = tokenize("ab\n  cd")

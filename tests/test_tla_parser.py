@@ -208,6 +208,12 @@ class TestModules:
             parse_module("VARIABLE b\nInit == = 0\n")
         assert (err.value.line, err.value.col) == (2, 8)
 
+    @pytest.mark.parametrize("ending", ["", "\n", "\n\n"])
+    def test_end_of_input_lies_just_past_the_last_token(self, ending):
+        with pytest.raises(ParseError, match="expected an expression") as err:
+            parse_module("VARIABLE b\nInit == b =" + ending)
+        assert (err.value.line, err.value.col) == (2, 11)
+
 
 class TestToSpec:
     def test_one_bit_spec_assembly(self):

@@ -23,7 +23,7 @@ import tree_walkers
 import tmbt.ir as ir
 import tmbt.spec as sp
 import tmbt.specs as specs
-from tmbt.errors import TypeMismatch
+from tmbt.errors import MissingDefinition, TypeMismatch
 from tmbt.tla import parse_expression, parse_module, print_expression, to_spec
 from tmbt.tla.parser import ParsedModule, Ref
 from tmbt.values import BOOLEANS, TRUE, IntVal, SetVal
@@ -234,6 +234,15 @@ class TestExpansion:
         assert spec.actions[0].formula.children()[0] is expanded["A"]
         assert module.definition_map() is not expanded
 
+    def test_a_reference_to_a_later_definition_is_missing(self):
+        # the parser refers only back; a module built by hand may not
+        module = ParsedModule((), (("A", sp.Not(Ref("B"))),
+                                   ("B", sp.Const(TRUE))))
+        with pytest.raises(MissingDefinition, match="no definition named 'B'"):
+            module.definition_map()
+        with pytest.raises(MissingDefinition, match="no definition named 'C'"):
+            ParsedModule((), ()).expand(Ref("C"))
+
 
 class TestOperands:
     @pytest.mark.parametrize("seed", range(2))
@@ -350,13 +359,11 @@ class TestDepth:
         assert print_expression(tree) == "~(" * 2_999 + "~b" + ")" * 2_999
 
 
-# Functions that may call themselves: the parser's recursive descent and
-# its expansion of a definition used before it is defined (their depth is
-# set by the nesting in the source text), and the value codecs (their
-# depth is the nesting of set and sequence values).
+# Functions that may call themselves: the parser's recursive descent (its
+# depth is set by the nesting in the source text) and the value codecs
+# (their depth is the nesting of set and sequence values).
 RECURSIVE = {
     ("tla/parser.py", "expression"), ("tla/parser.py", "unary"),
-    ("tla/parser.py", "_expand"),
     ("values.py", "canonical_key"), ("values.py", "describe"),
     ("values.py", "value_to_json"), ("values.py", "value_from_json"),
 }
