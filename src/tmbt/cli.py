@@ -1,17 +1,18 @@
 """Command-line front end: translate, check, behaviors, test.
 
 Exit codes are a stable scripting contract: 0 for success or pass, 1
-when a property or invariant fails, 2 for usage and input errors.
+when a property or invariant fails, 2 for usage and input errors, 130
+when interrupted (Ctrl-C) and 141 when stdout is closed before the
+output is written (as a shell reports a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import pathlib
-import shlex
 import sys
-
-import click
 
 from . import specs
 from .errors import TmbtError
@@ -29,16 +30,21 @@ from .values import value_to_json
 # so a process pays start-up only for what its command needs.
 
 PASS, FAIL, USAGE = 0, 1, 2
+INTERRUPTED, PIPE_CLOSED = 130, 141
 
 # A formula nested past Python's recursion limit is an input error too.
 INPUT_ERRORS = (TmbtError, ValueError, OSError, RecursionError)
 
 
-def _usage_error(prefix: str, problem: Exception):
+class UsageError(Exception):
+    """A combination of arguments the parser alone cannot reject."""
+
+
+def _usage_error(prefix: str, problem: Exception) -> int:
     deep = isinstance(problem, RecursionError)
-    click.echo(f"{prefix}: {'formula nests too deeply' if deep else problem}",
-               err=True)
-    sys.exit(USAGE)
+    print(f"{prefix}: {'formula nests too deeply' if deep else problem}",
+          file=sys.stderr)
+    return USAGE
 
 
 def _parse_params(pairs) -> dict:
@@ -46,21 +52,21 @@ def _parse_params(pairs) -> dict:
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
-            raise click.UsageError(f"--param expects K=V, got {pair!r}")
+            raise UsageError(f"--param expects K=V, got {pair!r}")
         try:
             params[key] = int(raw)
         except ValueError:
-            raise click.UsageError(f"--param {key} needs an integer, got {raw!r}")
+            raise UsageError(f"--param {key} needs an integer, got {raw!r}")
     return params
 
 
 def _load_spec(spec_path, example, params, invariants=()):
     """Resolve --spec/--example plus --param into a TemporalSpec."""
     if (spec_path is None) == (example is None):
-        raise click.UsageError("give exactly one of --spec or --example")
+        raise UsageError("give exactly one of --spec or --example")
     if spec_path is not None:
         if params:
-            raise click.UsageError("--param applies to built-in examples only")
+            raise UsageError("--param applies to built-in examples only")
         from .tla import parse_module, to_spec
 
         path = pathlib.Path(spec_path)
@@ -70,7 +76,7 @@ def _load_spec(spec_path, example, params, invariants=()):
     known = {name for name, _ in spec.invariants}
     missing = [inv for inv in invariants if inv not in known]
     if missing:
-        raise click.UsageError(
+        raise UsageError(
             f"example {example} has no invariant named {missing[0]!r}")
     return spec
 
@@ -80,139 +86,93 @@ def _state_line(state) -> str:
                     for name, value in state.bindings)
 
 
-spec_option = click.option("--spec", "spec_path", type=click.Path(exists=True),
-                           default=None, help="a .tla-subset source file")
-example_option = click.option("--example", type=click.Choice(specs.EXAMPLE_NAMES),
-                              default=None, help="a built-in example spec")
-param_option = click.option("--param", "params", multiple=True,
-                            help="example parameter K=V (repeatable)")
-format_option = click.option("--format", "fmt",
-                             type=click.Choice(("human", "json")),
-                             default="human", show_default=True)
-
-
-@click.group()
-def main() -> None:
-    """Temporal-spec tooling: translate, explore, and test against models."""
-
-
-@main.command()
-@click.argument("source", type=click.Path(exists=True))
-@click.argument("output", type=click.Path(), required=False)
-def translate(source, output) -> None:
+def translate(options) -> int:
     """Translate a .tla-subset file to canonical spec IR JSON."""
     from . import ir
     from .tla import parse_module, to_spec
 
-    path = pathlib.Path(source)
+    path = pathlib.Path(options.source)
     try:
         spec = to_spec(parse_module(path.read_text()), name=path.stem)
         text = ir.spec_to_text(spec)
-        if output:
-            pathlib.Path(output).write_text(text)
+        if options.output:
+            pathlib.Path(options.output).write_text(text)
     except INPUT_ERRORS as problem:
-        _usage_error(path.name, problem)
-    if not output:
-        click.echo(text, nl=False)
-    sys.exit(PASS)
+        return _usage_error(path.name, problem)
+    if not options.output:
+        sys.stdout.write(text)
+    return PASS
 
 
-@main.command()
-@spec_option
-@example_option
-@param_option
-@click.option("--invariant", "invariants", multiple=True,
-              help="check only this invariant (repeatable)")
-@click.option("--max-distinct", type=int, default=None,
-              help="stop after this many distinct states")
-@click.option("--max-depth", type=int, default=None,
-              help="do not explore past this BFS depth")
-@format_option
-def check(spec_path, example, params, invariants, max_distinct, max_depth,
-          fmt) -> None:
+def check(options) -> int:
     """Explore the state space and check invariants."""
+    invariants = options.invariants
     try:
-        spec = _load_spec(spec_path, example, _parse_params(params), invariants)
+        spec = _load_spec(options.spec_path, options.example,
+                          _parse_params(options.params), invariants)
         _, stats, counterexamples = explore(
-            spec, max_distinct=max_distinct, max_depth=max_depth)
+            spec, max_distinct=options.max_distinct,
+            max_depth=options.max_depth)
     except INPUT_ERRORS as problem:
-        _usage_error("error", problem)
+        return _usage_error("error", problem)
     if invariants:
         # reporting is restricted; the exploration itself is not
         counterexamples = [cex for cex in counterexamples
                            if cex.invariant in invariants]
-    if fmt == "json":
-        click.echo(json.dumps(stats_to_json(stats), sort_keys=True))
+    if options.fmt == "json":
+        print(json.dumps(stats_to_json(stats), sort_keys=True))
         for cex in counterexamples:
-            click.echo(json.dumps(counterexample_to_json(cex),
-                                  sort_keys=True))
+            print(json.dumps(counterexample_to_json(cex), sort_keys=True))
     else:
-        click.echo(f"states found:    {stats.states_found}")
-        click.echo(f"distinct states: {stats.distinct_states}")
-        click.echo(f"diameter:        {stats.diameter}")
+        print(f"states found:    {stats.states_found}")
+        print(f"distinct states: {stats.distinct_states}")
+        print(f"diameter:        {stats.diameter}")
         for cex in counterexamples:
-            click.echo(f"invariant {cex.invariant} violated; "
-                       f"shortest trace ({len(cex.trace)} states):")
+            print(f"invariant {cex.invariant} violated; "
+                  f"shortest trace ({len(cex.trace)} states):")
             for step, state in enumerate(cex.trace.states, start=1):
-                click.echo(f"  {step}. {_state_line(state)}")
+                print(f"  {step}. {_state_line(state)}")
     if stats.truncated:
-        click.echo("limit exceeded: exploration truncated, result is a "
-                   "lower bound", err=True)
-    sys.exit(FAIL if counterexamples else PASS)
+        sys.stdout.flush()  # the note follows the report on a shared stream
+        print("limit exceeded: exploration truncated, result is a lower bound",
+              file=sys.stderr)
+    return FAIL if counterexamples else PASS
 
 
-@main.command()
-@spec_option
-@example_option
-@param_option
-@click.option("--count", type=int, default=10, show_default=True)
-@click.option("--max-len", type=int, default=10, show_default=True,
-              help="maximum states per behavior")
-@click.option("--seed", type=int, default=0, show_default=True)
-def behaviors(spec_path, example, params, count, max_len, seed) -> None:
+def behaviors(options) -> int:
     """Emit seeded random behaviors as JSON lines."""
     try:
-        spec = _load_spec(spec_path, example, _parse_params(params))
-        walks = spec_behaviors(spec, count, max_len, seed)
+        spec = _load_spec(options.spec_path, options.example,
+                          _parse_params(options.params))
+        walks = spec_behaviors(spec, options.count, options.max_len,
+                               options.seed)
     except INPUT_ERRORS as problem:
-        _usage_error("error", problem)
+        return _usage_error("error", problem)
     for walk in walks:
-        click.echo(json.dumps(behavior_to_json(walk), sort_keys=True))
-    sys.exit(PASS)
+        print(json.dumps(behavior_to_json(walk), sort_keys=True))
+    return PASS
 
 
-@main.command()
-@example_option
-@param_option
-@click.option("--sut", "sut_cmdline", default=None,
-              help="SUT command line speaking the adapter protocol "
-                   "(default: in-process reference implementation)")
-@click.option("--cases", type=int, default=100, show_default=True)
-@click.option("--max-len", type=int, default=40, show_default=True,
-              help="maximum commands per case")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--continue-on-fail", is_flag=True, default=False,
-              help="keep running cases after the first failure")
-@format_option
-def test(example, params, sut_cmdline, cases, max_len, seed,
-         continue_on_fail, fmt) -> None:
+def test(options) -> int:
     """Property-test a system under test against the model."""
+    import shlex
+
     from . import pbt
     from .boiler import build_boiler_binding, reference_adapter
 
-    if example is None:
-        example = "steamboiler"
-    if example != "steamboiler":
-        raise click.UsageError("only the steamboiler example has a test model")
-    values = _parse_params(params)
+    if options.example != "steamboiler":
+        raise UsageError("only the steamboiler example has a test model")
+    values = _parse_params(options.params)
     low = values.get("low", 300)
     high = values.get("high", 700)
     unknown = set(values) - {"low", "high"}
     if unknown:
-        raise click.UsageError(f"unknown parameter {sorted(unknown)[0]!r}")
+        raise UsageError(f"unknown parameter {sorted(unknown)[0]!r}")
     binding = build_boiler_binding(low, high)
-    config = pbt.TestConfig(cases=cases, max_len=max_len, seed=seed,
-                            continue_on_fail=continue_on_fail)
+    config = pbt.TestConfig(cases=options.cases, max_len=options.max_len,
+                            seed=options.seed,
+                            continue_on_fail=options.continue_on_fail)
+    sut_cmdline = options.sut_cmdline
     adapter = None
     try:
         if sut_cmdline is None:
@@ -221,24 +181,137 @@ def test(example, params, sut_cmdline, cases, max_len, seed,
             adapter = pbt.SubprocessAdapter(shlex.split(sut_cmdline))
         report = pbt.test(binding, adapter, config)
     except INPUT_ERRORS as problem:
-        _usage_error("error", problem)
+        return _usage_error("error", problem)
     finally:
         if sut_cmdline is not None and adapter is not None:
             adapter.close()
-    if fmt == "json":
-        click.echo(json.dumps(report.to_json(), sort_keys=True))
+    if options.fmt == "json":
+        print(json.dumps(report.to_json(), sort_keys=True))
     else:
-        click.echo(f"verdict: {report.verdict} "
-                   f"({report.cases_run} cases, seed {report.seed})")
+        print(f"verdict: {report.verdict} "
+              f"({report.cases_run} cases, seed {report.seed})")
         for op, count in report.invocation_counts:
-            click.echo(f"  {op}: {count}")
+            print(f"  {op}: {count}")
         if report.failing:
-            click.echo("shrunk counterexample:")
+            print("shrunk counterexample:")
             for command in report.failing.shrunk:
-                click.echo(f"  {json.dumps(command.to_json(), sort_keys=True)}")
+                print(f"  {json.dumps(command.to_json(), sort_keys=True)}")
             detail = report.failing.result
-            click.echo(f"first divergence at index {detail.index}")
-    sys.exit(PASS if report.verdict == "pass" else FAIL)
+            print(f"first divergence at index {detail.index}")
+    return PASS if report.verdict == "pass" else FAIL
+
+
+def _existing_path(text: str) -> str:
+    if not os.path.exists(text):
+        raise argparse.ArgumentTypeError(f"path {text!r} does not exist")
+    return text
+
+
+# options that more than one command takes
+SPEC = dict(dest="spec_path", type=_existing_path, metavar="FILE",
+            help="a .tla-subset source file (or --example)")
+EXAMPLE = dict(choices=specs.EXAMPLE_NAMES,
+               help="a built-in example spec (or --spec)")
+PARAM = dict(dest="params", action="append", default=[], metavar="K=V",
+             help="example parameter K=V (repeatable; default: the "
+                  "example's own)")
+FORMAT = dict(dest="fmt", choices=("human", "json"), default="human",
+              help="output format (default: %(default)s)")
+
+
+def _parser(prog_name) -> argparse.ArgumentParser:
+    """The `tmbt` parser.  Each subcommand's parser sets `run`, the
+    function that runs it, and `parser`, itself."""
+    parser = argparse.ArgumentParser(
+        prog=prog_name or "tmbt", allow_abbrev=False,
+        description="Temporal-spec tooling: translate, explore, and test "
+                    "against models.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                     required=True)
+
+    def command(run):
+        sub = commands.add_parser(run.__name__, help=run.__doc__,
+                                  description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    sub = command(translate)
+    sub.add_argument("source", type=_existing_path,
+                     help="a .tla-subset source file")
+    sub.add_argument("output", nargs="?",
+                     help="write the IR to this file (default: stdout)")
+
+    sub = command(check)
+    sub.add_argument("--spec", **SPEC)
+    sub.add_argument("--example", **EXAMPLE)
+    sub.add_argument("--param", **PARAM)
+    sub.add_argument("--invariant", dest="invariants", action="append",
+                     default=[], metavar="NAME",
+                     help="check only this invariant (repeatable; default: "
+                          "all)")
+    sub.add_argument("--max-distinct", type=int, metavar="N",
+                     help="stop after this many distinct states (default: "
+                          "no limit)")
+    sub.add_argument("--max-depth", type=int, metavar="N",
+                     help="do not explore past this BFS depth (default: "
+                          "no limit)")
+    sub.add_argument("--format", **FORMAT)
+
+    sub = command(behaviors)
+    sub.add_argument("--spec", **SPEC)
+    sub.add_argument("--example", **EXAMPLE)
+    sub.add_argument("--param", **PARAM)
+    sub.add_argument("--count", type=int, default=10, metavar="N",
+                     help="behaviors to emit (default: %(default)s)")
+    sub.add_argument("--max-len", type=int, default=10, metavar="N",
+                     help="maximum states per behavior (default: "
+                          "%(default)s)")
+    sub.add_argument("--seed", type=int, default=0, metavar="N",
+                     help="random seed (default: %(default)s)")
+
+    sub = command(test)
+    sub.add_argument("--example", choices=specs.EXAMPLE_NAMES,
+                     default="steamboiler",
+                     help="the example whose test model to run (default: "
+                          "%(default)s, the only one with a test model)")
+    sub.add_argument("--param", **PARAM)
+    sub.add_argument("--sut", dest="sut_cmdline", metavar="CMDLINE",
+                     help="SUT command line speaking the adapter protocol "
+                          "(default: in-process reference implementation)")
+    sub.add_argument("--cases", type=int, default=100, metavar="N",
+                     help="cases to generate (default: %(default)s)")
+    sub.add_argument("--max-len", type=int, default=40, metavar="N",
+                     help="maximum commands per case (default: %(default)s)")
+    sub.add_argument("--seed", type=int, default=0, metavar="N",
+                     help="random seed (default: %(default)s)")
+    sub.add_argument("--continue-on-fail", action="store_true",
+                     help="keep running cases after the first failure "
+                          "(default: stop there)")
+    sub.add_argument("--format", **FORMAT)
+    return parser
+
+
+def main(args=None, prog_name=None) -> None:
+    """Run one `tmbt` command and exit with its code.
+
+    `args` defaults to the process's arguments and `prog_name`, the
+    name usage messages give the program, to `tmbt`.
+    """
+    options = _parser(prog_name).parse_args(args)
+    try:
+        code = options.run(options)
+        sys.stdout.flush()
+    except UsageError as problem:
+        options.parser.error(str(problem))
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        code = INTERRUPTED
+    except BrokenPipeError:
+        # The reader has gone: what is left, and the flush at exit, go
+        # nowhere instead of raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = PIPE_CLOSED
+    sys.exit(code)
 
 
 if __name__ == "__main__":

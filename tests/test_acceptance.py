@@ -16,7 +16,6 @@ import time
 from collections import Counter
 
 import pytest
-from click.testing import CliRunner
 
 import tmbt.ir as ir
 import tmbt.spec as sp
@@ -39,6 +38,7 @@ from tmbt.values import IntVal
 
 import astgen
 import oracles
+from cli_runner import CliRunner
 
 CLOCK_LISTING = ("VARIABLE b \n"
                  "Init ==  (b = 0) \\/ (b = 1) \n"

@@ -7,7 +7,6 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 import tmbt
 import tmbt.ir as ir
@@ -16,6 +15,8 @@ import tmbt.specs as specs
 from tmbt.cli import main
 from tmbt.explore import behavior_satisfies
 from tmbt.values import value_from_json
+
+from cli_runner import CliRunner
 
 ONEBIT_TLA = pathlib.Path(__file__).parent.parent / "src/tmbt/specs/onebit.tla"
 
@@ -33,6 +34,13 @@ def runner():
 
 def invoke(runner, *args):
     return runner.invoke(main, list(args))
+
+
+def cli_env() -> dict:
+    """This environment, with the tmbt under test first on PYTHONPATH."""
+    src = str(pathlib.Path(tmbt.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestTranslate:
@@ -305,11 +313,8 @@ class TestDeepFormulas:
                            + " + 0)" * 1000)
 
     def run(self, *args):
-        src = str(pathlib.Path(tmbt.__file__).parent.parent)
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         return subprocess.run([sys.executable, "-m", "tmbt.cli", *args],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+                              capture_output=True, text=True, env=cli_env())
 
     def test_check_reports_it(self, deep_sum):
         result = self.run("check", "--spec", str(deep_sum))
@@ -364,11 +369,8 @@ class TestDeadSut:
     """A SUT that dies is an input error, not a failed property."""
 
     def run(self, *args):
-        src = str(pathlib.Path(tmbt.__file__).parent.parent)
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         return subprocess.run([sys.executable, "-m", "tmbt.cli", *args],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+                              capture_output=True, text=True, env=cli_env())
 
     def test_exited_sut_is_exit_2(self):
         result = self.run("test", "--sut", "true", "--cases", "2")
@@ -385,3 +387,95 @@ class TestDeadSut:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error: SUT ")
+
+
+class TestUsage:
+    """Argument errors are argparse's: exit 2, a usage message, no output."""
+
+    @pytest.mark.parametrize("args", [
+        ["check", "--example", "onebit", "--nosuch"],
+        ["check", "--example", "nosuch"],
+        ["test", "--cases", "x"],
+        ["check", "--example", "onebit", "--max-distinct", "x"],
+        ["check", "--example", "diehard", "--inv", "big_ne_4"],
+        ["translate"],
+        [],
+    ], ids=["unknown-option", "unknown-example", "cases-not-int",
+            "max-distinct-not-int", "abbreviated-option", "missing-source",
+            "no-command"])
+    def test_is_exit_2_without_output(self, runner, args):
+        result = invoke(runner, *args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: ")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command,names", [
+        ("translate", ["source", "output"]),
+        ("check", ["--spec", "--example", "--param", "--invariant",
+                   "--max-distinct", "--max-depth", "--format"]),
+        ("behaviors", ["--spec", "--example", "--param", "--count",
+                       "--max-len", "--seed"]),
+        ("test", ["--example", "--param", "--sut", "--cases", "--max-len",
+                  "--seed", "--continue-on-fail", "--format"]),
+    ])
+    def test_help_names_every_option(self, runner, command, names):
+        result = invoke(runner, command, "--help")
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        for name in names:
+            assert name in result.stdout
+
+    def test_main_takes_args_and_a_program_name(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(args=["check", "--example", "onebit", "--format", "json"],
+                 prog_name="x")
+        assert done.value.code == 0
+        assert json.loads(capsys.readouterr().out)["distinct_states"] == 2
+        with pytest.raises(SystemExit) as done:
+            main(args=["--nosuch"], prog_name="x")
+        assert done.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: x ")
+
+
+class TestInterrupted:
+    """Neither Ctrl-C nor a closed stdout reads as a failed property."""
+
+    def test_ctrl_c_is_exit_130(self, runner, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("tmbt.cli.explore", interrupt)
+        result = invoke(runner, "check", "--example", "onebit")
+        assert result.exit_code == 130
+        assert result.stdout == ""
+        assert result.stderr == "interrupted\n"
+
+    def test_ctrl_c_closes_the_sut(self, runner, monkeypatch):
+        import tmbt.pbt as pbt
+
+        adapters = []
+
+        def interrupt(binding, adapter, config):
+            adapters.append(adapter)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pbt, "test", interrupt)
+        result = invoke(runner, "test", "--sut", f"{sys.executable} -m tmbt.boiler")
+        assert result.exit_code == 130
+        assert result.stderr == "interrupted\n"
+        assert adapters[0].process is None  # closed and reaped
+
+    def test_a_closed_stdout_is_exit_141(self):
+        # 2,000 behaviors overflow the pipe, so a write meets the closed end
+        argv = [sys.executable, "-m", "tmbt.cli", "behaviors", "--example",
+                "steamboiler", "--count", "2000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              env=cli_env()) as child:
+            first = child.stdout.readline()
+            child.stdout.close()
+            stderr = child.stderr.read()
+            code = child.wait(timeout=60)
+        assert json.loads(first)["states"]
+        assert (code, stderr) == (141, "")

@@ -13,9 +13,10 @@ import pathlib
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 from tmbt.cli import main
+
+from cli_runner import CliRunner
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

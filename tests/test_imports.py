@@ -102,6 +102,16 @@ def _cli_run(argv: list) -> str:
             "    pass")
 
 
+def test_the_cli_starts_on_the_standard_library_alone():
+    # tmbt has no runtime dependency, so no third-party import slows start-up
+    bare = modules_after("pass")
+    loaded = modules_after(_cli_run(["check", "--example", "euclid"]))
+    outside = sorted(m for m in loaded - bare
+                     if m.partition(".")[0] not in sys.stdlib_module_names
+                     and m.partition(".")[0] != "tmbt")
+    assert outside == []
+
+
 ONEBIT = SRC / "tmbt" / "specs" / "onebit.tla"
 
 
