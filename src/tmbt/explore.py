@@ -1,19 +1,13 @@
 """Breadth-first state-space exploration.
 
-The transition relation is executed, not solved: candidate successor
-states are drawn per variable and filtered by evaluating the action
-formula over the (current, candidate) pair.
-
-Init and Next are enumerated by one engine, as TLC does.  Each formula
-is turned once into a candidate plan (`candidate_plan`) that reads its
-`v = e`, `v \\in S`, bare `v` and `~v` conjuncts and disjuncts: an
-action's plan narrows the primed variables given the current state, and
-Init's plan narrows the variables given the empty state.  A narrowed
-variable takes the values the formula states, whatever they are.  A
-variable the plan leaves free takes its domain from the TypeOK
-invariant, read by the same plan; without one it is an UnboundedDomain
-error, or the error its `v = e` or `v \\in S` raised.  Every candidate is
-then checked against the whole formula.
+The transition relation is executed, not solved: one walk of Init or of
+an action builds its states as it goes, as TLC's `getNextStates` does
+(Yu, Manolios and Lamport, CHARME 1999), with a partial binding per
+branch.  Conjuncts extend each branch in turn; disjuncts and `\\E`
+witnesses branch.  `v = e`, `v \\in S`, a bare `v` and `~v` bind an
+unbound `v` to the values they state, and are guards once `v` is bound.
+Any other conjunct is a guard, evaluated once the variables it reads are
+bound.  A variable a branch leaves unbound ranges over its TypeOK domain.
 
 Counting contract:
   states_found    initial states plus every successor generated from a
@@ -25,17 +19,15 @@ Counting contract:
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import deque
 
 from . import spec as sp
-from .errors import NoInitialStates, TmbtError, UnboundedDomain
+from .errors import NoInitialStates, TmbtError, UnboundedDomain, UnboundVariable
 from .record import Record
-from .values import FALSE, TRUE, Value, sorted_values, value_to_json
+from .values import FALSE, TRUE, Value, require_bool, sorted_values, value_to_json
 
 TYPE_OK_NAME = sp.TYPE_OK_NAME
-_EMPTY = sp.State({})
 
 
 # ---------------------------------------------------------------------------
@@ -85,180 +77,204 @@ def counterexample_to_json(cex: Counterexample) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Candidate plans: Init and Next are enumerated by one engine
+# The walk: Init and Next are built by one engine.  A formula compiles once
+# into closures `(branches, env) -> branches`; a guard is (closure,
+# variables read, what a type error names).
 
 
-class _Unevaluated:
-    """A variable left free because its `v = e` or `v \\in S` raised
-    `error`: `&` gives the other side's candidates and `|` stays free."""
+class _Branch(dict):
+    """A branch of a walk: its bound variables, read as a state through
+    `bindings`; `current`, the state an action steps from (None walking
+    Init); and the (guard, env)s waiting for a variable it has not bound."""
 
-    def __init__(self, error: TmbtError):
-        self.error = error
+    __slots__ = ("bindings", "current", "waiting")
 
-    def __and__(self, other):
-        return other
+    def __init__(self, current, bound=(), waiting=()):
+        super().__init__(bound)
+        self.bindings = self.items()
+        self.current = current
+        self.waiting = waiting
 
-    def __or__(self, other):
-        return self
+    def evaluate(self, fn, env, *what):
+        if self.current is None:
+            return fn(self, None, env, *what)
+        return fn(self.current, self, env, *what)
 
-    __rand__, __ror__ = __and__, __or__
+    def unbound(self, names, env) -> bool:
+        """Whether one of `names` is unbound; walking Init, `env` shadows."""
+        scoped = env if self.current is None and env else ()
+        return any(name not in self and name not in scoped for name in names)
+
+    def check(self, guard, env):
+        """The branch if `guard` holds, else None, or a copy where it waits."""
+        fn, reads, what = guard
+        if reads and self.unbound(reads, env):
+            return _Branch(self.current, self, self.waiting + ((guard, env),))
+        return self if require_bool(self.evaluate(fn, env), what) else None
+
+    def bind(self, name: str, value: Value):
+        """The branch with `name` bound, or None if a guard waiting fails."""
+        out = _Branch(self.current, self)
+        out[name] = value
+        for guard, env in self.waiting:
+            out = None if out is None else out.check(guard, env)
+        return out
 
 
-def _reading(name: str, read):
-    def plan(current):
-        try:
-            return {name: read(current)}
-        except TmbtError as error:
-            return {name: _Unevaluated(error)}
-    return plan
-
-
-def _mentions(expr, target: type) -> bool:
-    return sp.fold(expr, lambda node, inner: isinstance(node, target) or any(inner))
-
-
-def _assigns(name: str, value: Value):
-    return lambda current: {name: {value}}
-
-
-def _plan_leaf(expr, target: type):
-    """The plan of a formula that is not a junction: `v = e` (either way
-    round) or `v \\in S`, where `v` is a `target` node and `e` or `S`
-    mentions none, or a bare `v` or `~v`, read as `v = TRUE` or
-    `v = FALSE`; None for any other formula, which never narrows."""
-    if isinstance(expr, target):
-        return _assigns(expr.name, TRUE)
-    if isinstance(expr, sp.Not) and isinstance(expr.operand, target):
-        return _assigns(expr.operand.name, FALSE)
+def _binding(expr, kind: type):
+    """(name, the `kind` names its values read, values(current, nxt, env))
+    for a leaf that binds a `kind` variable (Var or Primed): `v = e` and
+    `v \\in S` where `e` or `S` does not read `v`, and a bare `v` or `~v`
+    as `v = TRUE` or `v = FALSE`.  None for any other formula."""
+    if isinstance(expr, kind):
+        return expr.name, (), lambda current, nxt, env: (TRUE,)
+    if isinstance(expr, sp.Not) and isinstance(expr.operand, kind):
+        return expr.operand.name, (), lambda current, nxt, env: (FALSE,)
     if isinstance(expr, sp.Eq):
         for side, other in ((expr.left, expr.right), (expr.right, expr.left)):
-            if isinstance(side, target) and not _mentions(other, target):
-                return _reading(side.name, lambda current, value=other: {
-                    sp.eval_expr(value, current, _EMPTY)})
-    if (isinstance(expr, sp.In) and isinstance(expr.element, target)
-            and not _mentions(expr.domain, target)):
-        members = sp.set_view(expr.domain).members
-        return _reading(expr.element.name, lambda current: set(
-            members(current, _EMPTY, None, "right side of \\in")))
+            reads = sp.names_read(other, kind)
+            if (isinstance(side, kind) and side.name not in reads
+                    and isinstance(other, sp.ExprNode)):
+                value = other.compiled
+                return side.name, reads, lambda current, nxt, env: (
+                    value(current, nxt, env),)
+    if isinstance(expr, sp.In) and isinstance(expr.element, kind):
+        reads = sp.names_read(expr.domain, kind)
+        if expr.element.name not in reads:
+            members = sp.set_view(expr.domain).members
+            return expr.element.name, reads, lambda current, nxt, env: members(
+                current, nxt, env, "right side of \\in")
     return None
 
 
-def _plan_node(expr, parts: list, target: type):
-    if isinstance(expr, sp.And):
-        parts = [part for part in parts if part is not None]
-        if len(parts) < 2:
-            return parts[0] if parts else None
-
-        def conjunction(current):
-            # conjuncts intersect; a variable one leaves free stays as is
-            out = None
-            for part in parts:
-                found = part(current)
-                if found is None:
-                    continue
-                if out is None:
-                    out = dict(found)
-                    continue
-                for name, values in found.items():
-                    out[name] = out[name] & values if name in out else values
-            return out
-        return conjunction
-    if isinstance(expr, sp.Or):
-        if None in parts:
-            return None
-
-        def disjunction(current):
-            # disjuncts unite; a variable free in one disjunct is free
-            out = None
-            for part in parts:
-                found = part(current)
-                if found is None:
-                    return None
-                out = found if out is None else {
-                    name: out[name] | found[name]
-                    for name in out.keys() & found.keys()}
-            return out or None
-        return disjunction
-    return _plan_leaf(expr, target)
+def _parts(node) -> list:
+    if isinstance(node, (sp.And, sp.Or)):
+        return sp.junction_parts(node, type(node))
+    return [node.body] if isinstance(node, sp.Exists) else []
 
 
-def _junction_parts(expr) -> list:
-    if isinstance(expr, (sp.And, sp.Or)):
-        return sp.junction_parts(expr, type(expr))
-    return []
-
-
-def _build_plan(formula, target: type):
-    plan = sp.fold(formula, lambda node, parts: _plan_node(node, parts, target),
-                   _junction_parts)
-    return plan if plan is not None else (lambda current: None)
-
-
-def candidate_plan(formula, target: type):
-    """The formula's candidate values for the variables it assigns, as a
-    closure `current -> {name: set of values} | None`, built once per
-    formula and target and kept on its root node.
-
-    `target` is `sp.Primed` for an action (next-state values, given the
-    current state) or `sp.Var` for Init (initial values, given the empty
-    state).  Conjuncts intersect their candidates and disjuncts unite
-    them; `v = e` offers the value of `e` and `v \\in S` the members of
-    `S` (if these raise, the variable is free and keeps the error), and
-    a bare `v` or `~v` offers TRUE or FALSE.  An absent variable is
-    unconstrained and None means nothing is known.  Every candidate set
-    is a superset of the values the full evaluation accepts, so
-    narrowing loses no state.
-    """
-    if not isinstance(formula, sp.ExprNode):
-        return _build_plan(formula, target)
-    key = "plan_" + target.__name__
-    cache = vars(formula)
+def _walk(formula, kind: type):
+    """The formula's walk over `kind` variables (sp.Primed for an action,
+    sp.Var for Init), compiled once and kept on its root node."""
+    cache = vars(formula) if isinstance(formula, sp.ExprNode) else {}
+    key = "walk_" + kind.__name__
     if key not in cache:
-        cache[key] = _build_plan(formula, target)
+        top = "state formula" if kind is sp.Var else "action formula"
+        cache[key] = sp.fold(formula, lambda node, parts: _walk_node(
+            node, parts, kind, top if node is formula else "operand"), _parts)
     return cache[key]
 
 
-def derive_domains(spec: sp.TemporalSpec) -> dict:
-    """Each variable's domain as the TypeOK invariant states it.
+def _walk_node(node, parts: list, kind: type, what: str):
+    if isinstance(node, sp.And):
+        def conjunction(branches, env):
+            for part in parts:
+                branches = part(branches, env) if branches else branches
+            return branches
+        return conjunction
+    if isinstance(node, sp.Or):
+        return lambda branches, env: [
+            branch for part in parts for branch in part(branches, env)]
+    fn = node.compiled if isinstance(node, sp.ExprNode) else (
+        lambda current, nxt, env: sp.eval_expr(node, current, nxt, env))
+    guard = (fn, sp.names_read(node, kind), what)
+    # `expand` gives the branches a leaf binds, or None where it is a guard
+    if isinstance(node, sp.Exists):  # `\E v \in S : P` walks P per member
+        var, members, body = node.var, sp.set_view(node.domain).members, parts[0]
+        reads = sp.names_read(node.domain, kind)
 
-    TypeOK is read by Init's candidate plan on the empty state, so its
-    `v \\in S` and `v = e` conjuncts and disjuncts give the values.  Per
-    variable it is a dict mapping each value to itself, in canonical
-    order: it iterates as the sorted domain, and a lookup yields the
-    domain's own value object, so that states share them instead of
-    holding fresh copies.  A variable TypeOK does not narrow, or any
-    variable of a spec without TypeOK, is absent.
-    """
-    type_ok = spec.invariant_map().get(TYPE_OK_NAME)
-    if type_ok is None:
-        return {}
-    narrowed = candidate_plan(type_ok, sp.Var)(_EMPTY) or {}
-    return {name: {value: value for value in sorted_values(narrowed[name])}
-            for name in spec.variables if isinstance(narrowed.get(name), set)}
+        def expand(branch, env):
+            if reads and branch.unbound(reads, env):
+                return None
+            domain = branch.evaluate(members, env, "quantifier domain")
+            return [grown for member in domain
+                    for grown in body([branch], {**(env or {}), var: member})]
+    elif (binding := _binding(node, kind)) is not None:
+        name, reads, values = binding
+
+        def expand(branch, env):
+            if (name in branch or branch.current is None and env and name in env
+                    or reads and branch.unbound(reads, env)):
+                return None
+            return [child for value in branch.evaluate(values, env)
+                    if (child := branch.bind(name, value)) is not None]
+    else:
+        expand = None
+
+    def leaf(branches, env):
+        out = []
+        for branch in branches:
+            grown = expand(branch, env) if expand else None
+            if grown is not None:
+                out += grown
+            elif (kept := branch.check(guard, env)) is not None:
+                out.append(kept)
+        return out
+    return leaf
 
 
-def _candidates(variables: tuple, narrowed: dict | None, domains: dict,
-                formula: str) -> list:
-    """Per variable, its narrowed values, or its domain where the plan
-    of `formula` (named for the error) leaves it free; canonically
-    sorted."""
-    per_var = []
+def _states(branches: list, variables: tuple, domains: dict, formula: str) -> list:
+    """The branches' states, each once, canonically sorted.  A variable a
+    branch leaves unbound ranges over its domain, or is UnboundedDomain
+    naming `formula`; a value the domain holds is the domain's own."""
     for name in variables:
-        domain = domains.get(name)
-        values = narrowed.get(name) if narrowed else None
-        if isinstance(values, set):
-            if domain is not None:
-                values = [domain.get(value, value) for value in values]
-            per_var.append(sorted_values(values))
-        elif domain is not None:
-            per_var.append(domain)
-        elif values is not None:
-            raise values.error  # the read that left the variable free
-        else:
-            msg = (f"no finite domain for variable {name}: {formula} leaves it "
-                   f"free and {TYPE_OK_NAME} gives it no domain")
+        if name not in domains and any(name not in branch for branch in branches):
+            msg = (f"no finite domain for variable {name}: {formula} leaves "
+                   f"it free and {TYPE_OK_NAME} gives it no domain")
             raise UnboundedDomain(msg)
-    return per_var
+        branches = [child for branch in branches for child in (
+            [branch] if name in branch else
+            (branch.bind(name, value) for value in domains[name]))
+            if child is not None]
+    found = set()
+    for branch in branches:
+        if len(branch) > len(variables):  # it bound a name no variable has
+            name = next(name for name in branch if name not in variables)
+            raise UnboundVariable(f"variable {name} is not bound")
+        # a guard still waiting reads such a name
+        if all(require_bool(branch.evaluate(fn, env), what)
+               for (fn, _, what), env in branch.waiting):
+            found.add(sp.State({name: domains[name].get(value, value)
+                                if name in domains else value
+                                for name, value in branch.items()}))
+    return sorted(found, key=sp.state_key)
+
+
+def _narrowing(node, parts: list):
+    """TypeOK's values per variable as {name: set}, or None: conjuncts
+    intersect, disjuncts unite, and a `v = e` or `v \\in S` gives values
+    if it reads no variable and does not raise."""
+    if isinstance(node, sp.And):
+        out = {}
+        for found in parts:
+            for name, values in (found or {}).items():
+                out[name] = out[name] & values if name in out else values
+        return out or None
+    if isinstance(node, sp.Or):
+        if None in parts:
+            return None
+        out = parts[0]
+        for found in parts[1:]:
+            out = {name: out[name] | found[name]
+                   for name in out.keys() & found.keys()}
+        return out or None
+    binding = _binding(node, sp.Var)
+    if binding is None or binding[1]:
+        return None
+    try:
+        return {binding[0]: set(binding[2](_Branch(None), None, None))}
+    except TmbtError:
+        return None
+
+
+def derive_domains(spec: sp.TemporalSpec) -> dict:
+    """Each variable's domain as TypeOK narrows it (see `_narrowing`): a
+    dict mapping each value to itself in canonical order, so it iterates
+    as the sorted domain and a lookup yields the domain's own value."""
+    type_ok = spec.invariant_map().get(TYPE_OK_NAME)  # None narrows nothing
+    narrowed = sp.fold(type_ok, _narrowing, _parts) or {}
+    return {name: {value: value for value in sorted_values(narrowed[name])}
+            for name in spec.variables if name in narrowed}
 
 
 def successors(spec: sp.TemporalSpec, state: sp.State,
@@ -268,47 +284,25 @@ def successors(spec: sp.TemporalSpec, state: sp.State,
     Entries are ordered by action declaration order, then canonically by
     next state.  The same next state reached through two actions appears
     twice; a stuttering step appears only if some action admits it.
-    Each action tries the values its plan narrows to, and the `domains`
-    of derive_domains for the variables it leaves free; explore()
-    derives them once and passes them for every state.
+    explore() derives the `domains` once and passes them for every state.
     """
     if domains is None:
         domains = derive_domains(spec)
     out = []
     for action in spec.actions:
-        narrowed = candidate_plan(action.formula, sp.Primed)(state)
-        per_var = _candidates(spec.variables, narrowed, domains,
-                              f"action {action.name}")
-        accepted = []
-        for combo in itertools.product(*per_var):
-            candidate = sp.State(zip(spec.variables, combo))
-            if sp.eval_action_formula(action.formula, state, candidate):
-                accepted.append(candidate)
-        accepted.sort(key=sp.state_key)
-        out.extend((action.name, t) for t in accepted)
+        branches = _walk(action.formula, sp.Primed)([_Branch(state)], None)
+        out += [(action.name, t) for t in _states(
+            branches, spec.variables, domains, f"action {action.name}")]
     return out
 
 
 def initial_states(spec: sp.TemporalSpec, domains: dict | None = None) -> list:
-    """The states satisfying init, canonically sorted.
-
-    Init is narrowed like Next: its candidate plan, evaluated against the
-    empty state, gives each variable's candidates, so
-    `x = 0 /\\ y \\in {1, 2}` tries two states; a variable it leaves free
-    takes its domain from `domains`.  Each candidate is then checked
-    against the whole of init.
-    """
+    """The states satisfying init, canonically sorted, as Init's walk
+    builds them from nothing bound: `x = 0 /\\ y \\in {1, 2}` builds two."""
     if domains is None:
         domains = derive_domains(spec)
-    narrowed = candidate_plan(spec.init, sp.Var)(_EMPTY)
-    per_var = _candidates(spec.variables, narrowed, domains, "Init")
-    found = []
-    for combo in itertools.product(*per_var):
-        candidate = sp.State(zip(spec.variables, combo))
-        if sp.eval_state_formula(spec.init, candidate):
-            found.append(candidate)
-    found.sort(key=sp.state_key)
-    return found
+    branches = _walk(spec.init, sp.Var)([_Branch(None)], None)
+    return _states(branches, spec.variables, domains, "Init")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .spec import (
     State,
     Var,
     eval_state_formula,
-    fold,
+    names_read,
     set_view,
 )
 from .values import IntVal, value_from_json, value_to_json
@@ -79,12 +79,6 @@ class OpSpec(Record):
     weight: int = 1
 
 
-def _variables_read(expr) -> frozenset:
-    """The names of the variables a formula reads (bound names included)."""
-    return fold(expr, lambda node, inner: frozenset().union(
-        *inner, (node.name,) if isinstance(node, Var) else ()))
-
-
 class ModelBinding(Record):
     """The test model: an initial state plus the operation alphabet."""
 
@@ -98,7 +92,7 @@ class ModelBinding(Record):
         for op in reversed(self.alphabet):  # the first of a name wins
             by_name[op.name] = op
         object.__setattr__(self, "_by_name", by_name)
-        reads = frozenset().union(*(_variables_read(op.pre)
+        reads = frozenset().union(*(names_read(op.pre, Var)
                                     for op in self.alphabet))
         object.__setattr__(self, "_reads", reads)
         object.__setattr__(self, "_enabled", {})

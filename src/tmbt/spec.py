@@ -10,8 +10,8 @@ Evaluation compiles each formula into Python closures on its first
 evaluation and caches them on the expression node, so a spec's formulas
 compile once however often they are evaluated.  A set expression is read
 in one place, `set_view`: every `e \\in S`, quantifier domain and range
-value, the explorer's candidate plan and PBT's argument domains take its
-members or its membership test from there.  A range `a..b` is read
+value, the explorer's walk and PBT's argument domains take its members
+or its membership test from there.  A range `a..b` is read
 through its bounds there, so membership in it is a bounds check and a
 quantifier over it counts through it without building the set.
 """
@@ -373,6 +373,18 @@ def junction_parts(expr, kind: type) -> list:
     return parts
 
 
+def names_read(expr, kind: type) -> frozenset:
+    """The names of the `kind` nodes (Var or Primed) that `expr` reads; a
+    name a binder in `expr` binds is not a state variable in its body."""
+    def combine(node, inner) -> frozenset:
+        if isinstance(node, kind):
+            return frozenset((node.name,))
+        if kind is Var and isinstance(node, QUANTIFIERS):
+            return inner[0] | (inner[1] - {node.var})
+        return frozenset().union(*inner)
+    return fold(expr, combine)
+
+
 # ---------------------------------------------------------------------------
 # Specs and behaviors
 
@@ -645,11 +657,10 @@ def _build_quantifier(expr: Forall | Exists | Choose) -> t.Callable:
 
 class SetView(Record):
     """A set expression read as a set, the one reader of set expressions:
-    every `\\in`, quantifier domain, range value, candidate-plan membership
-    and PBT argument domain reads its set here, so the bounds of `a..b`,
-    their `range bound` errors and the order of evaluation are written
-    once.  `set_view` compiles one per expression node; a range `a..b` is
-    read through its bounds and never built.
+    every `\\in`, quantifier domain, range value, explorer `v \\in S` and
+    `\\E` witness and PBT argument domain reads its set here, so the bounds
+    of `a..b`, their `range bound` errors and the order of evaluation are
+    written once.  `set_view` compiles one per node; a range is never built.
 
     `members(current, nxt, env, what)` gives the members in canonical
     order as an indexable sequence, and raises TypeMismatch naming `what`

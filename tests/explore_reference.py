@@ -1,21 +1,15 @@
-"""Successor and initial-state enumeration as `tmbt.explore` shipped them
-before Init and Next were narrowed by candidate plans, kept as the
-reference, with the variable domains they were drawn from.
+"""Initial-state and successor enumeration through candidate plans, as
+`tmbt.explore` shipped them before Init and Next were built by one
+constructive walk, kept as the reference.
 
-`derive_domains`, `_closed_eval`, `_membership_domains`,
-`_mine_constants` and `_domain_index` are the domain derivation as it
-was before domains came from TypeOK alone: TypeOK membership, else
-Init membership, else constants compared with the variable anywhere in
-the spec.  Narrowed values outside these domains were dropped.
-
-`_primed_candidates`, `_mentions_primed`, `_try_eval` and `successors`
-are unchanged: every state re-walks each action's formula to find its
-primed assignments.  `initial_states` is the brute force: it evaluates
-Init on every state of the derived domains' product.
-`per_variable_candidates` is the candidate lists `successors` tries.
-The differential tests in test_candidate_plan.py hold the new code to
-the states these give and to their errors, except where a value lies
-outside these domains or a variable has none left.
+Each formula was turned once into a candidate plan (`candidate_plan`)
+that read its `v = e`, `v \\in S`, bare `v` and `~v` conjuncts and
+disjuncts: conjuncts intersected their candidates and disjuncts united
+them, and a variable some disjunct left free was dropped to its TypeOK
+domain.  `successors` and `initial_states` took the product of the
+per-variable candidates (`planned`) and evaluated the whole formula on
+every candidate.  `derive_domains` read TypeOK through the same plan.
+test_candidate_plan.py holds the walk to the states these give.
 
 `behaviors` is the random walk as it was before it walked on the fly:
 it explores the whole reachable graph first and walks its edges.
@@ -30,201 +24,165 @@ import random
 import tmbt.spec as sp
 from tmbt.errors import NoInitialStates, TmbtError, UnboundedDomain
 from tmbt.explore import explore
-from tmbt.values import SetVal, Value, sorted_values
+from tmbt.values import FALSE, TRUE, Value, sorted_values
 
 TYPE_OK_NAME = "TypeOK"
 _EMPTY = sp.State({})
 
 
 # ---------------------------------------------------------------------------
-# Domain derivation
+# Candidate plans
 
 
-def _closed_eval(expr) -> Value | None:
-    """Evaluate an expression with nothing in scope, or None if it needs one."""
-    try:
-        return sp.eval_expr(expr, _EMPTY, _EMPTY)
-    except TmbtError:
-        return None
+class _Unevaluated:
+    """A variable left free because its `v = e` or `v \\in S` raised
+    `error`: `&` gives the other side's candidates and `|` stays free."""
+
+    def __init__(self, error: TmbtError):
+        self.error = error
+
+    def __and__(self, other):
+        return other
+
+    def __or__(self, other):
+        return self
+
+    __rand__, __ror__ = __and__, __or__
 
 
-def _membership_domains(expr, through_or: bool) -> dict:
-    """Per-variable value sets from `v \\in D` constraints with constant D.
-
-    Conjuncts intersect; disjunct branches union when `through_or` is set.
-    """
-    if isinstance(expr, sp.And):
-        left = _membership_domains(expr.left, through_or)
-        right = _membership_domains(expr.right, through_or)
-        out = dict(left)
-        for name, vals in right.items():
-            out[name] = out[name] & vals if name in out else vals
-        return out
-    if through_or and isinstance(expr, sp.Or):
-        left = _membership_domains(expr.left, through_or)
-        right = _membership_domains(expr.right, through_or)
-        # a variable unconstrained on either side stays unconstrained
-        out = {}
-        for name in left.keys() & right.keys():
-            out[name] = left[name] | right[name]
-        return out
-    if isinstance(expr, sp.In) and isinstance(expr.element, sp.Var):
-        domain = _closed_eval(expr.domain)
-        if isinstance(domain, SetVal):
-            return {expr.element.name: set(domain.elements)}
-    return {}
+def _reading(name: str, read):
+    def plan(current):
+        try:
+            return {name: read(current)}
+        except TmbtError as error:
+            return {name: _Unevaluated(error)}
+    return plan
 
 
-def _mine_constants(expr, out: dict) -> None:
-    """Collect constants equated with or containing a variable, any polarity."""
-    if isinstance(expr, (sp.And, sp.Or, sp.Implies, sp.Eq, sp.Neq)):
-        pairs = [(expr.left, expr.right), (expr.right, expr.left)]
-        if isinstance(expr, (sp.Eq, sp.Neq)):
-            for side, other in pairs:
-                if isinstance(side, (sp.Var, sp.Primed)):
-                    value = _closed_eval(other)
-                    if value is not None:
-                        out.setdefault(side.name, set()).add(value)
-        _mine_constants(expr.left, out)
-        _mine_constants(expr.right, out)
-        return
-    if isinstance(expr, sp.In) and isinstance(expr.element, (sp.Var, sp.Primed)):
-        domain = _closed_eval(expr.domain)
-        if isinstance(domain, SetVal):
-            out.setdefault(expr.element.name, set()).update(domain.elements)
-        return
-    if isinstance(expr, sp.Not):
-        _mine_constants(expr.operand, out)
-    if isinstance(expr, sp.QUANTIFIERS):
-        _mine_constants(expr.body, out)
+def _mentions(expr, target: type) -> bool:
+    return sp.fold(expr, lambda node, inner: isinstance(node, target) or any(inner))
 
 
-def derive_domains(spec: sp.TemporalSpec) -> dict:
-    """Finite candidate domain per variable, canonically sorted.
-
-    Raises UnboundedDomain naming the first variable (in declaration
-    order) for which no source yields any candidate values.
-    """
-    type_ok = spec.invariant_map().get(TYPE_OK_NAME)
-    from_type_ok = _membership_domains(type_ok, False) if type_ok is not None else {}
-    from_init = _membership_domains(spec.init, True)
-    mined: dict = {}
-    _mine_constants(spec.init, mined)
-    for action in spec.actions:
-        _mine_constants(action.formula, mined)
-
-    domains = {}
-    for name in spec.variables:
-        values = from_type_ok.get(name) or from_init.get(name) or mined.get(name)
-        if not values:
-            msg = (f"no finite domain for variable {name}: not constrained by "
-                   f"{TYPE_OK_NAME}, init membership, or literal comparisons")
-            raise UnboundedDomain(msg)
-        domains[name] = sorted_values(values)
-    return domains
-
-def _domain_index(domains: dict) -> dict:
-    """Per variable, each domain value mapped to itself: a set of the
-    domain that also yields the domain's own value objects, so that
-    successor states share them instead of holding fresh copies."""
-    return {name: {value: value for value in values}
-            for name, values in domains.items()}
+def _assigns(name: str, value: Value):
+    return lambda current: {name: {value}}
 
 
-
-def _primed_candidates(expr, current: sp.State) -> dict | None:
-    """Candidate next values implied by the formula's structure.
-
-    Returns a map variable -> set of values, where an absent variable is
-    unconstrained.  None means the whole branch is uninformative.  Only a
-    pruning aid: every returned candidate set is a superset of the values
-    the full evaluation would accept for that conjunct.
-    """
-    if isinstance(expr, sp.And):
-        left = _primed_candidates(expr.left, current)
-        right = _primed_candidates(expr.right, current)
-        if left is None:
-            return right
-        if right is None:
-            return left
-        out = dict(left)
-        for name, vals in right.items():
-            out[name] = out[name] & vals if name in out else vals
-        return out
-    if isinstance(expr, sp.Or):
-        left = _primed_candidates(expr.left, current)
-        right = _primed_candidates(expr.right, current)
-        if left is None or right is None:
-            return None
-        out = {}
-        for name in left.keys() & right.keys():
-            out[name] = left[name] | right[name]
-        return out or None
+def _plan_leaf(expr, target: type):
+    if isinstance(expr, target):
+        return _assigns(expr.name, TRUE)
+    if isinstance(expr, sp.Not) and isinstance(expr.operand, target):
+        return _assigns(expr.operand.name, FALSE)
     if isinstance(expr, sp.Eq):
         for side, other in ((expr.left, expr.right), (expr.right, expr.left)):
-            if isinstance(side, sp.Primed) and not _mentions_primed(other):
-                value = _try_eval(other, current)
-                if value is not None:
-                    return {side.name: {value}}
-        return None
-    if isinstance(expr, sp.In):
-        if isinstance(expr.element, sp.Primed) and not _mentions_primed(expr.domain):
-            domain = _try_eval(expr.domain, current)
-            if isinstance(domain, SetVal):
-                return {expr.element.name: set(domain.elements)}
+            if isinstance(side, target) and not _mentions(other, target):
+                return _reading(side.name, lambda current, value=other: {
+                    sp.eval_expr(value, current, _EMPTY)})
+    if (isinstance(expr, sp.In) and isinstance(expr.element, target)
+            and not _mentions(expr.domain, target)):
+        members = sp.set_view(expr.domain).members
+        return _reading(expr.element.name, lambda current: set(
+            members(current, _EMPTY, None, "right side of \\in")))
     return None
 
 
-def _mentions_primed(expr) -> bool:
-    if isinstance(expr, sp.Primed):
-        return True
-    if isinstance(expr, (sp.Const, sp.Var)):
-        return False
-    if isinstance(expr, sp.Not):
-        return _mentions_primed(expr.operand)
-    if isinstance(expr, (sp.SetLit, sp.SeqLit)):
-        return any(_mentions_primed(i) for i in expr.items)
-    if isinstance(expr, sp.IntRange):
-        return _mentions_primed(expr.low) or _mentions_primed(expr.high)
-    if isinstance(expr, sp.In):
-        return _mentions_primed(expr.element) or _mentions_primed(expr.domain)
-    if isinstance(expr, sp.QUANTIFIERS):
-        return _mentions_primed(expr.domain) or _mentions_primed(expr.body)
-    return _mentions_primed(expr.left) or _mentions_primed(expr.right)
+def _plan_node(expr, parts: list, target: type):
+    if isinstance(expr, sp.And):
+        parts = [part for part in parts if part is not None]
+        if len(parts) < 2:
+            return parts[0] if parts else None
+
+        def conjunction(current):
+            out = None
+            for part in parts:
+                found = part(current)
+                if found is None:
+                    continue
+                if out is None:
+                    out = dict(found)
+                    continue
+                for name, values in found.items():
+                    out[name] = out[name] & values if name in out else values
+            return out
+        return conjunction
+    if isinstance(expr, sp.Or):
+        if None in parts:
+            return None
+
+        def disjunction(current):
+            out = None
+            for part in parts:
+                found = part(current)
+                if found is None:
+                    return None
+                out = found if out is None else {
+                    name: out[name] | found[name]
+                    for name in out.keys() & found.keys()}
+            return out or None
+        return disjunction
+    return _plan_leaf(expr, target)
 
 
-def _try_eval(expr, current: sp.State) -> Value | None:
-    try:
-        return sp.eval_expr(expr, current, sp.State({}))
-    except TmbtError:
-        return None
+def _junction_parts(expr) -> list:
+    if isinstance(expr, (sp.And, sp.Or)):
+        return sp.junction_parts(expr, type(expr))
+    return []
 
 
-def per_variable_candidates(spec, action, state, domains, domain_index) -> list:
-    """The candidate values `successors` tries for each variable."""
-    narrowed = _primed_candidates(action.formula, state) or {}
+def candidate_plan(formula, target: type):
+    """The formula's candidate values for the variables it assigns, as a
+    closure `current -> {name: set of values} | None`."""
+    plan = sp.fold(formula, lambda node, parts: _plan_node(node, parts, target),
+                   _junction_parts)
+    return plan if plan is not None else (lambda current: None)
+
+
+def derive_domains(spec: sp.TemporalSpec) -> dict:
+    type_ok = spec.invariant_map().get(TYPE_OK_NAME)
+    if type_ok is None:
+        return {}
+    narrowed = candidate_plan(type_ok, sp.Var)(_EMPTY) or {}
+    return {name: {value: value for value in sorted_values(narrowed[name])}
+            for name in spec.variables if isinstance(narrowed.get(name), set)}
+
+
+def _candidates(variables: tuple, narrowed: dict | None, domains: dict,
+                formula: str) -> list:
     per_var = []
-    for name in spec.variables:
-        if name in narrowed:
-            index = domain_index[name]
-            per_var.append(sorted_values(index[value] for value in narrowed[name]
-                                         if value in index))
+    for name in variables:
+        domain = domains.get(name)
+        values = narrowed.get(name) if narrowed else None
+        if isinstance(values, set):
+            if domain is not None:
+                values = [domain.get(value, value) for value in values]
+            per_var.append(sorted_values(values))
+        elif domain is not None:
+            per_var.append(domain)
+        elif values is not None:
+            raise values.error
         else:
-            per_var.append(domains[name])
+            msg = (f"no finite domain for variable {name}: {formula} leaves it "
+                   f"free and {TYPE_OK_NAME} gives it no domain")
+            raise UnboundedDomain(msg)
     return per_var
 
 
+def planned(spec: sp.TemporalSpec, formula, current: sp.State | None,
+            domains: dict, name: str) -> list:
+    """The per-variable candidates the plan of `formula` tries: an action
+    given `current`, or Init where `current` is None."""
+    target = sp.Var if current is None else sp.Primed
+    narrowed = candidate_plan(formula, target)(current or _EMPTY)
+    return _candidates(spec.variables, narrowed, domains, name)
+
+
 def successors(spec: sp.TemporalSpec, state: sp.State,
-               domains: dict | None = None,
-               domain_index: dict | None = None) -> list:
+               domains: dict | None = None) -> list:
     if domains is None:
         domains = derive_domains(spec)
-    if domain_index is None:
-        domain_index = _domain_index(domains)
     out = []
     for action in spec.actions:
-        per_var = per_variable_candidates(spec, action, state, domains,
-                                          domain_index)
+        per_var = planned(spec, action.formula, state, domains,
+                          f"action {action.name}")
         accepted = []
         for combo in itertools.product(*per_var):
             candidate = sp.State(zip(spec.variables, combo))
@@ -236,10 +194,9 @@ def successors(spec: sp.TemporalSpec, state: sp.State,
 
 
 def initial_states(spec: sp.TemporalSpec, domains: dict | None = None) -> list:
-    """States over the derived domains satisfying init, canonically sorted."""
     if domains is None:
         domains = derive_domains(spec)
-    per_var = [domains[name] for name in spec.variables]
+    per_var = planned(spec, spec.init, None, domains, "Init")
     found = []
     for combo in itertools.product(*per_var):
         candidate = sp.State(zip(spec.variables, combo))
@@ -247,6 +204,10 @@ def initial_states(spec: sp.TemporalSpec, domains: dict | None = None) -> list:
             found.append(candidate)
     found.sort(key=sp.state_key)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Behaviors
 
 
 def behaviors(spec: sp.TemporalSpec, count: int, max_len: int,

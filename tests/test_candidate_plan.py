@@ -1,25 +1,40 @@
-"""Init and Next enumerated through candidate plans, against the reference.
+"""Init and Next built by the constructive walk, against candidate plans.
 
-`explore_reference` holds enumeration as it was before candidate plans
-took narrowed values as they are: each state re-walked each action's
-formula, Init was evaluated on every state of the domain product, and
-both drew from domains guessed from TypeOK, Init membership or mined
-constants, dropping any value outside them.  On the examples the new
-code gives the same states in the same order.  On random small specs it
-keeps the reference's contract but for the guessing it removes:
+`explore_reference` holds enumeration as it was before the walk: a
+candidate plan narrowed each variable to a set, the product of the sets
+gave the candidates, and the whole formula was evaluated on each.  On
+the examples the walk gives the same states in the same order.  On
+random small specs:
 
-- where both give states, the new states are the reference's states, in
-  their order, plus only states with some variable outside its old
-  domain, all in canonical order;
-- where the outcomes differ otherwise, the new code raised
-  UnboundedDomain, or the error of the `v = e` or `v \\in S` that left a
-  variable without a domain free, or it raised on a candidate the
-  reference never tried (one with a value outside the old domains), or
-  the reference raised on a candidate the new code never tries (its
-  plan, which now also reads bare booleans, excludes it).
+- evaluating the formula on a state the walk builds never gives FALSE;
+- where both give states, the plan's states are among the walk's, and
+  each extra state has a variable outside TypeOK's domain: a value the
+  formula states that the plan never tried (it dropped a variable that
+  some disjunct leaves free to its domain, and never bound `v = e` where
+  `e` reads a variable);
+- where the outcomes differ otherwise, they fall in one of the classes
+  below, each counted.
+
+The classes, by what each engine returned:
+
+  guard-first    the plan raised UnboundedDomain for a variable it left
+                 free; the walk evaluated a guard first, which ended the
+                 branch or raised
+  walk-eager     the plan gave states and the walk raised: the walk
+                 evaluates every disjunct and `\\E` witness where the
+                 plan's whole-formula evaluation short-circuited, and
+                 guards on branches an empty candidate product skipped
+  walk-deferred  the plan raised and the walk gave states: the walk
+                 evaluates a guard only once its variables are bound,
+                 and a later part ended the branch first
+  first-error    both raised, different errors: each evaluates the parts
+                 in its own order
+
+and, per built state, `raises`: evaluating the whole formula in order
+on it raises, in a part that the walk deferred, on the branch where it
+met that part, past a later part that ended that branch.
 """
 
-import itertools
 import random
 
 import astgen
@@ -28,10 +43,10 @@ import pytest
 
 import tmbt.spec as sp
 import tmbt.specs as specs
-from tmbt.errors import TmbtError, UnboundedDomain
+from tmbt.errors import UnboundedDomain
 from tmbt.explore import (
-    _candidates,
-    candidate_plan,
+    _Branch,
+    _walk,
     derive_domains,
     explore,
     initial_states,
@@ -54,60 +69,45 @@ def _outcome(call, *args):
         return ("error", type(error), str(error))
 
 
-def _outside(state, old_domains) -> bool:
-    return any(state[name] not in values for name, values in old_domains.items())
+def _outside(state, domains) -> bool:
+    return any(state[name] not in values for name, values in domains.items())
 
 
-def _first_raising(variables, tries):
-    """The first (try index, candidate) on which a try's check raises;
-    `tries` yields (check, per-variable candidates) in evaluation order."""
-    for index, (check, per_var) in enumerate(tries):
-        for combo in itertools.product(*per_var):
-            candidate = sp.State(zip(variables, combo))
-            try:
-                check(candidate)
-            except Exception:
-                return index, candidate
-    return None
+def judge(old, new, holds, domains, state_of, kinds: dict) -> None:
+    """Holds the walk's outcome `new` to the plan's `old` under the
+    contract in the module docstring, and tallies its class in `kinds`.
+    `holds(entry)` evaluates the formula on an entry of `new`, `state_of`
+    reads the entry's state, and `domains` are TypeOK's."""
+    def tally(kind, count=1):
+        kinds[kind] = kinds.get(kind, 0) + count
 
-
-def judge(variables, old, new, old_domains, old_tries, new_tries,
-          state_of, key) -> str:
-    """Holds one new outcome to the reference's under the contract in the
-    module docstring; returns which kind of agreement it found.  The
-    tries are callables giving each side's `_first_raising` input;
-    `state_of` reads the state of an outcome's entry and `key` is the
-    entries' canonical sort key."""
+    if new[0] == "value":
+        verdicts = [_outcome(holds, entry) for entry in new[1]]
+        assert ("value", False) not in verdicts, (old, new)
+        raised = sum(verdict[0] == "error" for verdict in verdicts)
+        if raised:
+            tally("raises", raised)
     if new == old:
-        return "states" if old[0] == "value" and old[1] else old[0]
-    if old[0] == new[0] == "value":
+        tally("same")
+    elif old[0] == new[0] == "value":
         known = set(old[1])
         assert [entry for entry in new[1] if entry in known] == old[1], (old, new)
-        assert all(_outside(state_of(entry), old_domains)
+        assert all(_outside(state_of(entry), domains)
                    for entry in new[1] if entry not in known), (old, new)
-        assert new[1] == sorted(new[1], key=key), new
-        return "widened"
-    if new[0] == "error" and new[1] is UnboundedDomain:
-        return "unbounded"
-    if new[0] == "error":
-        try:
-            _, raising = _first_raising(variables, new_tries())
-        except TmbtError as error:  # the read that left a variable free
-            assert new[1:] == (type(error), str(error)), (old, new)
-            return "unbounded"
-        if _outside(raising, old_domains):
-            return "evaluated"
-    assert old[0] == "error", (old, new)
-    index, raising = _first_raising(variables, old_tries())
-    _, tried = next(itertools.islice(new_tries(), index, None))
-    assert any(raising[name] not in values
-               for name, values in zip(variables, tried)), (old, new)
-    return "skipped"
+        tally("widened")
+    elif old[0] == "error" and old[1] is UnboundedDomain:
+        tally("guard-first")
+    elif old[0] == "value":
+        tally("walk-eager")
+    elif new[0] == "value":
+        tally("walk-deferred")
+    else:
+        tally("first-error")
 
 
 # ---------------------------------------------------------------------------
-# Random small specs: Init and actions mix `v = e`, `v \in S`, `\/` and
-# guards, with the occasional random tree from astgen to raise errors.
+# Random small specs: Init and actions mix `v = e`, `v \in S`, `\/`, `\E`
+# and guards, with the occasional random tree from astgen to raise errors.
 
 
 def _term(rng: random.Random, target: type) -> sp.Expr:
@@ -143,7 +143,7 @@ def _set(rng: random.Random, target: type) -> sp.Expr:
 
 
 def _atom(rng: random.Random, target: type) -> sp.Expr:
-    pick = rng.randrange(7)
+    pick = rng.randrange(8)
     name = rng.choice(VARIABLES)
     if pick <= 1:
         sides = (target(name), _term(rng, target))
@@ -157,6 +157,11 @@ def _atom(rng: random.Random, target: type) -> sp.Expr:
         return sp.Not(_atom(rng, target))
     if pick == 5:
         return sp.Eq(target(name), sp.Var(name))
+    if pick == 6:
+        # a witness bound to a name that a state variable may also have
+        bound = rng.choice(("n", "x"))
+        body = sp.Eq(target(name), sp.Add(sp.Var(bound), sp.intval(rng.randint(0, 1))))
+        return sp.Exists(bound, _set(rng, target), sp.And(body, _atom(rng, target)))
     return astgen.random_expr(rng, 2, bound=4)
 
 
@@ -181,47 +186,40 @@ def random_spec(rng: random.Random) -> sp.TemporalSpec:
                            actions, invariants)
 
 
+def test_domains_match_the_plan_on_random_type_oks():
+    rng = random.Random(5)
+    narrowed = 0
+    for _ in range(5000):
+        spec = sp.TemporalSpec("t", VARIABLES, sp.boolval(True), (),
+                               (("TypeOK", random_formula(rng, sp.Var)),))
+        domains = derive_domains(spec)
+        assert domains == ref.derive_domains(spec)
+        narrowed += bool(domains)
+    assert narrowed > 1000
+
+
 # ---------------------------------------------------------------------------
 # Init
 
 
-def _planned(spec, domains):
-    narrowed = candidate_plan(spec.init, sp.Var)(sp.State({}))
-    return _candidates(spec.variables, narrowed, domains, "Init")
-
-
-def compare_init(spec) -> str:
-    """Holds the new `initial_states` to the brute force; returns which
-    kind of agreement it found."""
-    old = _outcome(ref.initial_states, spec)
-    new = _outcome(initial_states, spec)
-
-    def old_tries():
-        old_domains = ref.derive_domains(spec)
-        yield check, [old_domains[name] for name in spec.variables]
-
-    def new_tries():
-        yield check, _planned(spec, derive_domains(spec))
-
-    def check(candidate):
-        sp.eval_state_formula(spec.init, candidate)
-    try:
-        old_domains = ref.derive_domains(spec)
-    except UnboundedDomain:
-        old_domains = {}
-    return judge(spec.variables, old, new, old_domains, old_tries, new_tries,
-                 lambda state: state, sp.state_key)
+def compare_init(spec, kinds: dict) -> None:
+    domains = derive_domains(spec)
+    judge(_outcome(ref.initial_states, spec), _outcome(initial_states, spec),
+          lambda state: sp.eval_state_formula(spec.init, state), domains,
+          lambda state: state, kinds)
 
 
 class TestInit:
     def test_random_specs(self):
         rng = random.Random(2024)
-        seen = dict.fromkeys(("states", "value", "error", "widened", "unbounded",
-                              "evaluated", "skipped"), 0)
+        kinds: dict = {}
         for _ in range(1500):
-            seen[compare_init(random_spec(rng))] += 1
-        # every kind of outcome is common, so none is compared vacuously
-        assert all(count >= 25 for count in seen.values()), seen
+            compare_init(random_spec(rng), kinds)
+        assert set(kinds) == {"same", "widened", "guard-first", "walk-eager",
+                              "walk-deferred", "first-error"}, kinds
+        # every class is common enough that none is compared vacuously
+        assert all(count >= 5 for count in kinds.values()), kinds
+        assert kinds["same"] > 500, kinds
 
     @pytest.mark.parametrize("name,params", [
         ("onebit", {}), ("diehard", {}), ("euclid", {}), ("therac25", {}),
@@ -233,10 +231,13 @@ class TestInit:
         assert initial_states(spec) == ref.initial_states(spec)
 
     def test_init_that_assigns_nothing_tries_the_whole_product(self):
+        # every variable ranges over its TypeOK domain
         spec = sp.TemporalSpec("t", VARIABLES, sp.Lt(sp.Var("x"), sp.Var("y")),
                                (), (("TypeOK", TYPE_OK),))
-        assert [list(values) for values in _planned(spec, derive_domains(spec))] == \
-            [ref.derive_domains(spec)[name] for name in VARIABLES]
+        domains = derive_domains(spec)
+        expected = [sp.State({"x": x, "y": y, "b": b}) for b in domains["b"]
+                    for x in domains["x"] for y in domains["y"] if x.value < y.value]
+        assert initial_states(spec) == sorted(expected, key=sp.state_key)
         assert initial_states(spec) == ref.initial_states(spec)
 
     def test_values_outside_the_domain_are_tried(self):
@@ -245,54 +246,29 @@ class TestInit:
                        sp.Eq(sp.Var("y"), sp.intval(0)), sp.Var("b"))
         spec = sp.TemporalSpec("t", VARIABLES, init, (), (("TypeOK", TYPE_OK),))
         domains = derive_domains(spec)
-        planned = _planned(spec, domains)
-        assert planned == [[IntVal(1), IntVal(9)], [IntVal(0)], [TRUE]]
+        found = initial_states(spec, domains)
+        assert [(s["x"], s["y"], s["b"]) for s in found] == \
+            [(IntVal(1), IntVal(0), TRUE), (IntVal(9), IntVal(0), TRUE)]
         # a value the domain holds is the domain's own object
-        assert planned[0][0] is domains["x"][IntVal(1)]
-        found = initial_states(spec)
-        assert [state["x"] for state in found] == [IntVal(1), IntVal(9)]
-        assert found[:1] == ref.initial_states(spec)
+        assert found[0]["x"] is domains["x"][IntVal(1)]
+        assert found == ref.initial_states(spec)
 
 
 # ---------------------------------------------------------------------------
 # Next
 
 
-def compare_successors(spec, states, kinds=None) -> int:
-    """Holds the new `successors` to the reference on every state, and
-    tallies the kinds of agreement in `kinds` if given; returns how
-    many states had any successor."""
-    old_domains = ref.derive_domains(spec)
-    index = ref._domain_index(old_domains)
+def compare_successors(spec, states, kinds: dict) -> int:
+    """Holds `successors` to the plan's on every state and tallies the
+    classes in `kinds`; returns how many states had any successor."""
     domains = derive_domains(spec)
-    order = {action.name: i for i, action in enumerate(spec.actions)}
+    formulas = {action.name: action.formula for action in spec.actions}
     enabled = 0
     for state in states:
-        old = _outcome(ref.successors, spec, state, old_domains, index)
         new = _outcome(successors, spec, state, domains)
-
-        def tries(plan):
-            for action in spec.actions:
-                def check(candidate, formula=action.formula):
-                    sp.eval_action_formula(formula, state, candidate)
-                yield check, plan(action)
-
-        def old_tries():
-            return tries(lambda action: ref.per_variable_candidates(
-                spec, action, state, old_domains, index))
-
-        def new_tries():
-            return tries(lambda action: _candidates(
-                spec.variables, candidate_plan(action.formula, sp.Primed)(state),
-                domains, f"action {action.name}"))
-
-        kind = judge(spec.variables, old, new, old_domains, old_tries, new_tries,
-                     lambda step: step[1],
-                     lambda step: (order[step[0]], sp.state_key(step[1])))
-        if kinds is None:
-            assert kind in ("states", "value", "error"), (state, old, new)
-        else:
-            kinds[kind] = kinds.get(kind, 0) + 1
+        judge(_outcome(ref.successors, spec, state, domains), new,
+              lambda step: sp.eval_action_formula(formulas[step[0]], state, step[1]),
+              domains, lambda step: step[1], kinds)
         enabled += new[0] == "value" and bool(new[1])
     return enabled
 
@@ -310,10 +286,12 @@ class TestNext:
             spec = sp.TemporalSpec(spec.name, VARIABLES, spec.init, spec.actions,
                                    (("TypeOK", TYPE_OK),))
             enabled += compare_successors(spec, rng.sample(product, 6), kinds)
-        assert enabled > 300
-        # the outcomes that may change do, so none is compared vacuously
-        assert kinds["widened"] >= 25 and kinds["evaluated"] >= 25, kinds
-        assert kinds["skipped"] >= 1, kinds
+        assert enabled > 250
+        # with TypeOK always there, the plan never lacks a domain
+        assert set(kinds) - {"raises"} == {"same", "widened", "walk-eager",
+                                           "walk-deferred", "first-error"}, kinds
+        assert all(count >= 5 for count in kinds.values()), kinds
+        assert kinds["same"] > 1000, kinds
 
     @pytest.mark.parametrize("name,params", [
         ("onebit", {}), ("diehard", {}), ("euclid", {}), ("therac25", {}),
@@ -322,15 +300,33 @@ class TestNext:
     def test_examples(self, name, params):
         spec = specs.load(name, params)
         graph, _, _ = explore(spec)
-        assert compare_successors(spec, sorted(graph.nodes, key=sp.state_key)) > 0
+        kinds: dict = {}
+        assert compare_successors(spec, sorted(graph.nodes, key=sp.state_key),
+                                  kinds) > 0
+        assert set(kinds) == {"same"}, kinds
 
-    def test_plan_is_built_once_per_formula(self):
-        spec = specs.load("euclid")
-        formula = spec.actions[0].formula
-        assert candidate_plan(formula, sp.Primed) is \
-            candidate_plan(formula, sp.Primed)
-        assert candidate_plan(formula, sp.Var) is not \
-            candidate_plan(formula, sp.Primed)
+    def test_a_built_state_may_raise_where_the_walk_deferred(self):
+        # the first disjunct's guard on y' waits for y', and `x > 5` ends
+        # its branch first; evaluated in order on the built state, it raises
+        formula = sp.disj(
+            sp.conj(sp.Gt(sp.Primed("y"), sp.boolval(True)),
+                    sp.Gt(sp.Var("x"), sp.intval(5))),
+            sp.conj(sp.Eq(sp.Primed("x"), sp.intval(1)),
+                    sp.Eq(sp.Primed("y"), sp.intval(2))))
+        spec = sp.TemporalSpec("t", VARIABLES, sp.boolval(True),
+                               (sp.NamedAction("A", formula),),
+                               (("TypeOK", TYPE_OK),))
+        state = sp.State({"x": IntVal(0), "y": IntVal(0), "b": TRUE})
+        kinds: dict = {}
+        compare_successors(spec, [state], kinds)
+        # the plan, evaluating every candidate in order, raises there too;
+        # b' is TRUE or FALSE, so two states are built
+        assert kinds == {"walk-deferred": 1, "raises": 2}
+
+    def test_walk_is_compiled_once_per_formula(self):
+        formula = specs.load("euclid").actions[0].formula
+        assert _walk(formula, sp.Primed) is _walk(formula, sp.Primed)
+        assert _walk(formula, sp.Var) is not _walk(formula, sp.Primed)
 
     def test_non_expression_formulas_raise_as_before(self):
         type_ok = sp.In(sp.Var("x"), sp.SetLit((sp.intval(1),)))
@@ -359,15 +355,25 @@ class TestNext:
         assert len(graph.nodes) == 818 and steps == 4908
         assert built == []
 
-    def test_deep_junction_plans_without_recursion(self):
-        parts = [sp.Eq(sp.Primed("x"), sp.intval(1))]
-        parts += [sp.Lt(sp.Var("x"), sp.intval(n)) for n in range(5, 5005)]
-        plan = candidate_plan(sp.conj(*parts), sp.Primed)
-        assert plan(sp.State({"x": IntVal(0)})) == {"x": {IntVal(1)}}
+    @pytest.mark.parametrize("kind", [sp.And, sp.Or], ids=["and", "or"])
+    def test_deep_junctions_walk_without_recursion(self, kind):
+        # 5,000 parts, walked as one loop over the chain
+        if kind is sp.And:
+            parts = [sp.Eq(sp.Primed("x"), sp.intval(1))]
+            parts += [sp.Lt(sp.Var("x"), sp.intval(n)) for n in range(5, 5005)]
+            expected = [1]
+        else:
+            parts = [sp.Eq(sp.Primed("x"), sp.intval(n)) for n in range(5000)]
+            expected = list(range(5000))
+        formula = sp.conj(*parts) if kind is sp.And else sp.disj(*parts)
+        spec = sp.TemporalSpec("t", ("x",), sp.boolval(True),
+                               (sp.NamedAction("A", formula),))
+        found = successors(spec, sp.State({"x": IntVal(0)}), {})
+        assert [state["x"].value for _, state in found] == expected
 
 
 # ---------------------------------------------------------------------------
-# Init evaluated on one candidate where it assigns every variable
+# Init that assigns every variable builds its one state directly
 
 
 def toggle_spec(n: int):
@@ -382,24 +388,20 @@ def toggle_spec(n: int):
     return to_spec(parse_module(source), name="toggle")
 
 
-@pytest.fixture
-def init_evaluations(monkeypatch):
-    calls = []
-    original = sp.eval_state_formula
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-    monkeypatch.setattr(sp, "eval_state_formula", counted)
-    return calls
-
-
 @pytest.mark.parametrize("make", [lambda: specs.euclid(284, 355),
                                   lambda: toggle_spec(13)],
                          ids=["euclid-284x355", "toggle-13"])
-def test_init_is_evaluated_on_one_candidate(make, init_evaluations):
+def test_init_builds_its_one_state_without_a_product(make, monkeypatch):
     spec = make()
+    bound = []
+    original = _Branch.bind
+
+    def counted(self, name, *rest):
+        bound.append(name)
+        return original(self, name, *rest)
+    monkeypatch.setattr(_Branch, "bind", counted)
     found = initial_states(spec)
-    assert len(init_evaluations) == 1
+    # one binding per variable, on the one branch: no value is tried twice
+    assert sorted(bound) == sorted(spec.variables)
     assert len(found) == 1
     assert found == ref.initial_states(spec)

@@ -339,7 +339,7 @@ class TestDeepFormulas:
 
 
 class TestUnboundedDomain:
-    """A variable with no candidates and no TypeOK domain is an input error."""
+    """A variable a formula leaves unbound, with no TypeOK domain, is an input error."""
 
     def test_check_names_the_action_and_the_variable(self, runner, tmp_path):
         path = tmp_path / "free.tla"

@@ -58,7 +58,7 @@ class TestDomains:
         assert list(derive_domains(spec)["x"]) == [IntVal(-1), IntVal(2)]
 
     def test_init_membership_gives_no_domain(self):
-        # Init narrows through its disjunction without any domain
+        # Init binds x through its disjunction without any domain
         init = sp.Or(sp.In(sp.Var("x"), sp.SetLit((sp.intval(0),))),
                      sp.In(sp.Var("x"), sp.SetLit((sp.intval(5),))))
         spec = sp.TemporalSpec("t", ("x",), init, ())
@@ -115,6 +115,34 @@ class TestDomains:
 
 class TestSoundness:
     """The formula's next values are taken as they are, even outside TypeOK."""
+
+    def test_an_init_disjunct_outside_type_ok_keeps_its_value(self):
+        # `x > 1` binds nothing, yet x = 5 is an initial state
+        spec = parsed("VARIABLE x", "TypeOK == x \\in 0..2",
+                      "Init == x = 5 \\/ x > 1", "Next == x' = x")
+        assert [s["x"].value for s in initial_states(spec)] == [2, 5]
+        _, stats, [cex] = explore(spec)
+        assert (stats.states_found, stats.distinct_states, stats.diameter) == (4, 2, 1)
+        assert (cex.invariant, [s["x"].value for s in cex.trace.states]) == \
+            ("TypeOK", [5])
+
+    def test_an_action_disjunct_outside_type_ok_keeps_its_value(self):
+        spec = parsed("VARIABLE x", "TypeOK == x \\in 0..2", "Init == x = 0",
+                      "Next == x = 0 /\\ (x' = 5 \\/ x' > 1)")
+        assert [s["x"].value for _, s in successors(spec, sp.State({"x": IntVal(0)}))] \
+            == [2, 5]
+        _, stats, [cex] = explore(spec)
+        assert (stats.states_found, stats.distinct_states, stats.diameter) == (3, 3, 2)
+        assert (cex.invariant, [s["x"].value for s in cex.trace.states]) == \
+            ("TypeOK", [0, 5])
+
+    def test_a_false_guard_needs_no_domain(self):
+        # the action is disabled in x = 9 before x' would need a domain
+        spec = parsed("VARIABLE x", "Init == x = 9", "Next == x < 5 /\\ x' > x")
+        graph, stats, cexs = explore(spec)
+        assert [s["x"].value for s in graph.nodes] == [9]
+        assert (stats.states_found, stats.distinct_states, stats.diameter) == (1, 1, 1)
+        assert cexs == []
 
     @pytest.mark.parametrize("type_high,limit", [(3, 8), (5, 9), (0, 3)])
     def test_counter_past_its_type_bound(self, type_high, limit):

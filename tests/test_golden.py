@@ -1,7 +1,8 @@
 """`tmbt check --format json` output pinned byte for byte.
 
-Each file under `golden/` is the stdout of one `check` run, and CASES
-gives its arguments and exit code.  A change that alters counts,
+Each `.jsonl` file under `golden/` is the stdout of one `check` run, and
+CASES gives its arguments and exit code; `golden/specs/` holds the
+`--spec` sources.  A change that alters counts,
 traces, their order or the JSON layout shows up here as a diff.
 
 To rewrite the files from the code under test, run
@@ -19,6 +20,7 @@ from tmbt.cli import main
 from cli_runner import CliRunner
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SPECS = GOLDEN / "specs"
 
 # name: (arguments after `check`, exit code)
 CASES = {
@@ -34,6 +36,11 @@ CASES = {
                              "--param", "high=810"], 1),
     "steamboiler-296-704": (["--example", "steamboiler", "--param", "low=296",
                              "--param", "high=704"], 0),
+    # a disjunct that states a value outside TypeOK, in Init and in Next,
+    # and an action whose false guard needs no domain for its variable
+    "init-disjunct": (["--spec", str(SPECS / "init_disjunct.tla")], 1),
+    "next-disjunct": (["--spec", str(SPECS / "next_disjunct.tla")], 1),
+    "disabled-guard": (["--spec", str(SPECS / "disabled_guard.tla")], 0),
 }
 
 

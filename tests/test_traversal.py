@@ -261,6 +261,34 @@ class TestOperands:
         assert sp._operands(tree) == [tree.right]
 
 
+def _reads(expr, kind: type, bound: frozenset = frozenset()) -> frozenset:
+    """`names_read` as a recursive walk that carries the bound names."""
+    if isinstance(expr, kind):
+        return frozenset() if expr.name in bound else frozenset((expr.name,))
+    if not isinstance(expr, sp.ExprNode):
+        return frozenset()
+    if isinstance(expr, sp.QUANTIFIERS) and kind is sp.Var:
+        return (_reads(expr.domain, kind, bound)
+                | _reads(expr.body, kind, bound | {expr.var}))
+    return frozenset().union(*(_reads(child, kind, bound)
+                               for child in expr.children()))
+
+
+class TestNamesRead:
+    @pytest.mark.parametrize("kind", [sp.Var, sp.Primed], ids=["var", "primed"])
+    def test_random_trees_match_the_recursive_walk(self, kind):
+        for tree in astgen.random_exprs(seed=9, count=300, depth=6):
+            assert sp.names_read(tree, kind) == _reads(tree, kind)
+
+    def test_a_bound_name_is_not_a_state_variable(self):
+        # \E x \in {y} : x' = x /\ z, with x bound only in the body
+        body = sp.And(sp.Eq(sp.Primed("x"), sp.Var("x")), sp.Var("z"))
+        tree = sp.Exists("x", sp.SetLit((sp.Var("y"),)), body)
+        assert sp.names_read(tree, sp.Var) == {"y", "z"}
+        assert sp.names_read(tree, sp.Primed) == {"x"}
+        assert sp.names_read(sp.And(tree, sp.Var("x")), sp.Var) == {"x", "y", "z"}
+
+
 class TestLayout:
     def test_rebuild_inverts_children(self):
         for tree in astgen.random_exprs(seed=6, count=100, depth=4):
