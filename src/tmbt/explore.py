@@ -57,12 +57,7 @@ def state_to_json(state: sp.State) -> dict:
 
 
 def stats_to_json(stats: ExplorationStats) -> dict:
-    return {
-        "diameter": stats.diameter,
-        "states_found": stats.states_found,
-        "distinct_states": stats.distinct_states,
-        "truncated": stats.truncated,
-    }
+    return {name: getattr(stats, name) for name in stats._fields}
 
 
 def behavior_to_json(behavior: sp.Behavior) -> dict:
@@ -147,10 +142,10 @@ def _binding(expr, kind: type):
     return None
 
 
-def _parts(node) -> list:
-    if isinstance(node, (sp.And, sp.Or)):
-        return sp.junction_parts(node, type(node))
-    return [node.body] if isinstance(node, sp.Exists) else []
+def _parts(node) -> tuple:
+    if isinstance(node, sp.Junction):
+        return node.parts
+    return (node.body,) if isinstance(node, sp.Exists) else ()
 
 
 def _walk(formula, kind: type):
@@ -442,15 +437,13 @@ def behaviors(spec: sp.TemporalSpec, count: int, max_len: int,
 
 
 def behavior_satisfies(spec: sp.TemporalSpec, behavior: sp.Behavior) -> bool:
-    """Init holds at the start and every step is an action step or stutter."""
-    if not behavior.states:
+    """Whether the walk builds `behavior`: its first state is initial, and
+    each later one is a successor of the one before, or equal to it."""
+    states = behavior.states
+    if not states:
         return False
-    if not sp.eval_state_formula(spec.init, behavior.states[0]):
-        return False
-    for current, nxt in zip(behavior.states, behavior.states[1:]):
-        if nxt == current:
-            continue
-        if not any(sp.eval_action_formula(a.formula, current, nxt)
-                   for a in spec.actions):
-            return False
-    return True
+    domains = derive_domains(spec)
+    return states[0] in initial_states(spec, domains) and all(
+        nxt == current or nxt in [target for _, target in
+                                  successors(spec, current, domains)]
+        for current, nxt in zip(states, states[1:]))

@@ -7,6 +7,7 @@ golden-file comparison.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -35,6 +36,9 @@ def _encode(expr, args: list) -> dict:
     op = OPS.get(type(expr))
     if op is None:
         raise sp.not_an_expression(expr)
+    if isinstance(expr, sp.Junction):  # as the IR's binary left chain
+        return functools.reduce(
+            lambda left, right: {"op": op, "args": [left, right]}, args)
     data = {"op": op}
     for name in expr.scalars:
         scalar = getattr(expr, name)
@@ -52,7 +56,13 @@ def _args(data) -> list:
     if not isinstance(data, dict) or "op" not in data:
         msg = f"malformed expression node: {data!r}"
         raise TypeMismatch(msg)
-    return data.get("args", [])
+    op, rights = data["op"], []
+    # a left chain of "and" (or of "or") is one list, read bottom-up
+    while (op in (OPS[sp.And], OPS[sp.Or]) and isinstance(data, dict)
+           and data.get("op") == op and len(data.get("args", [])) == 2):
+        data, right = data["args"]
+        rights.append(right)
+    return [data, *reversed(rights)] if rights else data.get("args", [])
 
 
 def _decode(data: dict, args: list):
@@ -61,8 +71,10 @@ def _decode(data: dict, args: list):
     if cls is None:
         msg = f"unknown expression op {op!r}"
         raise TypeMismatch(msg)
-    if not cls.variadic and len(args) != len(cls.operands):
-        msg = f"op {op!r} takes {len(cls.operands)} args, got {len(args)}"
+    given = len(data.get("args", []))  # a junction's own, not its chain's
+    wanted = 2 if issubclass(cls, sp.Junction) else len(cls.operands)
+    if given != wanted and cls not in (sp.SetLit, sp.SeqLit):
+        msg = f"op {op!r} takes {wanted} args, got {given}"
         raise TypeMismatch(msg)
     scalars = [value_from_json(data[name]) if name == "value" else data[name]
                for name in cls.scalars]

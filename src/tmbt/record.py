@@ -17,7 +17,8 @@ optional defaults, in the order its constructor takes them:
 
 `__init_subclass__` reads the field list once and installs a
 constructor, `__eq__`, `__hash__` and `__repr__` unless the class
-defines its own; every record is frozen.  The methods behave as the
+defines its own (a class that only inherits fields keeps its base's
+constructor); every record is frozen.  The methods behave as the
 dataclass ones did: construction by position or keyword with defaults,
 equality only between instances of the same class, field-tuple hashes,
 `Name(field=value, ...)` reprs, and `AttributeError` on assignment.
@@ -235,7 +236,7 @@ class Record:
 
         compared = tuple(n for n in fields if n not in cls.uncompared)
         own_methods = cls.__dict__
-        if "__init__" not in own_methods:
+        if "__init__" not in own_methods and (fields != inherited or not fields):
             cls.__init__ = _specialise(_INITS, fields, cls, "__init__", defaults)
         if "__eq__" not in own_methods:
             cls.__eq__ = _specialise(_EQS, compared, cls, "__eq__")

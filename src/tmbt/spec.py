@@ -60,11 +60,8 @@ class State(Record):
     bindings: tuple
 
     def __init__(self, bindings):
-        if isinstance(bindings, dict):
-            items = tuple(sorted(bindings.items()))
-        else:
-            items = tuple(sorted(bindings))
-        object.__setattr__(self, "bindings", items)
+        pairs = bindings.items() if isinstance(bindings, dict) else bindings
+        object.__setattr__(self, "bindings", tuple(sorted(pairs)))
 
     def __getitem__(self, name: str) -> Value:
         for key, value in self.bindings:
@@ -169,14 +166,33 @@ class Not(ExprNode):
     operand: "Expr"
 
 
-class And(ExprNode):
-    left: "Expr"
-    right: "Expr"
+class Junction(ExprNode):
+    """A /\\ or \\/ list of two or more `parts`, given as arguments.  A
+    first part of the same kind is spliced in and a later one stays nested,
+    so a node is one maximal left-nested binary chain and each binary tree
+    has one n-ary form: `And(And(a, b), c) == conj(a, b, c)`."""
+
+    parts: tuple
+    variadic = True
+
+    def __init__(self, *parts):
+        if len(parts) < 2:
+            raise TypeError(f"{type(self).__name__} takes at least 2 parts")
+        if type(parts[0]) is type(self):
+            parts = parts[0].parts + parts[1:]
+        object.__setattr__(self, "parts", parts)
+
+    @classmethod
+    def build(cls, scalars, children) -> "Junction":
+        return cls(*children)
 
 
-class Or(ExprNode):
-    left: "Expr"
-    right: "Expr"
+class And(Junction):
+    pass
+
+
+class Or(Junction):
+    pass
 
 
 class Implies(ExprNode):
@@ -306,18 +322,12 @@ def boolval(b: bool) -> Const:
 
 
 def conj(*parts: Expr) -> Expr:
-    """Left-nested conjunction of one or more formulas."""
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    """The conjunction of one or more formulas: the only one, or their And."""
+    return parts[0] if len(parts) == 1 else And(*parts)
 
 
 def disj(*parts: Expr) -> Expr:
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return parts[0] if len(parts) == 1 else Or(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +368,6 @@ def fold(root, combine: t.Callable, children: t.Callable = _subtrees):
         else:
             results.append(combine(node, []))
     return results[0]
-
-
-def junction_parts(expr, kind: type) -> list:
-    """The parts of `expr` as a chain of one junction kind (And or Or),
-    left to right; `[expr]` when `expr` is not a `kind` node."""
-    parts, stack = [], [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, kind):
-            stack.extend(reversed(node.children()))
-        else:
-            parts.append(node)
-    return parts
 
 
 def names_read(expr, kind: type) -> frozenset:
@@ -444,11 +441,11 @@ class Behavior(Record):
 # Each node compiles to a closure `(current, nxt, env) -> Value`, the
 # closure code generation of Feeley and Lapalme ("Using closures for
 # code generation", 1987).  A closure calls its operands' closures
-# directly, one Python frame per tree level as in a recursive walker,
-# except that a chain of /\ (or of \/) compiles to one loop over its
-# parts and so does not nest.  Compiling itself never raises: every
-# error comes from a closure, at the point of evaluation where it
-# arises.  Nothing is folded ahead of time, for the same reason.
+# directly, one Python frame per tree level as in a recursive walker; a
+# /\ or \/ list compiles to one loop over its parts.  Compiling itself
+# never raises: every error comes from a closure, at the point of
+# evaluation where it arises.  Nothing is folded ahead of time, for the
+# same reason.
 
 def _checked_int(n: int) -> IntVal:
     if not INT64_MIN <= n <= INT64_MAX:
@@ -467,11 +464,9 @@ _BINARY = (Implies, Eq, Neq, Add, Sub) + COMPARISONS
 
 
 def _operands(expr: ExprNode) -> list:
-    """What to compile before `expr`: the expressions among its children,
-    or its junction's parts, that are not compiled yet."""
-    junction = isinstance(expr, (And, Or))
-    parts = junction_parts(expr, type(expr)) if junction else expr.children()
-    return [op for op in parts
+    """What to compile before `expr`: the expressions among its children
+    that are not compiled yet."""
+    return [op for op in expr.children()
             if isinstance(op, ExprNode) and "compiled" not in vars(op)]
 
 
@@ -513,7 +508,7 @@ def _build(expr: ExprNode) -> t.Callable:
         def negation(current, nxt, env):
             return FALSE if require_bool(operand(current, nxt, env)) else TRUE
         return negation
-    if isinstance(expr, (And, Or)):
+    if isinstance(expr, Junction):
         return _build_junction(expr)
     if isinstance(expr, _BINARY):
         return _build_binary(expr, _closure(expr.left), _closure(expr.right))
@@ -562,24 +557,19 @@ def _build_primed(name: str) -> t.Callable:
     return primed
 
 
-def _build_junction(expr: And | Or) -> t.Callable:
-    """One loop over a junction chain's parts, left to right, stopping at
-    the first part that decides it."""
-    parts = tuple(_closure(part) for part in junction_parts(expr, type(expr)))
-    if isinstance(expr, And):
-        def conjunction(current, nxt, env):
-            for part in parts:
-                if not require_bool(part(current, nxt, env)):
-                    return FALSE
-            return TRUE
-        return conjunction
+def _build_junction(expr: Junction) -> t.Callable:
+    """One loop over a junction's parts, left to right, stopping at the
+    first part that decides it: a FALSE one for /\\, a TRUE one for \\/."""
+    parts = tuple(_closure(part) for part in expr.parts)
+    stop = isinstance(expr, Or)
+    decided, exhausted = (TRUE, FALSE) if stop else (FALSE, TRUE)
 
-    def disjunction(current, nxt, env):
+    def junction(current, nxt, env):
         for part in parts:
-            if require_bool(part(current, nxt, env)):
-                return TRUE
-        return FALSE
-    return disjunction
+            if require_bool(part(current, nxt, env)) == stop:
+                return decided
+        return exhausted
+    return junction
 
 
 def _build_binary(expr: ExprNode, left: t.Callable, right: t.Callable) -> t.Callable:

@@ -44,6 +44,8 @@ _COMPARISON_OPS = {
     "\\in": sp.In,
 }
 
+_CONSTANTS = {"TRUE": TRUE, "FALSE": FALSE, "BOOLEAN": BOOLEANS}
+
 _NO_FENCE = -1
 
 
@@ -173,18 +175,18 @@ class _ExprParser:
         return left
 
     def disjunction(self, fence: int) -> sp.Expr:
-        left = self.conjunction(fence)
+        parts = [self.conjunction(fence)]
         while self.stream.at_op("\\/") and self.stream.peek().col > fence:
             self.stream.next()
-            left = sp.Or(left, self.conjunction(fence))
-        return left
+            parts.append(self.conjunction(fence))
+        return sp.disj(*parts)
 
     def conjunction(self, fence: int) -> sp.Expr:
-        left = self.unary(fence)
+        parts = [self.unary(fence)]
         while self.stream.at_op("/\\") and self.stream.peek().col > fence:
             self.stream.next()
-            left = sp.And(left, self.unary(fence))
-        return left
+            parts.append(self.unary(fence))
+        return sp.conj(*parts)
 
     def unary(self, fence: int) -> sp.Expr:
         guard = self.stream.peek()
@@ -271,12 +273,8 @@ class _ExprParser:
             return sp.Const(IntVal(-int(number.lexeme)))
         if tok.kind == "keyword":
             self.stream.next()
-            if tok.lexeme == "TRUE":
-                return sp.Const(TRUE)
-            if tok.lexeme == "FALSE":
-                return sp.Const(FALSE)
-            if tok.lexeme == "BOOLEAN":
-                return sp.Const(BOOLEANS)
+            if tok.lexeme in _CONSTANTS:
+                return sp.Const(_CONSTANTS[tok.lexeme])
             raise ParseError(f"{tok.lexeme} cannot start an expression",
                              tok.line, tok.col)
         if tok.kind == "ident":
@@ -388,6 +386,12 @@ def parse_module(source: str) -> ParsedModule:
     return parse(tokenize(source))
 
 
+def _disjuncts(expr) -> list:
+    """`expr`'s disjuncts, left to right, with each nested \\/ flattened."""
+    return sp.fold(expr, lambda node, found: [d for ds in found for d in ds] or [node],
+                   lambda node: node.parts if isinstance(node, sp.Or) else ())
+
+
 def to_spec(module: ParsedModule, name: str = "module",
             invariant_names: tuple = ()) -> sp.TemporalSpec:
     """Assemble a TemporalSpec from a parsed module's Init and Next.
@@ -403,8 +407,7 @@ def to_spec(module: ParsedModule, name: str = "module",
             raise MissingDefinition(f"no definition named {required!r}")
 
     actions = []
-    disjuncts = sp.junction_parts(module.raw("Next"), sp.Or)
-    for index, disjunct in enumerate(disjuncts, start=1):
+    for index, disjunct in enumerate(_disjuncts(module.raw("Next")), start=1):
         action = disjunct.name if isinstance(disjunct, Ref) else f"A{index}"
         actions.append(sp.NamedAction(action, module.expand(disjunct)))
 

@@ -44,10 +44,11 @@ def _wrap(part: tuple, context: int) -> str:
 
 
 def _infix(lexeme: str, level: int, left: int, right: int):
-    """The step of a binary operator whose operands sit at strengths
-    `left` and `right`."""
+    """The step of a binary operator or a junction list whose first
+    operand sits at strength `left` and every later one at `right`."""
     def step(node, parts) -> tuple:
-        return f"{_wrap(parts[0], left)}{lexeme}{_wrap(parts[1], right)}", level
+        rest = [_wrap(part, right) for part in parts[1:]]
+        return lexeme.join([_wrap(parts[0], left), *rest]), level
     return step
 
 

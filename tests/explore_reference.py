@@ -122,10 +122,8 @@ def _plan_node(expr, parts: list, target: type):
     return _plan_leaf(expr, target)
 
 
-def _junction_parts(expr) -> list:
-    if isinstance(expr, (sp.And, sp.Or)):
-        return sp.junction_parts(expr, type(expr))
-    return []
+def _junction_parts(expr) -> tuple:
+    return expr.parts if isinstance(expr, (sp.And, sp.Or)) else ()
 
 
 def candidate_plan(formula, target: type):

@@ -433,3 +433,20 @@ class TestBehaviorSatisfies:
 
     def test_single_state_behavior_needs_only_init(self):
         assert behavior_satisfies(self.SPEC, self.b(1))
+
+    def test_a_behavior_the_walk_emits_holds(self):
+        # `y' > TRUE` waits for y' and `x > 5` ends that branch first;
+        # evaluated in order, the first disjunct raised TypeMismatch
+        spec = to_spec(parse_module(
+            "VARIABLES x, y\nInit == x = 0 /\\ y = 0\n"
+            "Next == (y' > TRUE /\\ x > 5) \\/ (x' = 1 /\\ y' = 2)\n"))
+        walk = behaviors(spec, 1, 3, 0)[0]
+        assert [as_pair(s, "x", "y") for s in walk.states] == [(0, 0), (1, 2), (1, 2)]
+        assert behavior_satisfies(spec, walk)
+        assert not behavior_satisfies(spec, sp.Behavior(walk.states[1:]))
+
+    def test_a_spec_the_walk_cannot_enumerate_is_unbounded(self):
+        spec = to_spec(parse_module("VARIABLE x\nInit == x = 0\nNext == x' > x\n"))
+        states = [sp.State({"x": IntVal(0)}), sp.State({"x": IntVal(1)})]
+        with pytest.raises(UnboundedDomain, match="action A1 leaves it free"):
+            behavior_satisfies(spec, sp.Behavior(states))

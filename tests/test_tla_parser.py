@@ -224,8 +224,8 @@ class TestToSpec:
         assert [a.name for a in spec.actions] == ["A1", "A2"]  # inline disjuncts
         assert sp.Or(sp.And(spec.actions[0].formula, sp.boolval(True)),
                      sp.boolval(True))  # formulas are plain spec-core trees
-        assert spec.actions[0].formula == GOLDEN_NEXT.left
-        assert spec.actions[1].formula == GOLDEN_NEXT.right
+        assert spec.actions[0].formula == GOLDEN_NEXT.parts[0]
+        assert spec.actions[1].formula == GOLDEN_NEXT.parts[1]
 
     def test_named_disjuncts_keep_their_names(self):
         source = ("VARIABLE b\n"

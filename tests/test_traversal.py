@@ -12,6 +12,7 @@ from the parser's recursive descent and the value codecs.
 """
 
 import ast
+import operator
 import pathlib
 import random
 
@@ -25,6 +26,7 @@ import tmbt.spec as sp
 import tmbt.specs as specs
 from tmbt.errors import MissingDefinition, TypeMismatch
 from tmbt.tla import parse_expression, parse_module, print_expression, to_spec
+from tmbt.tla import parser
 from tmbt.tla.parser import ParsedModule, Ref
 from tmbt.values import BOOLEANS, TRUE, IntVal, SetVal
 
@@ -58,6 +60,8 @@ def _plant(expr, rng: random.Random, make, rate: float = 0.3):
             changes[name] = tuple(_plant(v, rng, make, rate) for v in value)
     if not changes and rng.random() < rate:
         return make()
+    if isinstance(expr, sp.Junction):  # it takes its parts as arguments
+        return type(expr)(*changes["parts"])
     return type(expr)(**{name: changes.get(name, getattr(expr, name))
                          for name in expr._fields})
 
@@ -231,7 +235,9 @@ class TestExpansion:
         expanded = module.definition_map()
         assert spec.init is expanded["A"]
         assert spec.invariant_map()["TypeOK"] is expanded["A"]
-        assert spec.actions[0].formula.children()[0] is expanded["A"]
+        # A's parts open Next's list, which holds them, not copies
+        assert all(map(operator.is_, spec.actions[0].formula.parts,
+                       expanded["A"].parts))
         assert module.definition_map() is not expanded
 
     def test_a_reference_to_a_later_definition_is_missing(self):
@@ -253,12 +259,12 @@ class TestOperands:
                 want = list(tree_walkers._operands(node))
                 assert len(got) == len(want)
                 assert all(a is b for a, b in zip(got, want))
-            assert sp.junction_parts(tree, sp.Or) == tree_walkers._spine(tree)
+            assert parser._disjuncts(tree) == tree_walkers._spine(tree)
 
     def test_compiled_operands_are_skipped(self):
         tree = sp.And(sp.Not(sp.Var("x")), sp.Var("y"))
-        sp.eval_expr(tree.left, sp.State({"x": TRUE}))
-        assert sp._operands(tree) == [tree.right]
+        sp.eval_expr(tree.parts[0], sp.State({"x": TRUE}))
+        assert sp._operands(tree) == [tree.parts[1]]
 
 
 def _reads(expr, kind: type, bound: frozenset = frozenset()) -> frozenset:
@@ -356,14 +362,14 @@ class TestDepth:
         module = parse_module(source)
         spec = to_spec(module)
         part = sp.Eq(sp.Var("x"), sp.intval(0))
-        assert sp.junction_parts(spec.init, sp.And) == [part] * self.PARTS
+        assert list(spec.init.parts) == [part] * self.PARTS
         document = ir.spec_to_json(spec)
         node, depth = document["init"], 0
         while node["op"] == "and":
             node, depth = node["args"][0], depth + 1
         assert depth == self.PARTS - 1
         decoded = ir.spec_from_json(document)
-        assert sp.junction_parts(decoded.init, sp.And) == [part] * self.PARTS
+        assert list(decoded.init.parts) == [part] * self.PARTS
 
     def test_deep_diagnostics_come_in_order(self):
         parts = [sp.Eq(sp.Var(f"v{i}"), sp.intval(0)) for i in range(self.PARTS)]
@@ -377,7 +383,7 @@ class TestDepth:
         tree = sp.conj(*parts)
         text = print_expression(tree)
         assert text == " /\\ ".join(f"(v{i} = 0)" for i in range(self.PARTS))
-        assert sp.junction_parts(parse_expression(text), sp.And) == parts
+        assert list(parse_expression(text).parts) == parts
 
     def test_a_deep_negation_prints(self):
         tree = sp.Var("b")

@@ -2,12 +2,15 @@
 
 This is the evaluator `tmbt.spec` shipped before formulas were compiled
 to closures, unchanged: it recurses over the expression tree on every
-call and materializes each integer range as a set.  The differential
+call and materializes each integer range as a set.  It reads an n-ary
+junction through `tree_walkers.binary`, as the binary node it was.  The differential
 test in test_compiled_eval.py holds the compiled evaluator to its values
 and to its error types and messages.
 """
 
 from __future__ import annotations
+
+from tree_walkers import binary
 
 from tmbt.errors import (
     EmptyChooseDomain,
@@ -98,13 +101,15 @@ def eval_expr(expr: Expr, current: State, nxt: State | None = None,
     if isinstance(expr, Not):
         return BoolVal(not require_bool(eval_expr(expr.operand, current, nxt, env)))
     if isinstance(expr, And):
-        if not require_bool(eval_expr(expr.left, current, nxt, env)):
+        left, right = binary(expr)
+        if not require_bool(eval_expr(left, current, nxt, env)):
             return BoolVal(False)
-        return BoolVal(require_bool(eval_expr(expr.right, current, nxt, env)))
+        return BoolVal(require_bool(eval_expr(right, current, nxt, env)))
     if isinstance(expr, Or):
-        if require_bool(eval_expr(expr.left, current, nxt, env)):
+        left, right = binary(expr)
+        if require_bool(eval_expr(left, current, nxt, env)):
             return BoolVal(True)
-        return BoolVal(require_bool(eval_expr(expr.right, current, nxt, env)))
+        return BoolVal(require_bool(eval_expr(right, current, nxt, env)))
     if isinstance(expr, Implies):
         if not require_bool(eval_expr(expr.left, current, nxt, env)):
             return BoolVal(True)

@@ -9,6 +9,10 @@ parser (`_expand`, `_spine`), the IR codec (`expr_to_json`,
 Each recurses once per tree level.  The differential tests in
 test_traversal.py hold the new walkers to their results and to their
 "not an expression" errors.
+
+They were written for binary junctions, and read an n-ary And or Or
+through `binary`, the binary node its left-nested chain ends in; the
+compiler's operands of a junction are its `parts`.
 """
 
 from __future__ import annotations
@@ -54,25 +58,23 @@ from tmbt.values import (
 _BINARY = (Implies, Eq, Neq, Add, Sub) + COMPARISONS
 
 
-def _junction_parts(expr: And | Or) -> list:
-    """The operands of a chain of one junction kind, left to right."""
-    kind = And if isinstance(expr, And) else Or
-    parts, stack = [], [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, kind):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            parts.append(node)
-    return parts
+def binary(expr: And | Or) -> tuple:
+    """A junction as the top node of its left-nested binary chain: (the
+    chain below, as one junction or its first part; its last part)."""
+    *below, last = expr.parts
+    return (below[0] if len(below) == 1 else type(expr)(*below)), last
+
+
+def _sides(expr) -> tuple:
+    """The two operands of a binary node, a junction read by `binary`."""
+    return binary(expr) if isinstance(expr, (And, Or)) else (expr.left, expr.right)
 
 
 def _operands(expr: ExprNode) -> t.Sequence:
     """The subexpressions to compile before `expr`: its operands, or the
-    parts of a junction chain."""
+    parts of a junction."""
     if isinstance(expr, (And, Or)):
-        return _junction_parts(expr)
+        return expr.parts
     if isinstance(expr, Not):
         return (expr.operand,)
     if isinstance(expr, (SetLit, SeqLit)):
@@ -125,8 +127,9 @@ def _scan(expr: Expr, declared: frozenset, bound: frozenset,
         _scan(expr.domain, declared, bound, construct, allow_primed, out)
         return
     # remaining nodes are binary left/right
-    _scan(expr.left, declared, bound, construct, allow_primed, out)
-    _scan(expr.right, declared, bound, construct, allow_primed, out)
+    left, right = _sides(expr)
+    _scan(left, declared, bound, construct, allow_primed, out)
+    _scan(right, declared, bound, construct, allow_primed, out)
 
 
 def well_formed(spec: TemporalSpec) -> list:
@@ -175,14 +178,15 @@ def _expand(expr, raw: dict, memo: dict):
         return type(expr)(expr.var,
                           _expand(expr.domain, raw, memo),
                           _expand(expr.body, raw, memo))
-    return type(expr)(_expand(expr.left, raw, memo),
-                      _expand(expr.right, raw, memo))
+    left, right = _sides(expr)
+    return type(expr)(_expand(left, raw, memo), _expand(right, raw, memo))
 
 
 def _spine(expr) -> list:
     """Disjuncts of the top-level \\/ structure, left to right."""
     if isinstance(expr, sp.Or):
-        return _spine(expr.left) + _spine(expr.right)
+        left, right = binary(expr)
+        return _spine(left) + _spine(right)
     return [expr]
 
 
@@ -228,7 +232,8 @@ def expr_to_json(expr) -> dict:
     if op is None:
         msg = f"not an expression: {expr!r}"
         raise TypeMismatch(msg)
-    return {"op": op, "args": [expr_to_json(expr.left), expr_to_json(expr.right)]}
+    left, right = _sides(expr)
+    return {"op": op, "args": [expr_to_json(left), expr_to_json(right)]}
 
 
 def expr_from_json(data: dict):
@@ -317,10 +322,12 @@ def _print(expr, context: int) -> str:
         text = f"{_print(expr.left, _OR)} => {_print(expr.right, _LOOSE)}"
         return _wrap(text, _LOOSE, context)
     if isinstance(expr, sp.Or):
-        text = f"{_print(expr.left, _OR)} \\/ {_print(expr.right, _AND)}"
+        left, right = binary(expr)
+        text = f"{_print(left, _OR)} \\/ {_print(right, _AND)}"
         return _wrap(text, _OR, context)
     if isinstance(expr, sp.And):
-        text = f"{_print(expr.left, _AND)} /\\ {_print(expr.right, _NOT)}"
+        left, right = binary(expr)
+        text = f"{_print(left, _AND)} /\\ {_print(right, _NOT)}"
         return _wrap(text, _AND, context)
     if isinstance(expr, sp.Not):
         return _wrap("~" + _print(expr.operand, _ATOM), _NOT, context)
