@@ -46,6 +46,9 @@ CASES = {
     "next-disjunct": (["--spec", str(SPECS / "next_disjunct.tla")], 1),
     "disabled-guard": (["--spec", str(SPECS / "disabled_guard.tla")], 0),
     "junctions": (["--spec", str(SPECS / "junctions.tla")], 0),
+    # two shortest traces to the violation: the first initial state's wins,
+    # though the other passes through a state with the smaller key
+    "diamond": (["--spec", str(SPECS / "diamond.tla"), "--invariant", "Inv"], 1),
 }
 
 # name: the source `translate` reads
