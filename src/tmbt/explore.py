@@ -20,7 +20,6 @@ Counting contract:
 from __future__ import annotations
 
 import random
-from collections import deque
 
 from . import spec as sp
 from .errors import NoInitialStates, TmbtError, UnboundedDomain, UnboundVariable
@@ -144,7 +143,7 @@ def _binding(expr, kind: type):
 
 def _parts(node) -> tuple:
     if isinstance(node, sp.Junction):
-        return node.parts
+        return sp.flat_parts(node)
     return (node.body,) if isinstance(node, sp.Exists) else ()
 
 
@@ -314,79 +313,68 @@ def explore(spec: sp.TemporalSpec, max_distinct: int | None = None,
     tests can permute each BFS level and check exactly that.  When a
     limit cuts the search short the stats carry truncated=True and count
     only what was actually generated.
+
+    The same search picks each state's trace parent, as TLC keeps a
+    predecessor per state: of the states one level up with a step to it,
+    the one of least rank.  Initial states rank in `state_key` order, and
+    each later level by (rank of parent, `state_key`): the order in which
+    a BFS that visits every state's successors in key order reaches them.
     """
     domains = derive_domains(spec)
     inits = initial_states(spec, domains)
 
     depth = {s: 0 for s in inits}  # every reached state, by BFS level
+    parent = dict.fromkeys(inits)  # (rank of trace parent, trace parent)
+    rank = {s: i for i, s in enumerate(inits)}  # this level's, see above
     edges = set()
     states_found = len(inits)
     truncated = False
 
-    level = list(inits)
+    level, here = list(inits), 0
     while level:
         if shuffle is not None:
             shuffle.shuffle(level)
-        if max_depth is not None and level and depth[level[0]] >= max_depth:
+        if max_depth is not None and here >= max_depth:
             truncated = True
             break
         next_level = []
         for state in level:
             succs = successors(spec, state, domains)
             states_found += len(succs)
+            mine = (rank[state], state)
             for action_name, target in succs:
-                if target not in depth:
+                reached = depth.get(target)
+                if reached is None:
                     if max_distinct is not None and len(depth) >= max_distinct:
                         truncated = True
                         continue
-                    depth[target] = depth[state] + 1
+                    depth[target] = here + 1
+                    parent[target] = mine
                     next_level.append(target)
+                elif reached > here and mine[0] < parent[target][0]:
+                    parent[target] = mine
                 edges.add((state, action_name, target))
-        level = next_level
+        ranked = sorted(next_level, key=lambda s: (parent[s][0], sp.state_key(s)))
+        rank = {s: i for i, s in enumerate(ranked)}
+        level, here = next_level, here + 1
 
     graph = StateGraph(frozenset(depth), frozenset(edges), frozenset(inits))
     diameter = 1 + max(depth.values()) if depth else 0
     stats = ExplorationStats(diameter, states_found, len(depth), truncated)
-    cexs = _counterexamples(spec, graph, depth)
-    return graph, stats, cexs
+    return graph, stats, _counterexamples(spec, depth, parent)
 
 
-def _counterexamples(spec: sp.TemporalSpec, graph: StateGraph,
-                     depth: dict) -> list:
-    """Shortest counterexample per violated invariant, deterministically.
-
-    Recomputed from the finished graph so the result is independent of
-    the order the frontier was processed in.
-    """
-    violated = []
-    for inv_name, formula in spec.invariants:
-        bad = [s for s in graph.nodes if not sp.eval_state_formula(formula, s)]
-        if bad:
-            target = min(bad, key=lambda s: (depth[s], sp.state_key(s)))
-            violated.append((inv_name, target))
-    if not violated:
-        return []
-
-    adjacency: dict = {}
-    for source, _, target in graph.edges:
-        adjacency.setdefault(source, set()).add(target)
-    parent = {s: None for s in sorted(graph.initials, key=sp.state_key)}
-    queue = deque(parent)
-    while queue:
-        state = queue.popleft()
-        for target in sorted(adjacency.get(state, ()), key=sp.state_key):
-            if target not in parent:
-                parent[target] = state
-                queue.append(target)
-
+def _counterexamples(spec: sp.TemporalSpec, depth: dict, parent: dict) -> list:
+    """Per violated invariant, the trace to its shallowest violating state
+    of least `state_key`, read back through the trace parents."""
     out = []
-    for inv_name, target in violated:
-        path = []
-        walk = target
-        while walk is not None:
-            path.append(walk)
-            walk = parent[walk]
-        out.append(Counterexample(inv_name, sp.Behavior(reversed(path))))
+    for inv_name, formula in spec.invariants:
+        bad = [s for s in depth if not sp.eval_state_formula(formula, s)]
+        if bad:
+            path = [min(bad, key=lambda s: (depth[s], sp.state_key(s)))]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]][1])
+            out.append(Counterexample(inv_name, sp.Behavior(reversed(path))))
     return out
 
 

@@ -191,6 +191,21 @@ class And(Junction):
     pass
 
 
+def flat_parts(junction: Junction) -> list:
+    """A junction's parts in order, each nested part of its own kind read
+    as its parts: `a /\\ (b /\\ (c /\\ d))` gives a, b, c, d.  An explicit
+    stack keeps any nesting depth away from Python's recursion limit."""
+    kind = type(junction)
+    out, stack = [], [junction]
+    while stack:
+        node = stack.pop()
+        if type(node) is kind:
+            stack += node.parts[::-1]
+        else:
+            out.append(node)
+    return out
+
+
 class Or(Junction):
     pass
 
@@ -465,8 +480,9 @@ _BINARY = (Implies, Eq, Neq, Add, Sub) + COMPARISONS
 
 def _operands(expr: ExprNode) -> list:
     """What to compile before `expr`: the expressions among its children
-    that are not compiled yet."""
-    return [op for op in expr.children()
+    that are not compiled yet; a junction's are its `flat_parts`."""
+    children = flat_parts(expr) if isinstance(expr, Junction) else expr.children()
+    return [op for op in children
             if isinstance(op, ExprNode) and "compiled" not in vars(op)]
 
 
@@ -558,9 +574,9 @@ def _build_primed(name: str) -> t.Callable:
 
 
 def _build_junction(expr: Junction) -> t.Callable:
-    """One loop over a junction's parts, left to right, stopping at the
-    first part that decides it: a FALSE one for /\\, a TRUE one for \\/."""
-    parts = tuple(_closure(part) for part in expr.parts)
+    """One loop over a junction's `flat_parts`, left to right, stopping at
+    the first part that decides it: a FALSE one for /\\, a TRUE one for \\/."""
+    parts = tuple(_closure(part) for part in flat_parts(expr))
     stop = isinstance(expr, Or)
     decided, exhausted = (TRUE, FALSE) if stop else (FALSE, TRUE)
 

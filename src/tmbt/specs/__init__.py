@@ -146,9 +146,8 @@ def therac25() -> sp.TemporalSpec:
 
 
 def steamboiler(low: int = 300, high: int = 700) -> sp.TemporalSpec:
-    from ..streams import ClosedLoop, Thresholds, to_temporal_spec
-    loop = ClosedLoop(thresholds=Thresholds(low, high))
-    return to_temporal_spec(loop)
+    from ..streams import Thresholds, to_temporal_spec
+    return to_temporal_spec(Thresholds(low, high))
 
 
 _INT_PARAMS = {

@@ -35,6 +35,14 @@ SIGNAL_OFF = IntVal(0)
 BAND_LOW = 200
 BAND_HIGH = 800
 
+# The plant, read by the executable loop and by its TemporalSpec alike:
+# the starting level, what the pump adds and steam at most takes per
+# interval, and the tank's range.
+INITIAL_LEVEL = 500
+FILL_RATE = 10
+MAX_CONSUMPTION = 10
+TANK_RANGE = (0, 1000)
+
 
 # ---------------------------------------------------------------------------
 # Timed streams
@@ -244,25 +252,13 @@ class ControllerState(Record):
     last_signal: t.Optional[Value] = None
 
 
-class BoilerPlant(Record):
-    initial_level: int = 500
-    fill_rate: int = 10
-    max_consumption: int = 10
-    tank_range: tuple = (0, 1000)
-
-
-class ClosedLoop(Record):
-    boiler: BoilerPlant = BoilerPlant()
-    thresholds: Thresholds = Thresholds()
-
-
 def step_boiler(level: int, pump_on: bool, consumption: int) -> int:
     """One interval of tank physics: +10 with the pump, -consumption without."""
-    if not 0 <= consumption <= 10:
-        msg = f"consumption {consumption} outside 0..10"
+    if not 0 <= consumption <= MAX_CONSUMPTION:
+        msg = f"consumption {consumption} outside 0..{MAX_CONSUMPTION}"
         raise ConsumptionOutOfRange(msg)
     if pump_on:
-        return level + 10
+        return level + FILL_RATE
     return level - consumption
 
 
@@ -316,12 +312,12 @@ def simulate_closed_loop(thresholds: Thresholds = Thresholds(),
     after they are emitted.
     """
     rng = random.Random(seed)
-    level = 500
+    level = INITIAL_LEVEL
     pump_effective = False
     controller = ControllerState(level, pump_effective)
     steam, sensor, ctrl = [], [], []
     for _ in range(intervals):
-        consumption = rng.randint(0, 10)
+        consumption = rng.randint(0, MAX_CONSUMPTION)
         steam.append([IntVal(consumption)])
         level = step_boiler(level, pump_effective, consumption)
         sensor.append([IntVal(level)])
@@ -337,7 +333,7 @@ def simulate_closed_loop(thresholds: Thresholds = Thresholds(),
 # Translation to a temporal spec
 
 
-def to_temporal_spec(loop: ClosedLoop = ClosedLoop()) -> sp.TemporalSpec:
+def to_temporal_spec(thresholds: Thresholds = Thresholds()) -> sp.TemporalSpec:
     """Encode the closed loop as a TemporalSpec over {level, pumpOn}.
 
     One action per pump mode; each transition applies one interval of
@@ -345,11 +341,9 @@ def to_temporal_spec(loop: ClosedLoop = ClosedLoop()) -> sp.TemporalSpec:
     which drives the pump from the next transition on (the one-step
     signal latency of the stream semantics).
     """
-    thresholds = loop.thresholds
     if not thresholds.low < thresholds.high:
         msg = f"thresholds {thresholds} are not ordered"
         raise ValueError(msg)
-    plant = loop.boiler
     level = sp.Var("level")
     level_next = sp.Primed("level")
     pump = sp.Var("pumpOn")
@@ -365,15 +359,15 @@ def to_temporal_spec(loop: ClosedLoop = ClosedLoop()) -> sp.TemporalSpec:
 
     pump_fills = sp.conj(
         pump,
-        sp.Eq(level_next, sp.Add(level, sp.intval(plant.fill_rate))),
+        sp.Eq(level_next, sp.Add(level, sp.intval(FILL_RATE))),
         switches_off)
     steam_drains = sp.conj(
         sp.Not(pump),
         sp.In(level_next,
-              sp.IntRange(sp.Sub(level, sp.intval(plant.max_consumption)), level)),
+              sp.IntRange(sp.Sub(level, sp.intval(MAX_CONSUMPTION)), level)),
         switches_on)
 
-    lo, hi = plant.tank_range
+    lo, hi = TANK_RANGE
     type_ok = sp.And(
         sp.In(level, sp.IntRange(sp.intval(lo), sp.intval(hi))),
         sp.In(pump, sp.Const(BOOLEANS)))
@@ -383,7 +377,7 @@ def to_temporal_spec(loop: ClosedLoop = ClosedLoop()) -> sp.TemporalSpec:
     return sp.TemporalSpec(
         name="steamboiler",
         variables=("level", "pumpOn"),
-        init=sp.And(sp.Eq(level, sp.intval(plant.initial_level)),
+        init=sp.And(sp.Eq(level, sp.intval(INITIAL_LEVEL)),
                     sp.Eq(pump, sp.Const(FALSE))),
         actions=(
             sp.NamedAction("PumpFills", pump_fills),

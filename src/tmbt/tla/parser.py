@@ -25,26 +25,14 @@ from ..errors import (
     UnsupportedConstruct,
 )
 from ..record import Record
-from ..values import BOOLEANS, FALSE, TRUE, IntVal
+from ..values import IntVal
+from .lexemes import CONSTANTS, QUANTIFIERS, RELATIONS
 from .lexer import RESERVED, Token, tokenize
 
-_COMPARISON_OPS = {
-    "=": sp.Eq,
-    "/=": sp.Neq,
-    "#": sp.Neq,
-    "<": sp.Lt,
-    "<=": sp.Le,
-    ">": sp.Gt,
-    ">=": sp.Ge,
-    "\\nless": sp.NotLt,
-    "\\nleq": sp.NotLe,
-    "\\ngtr": sp.NotGt,
-    "\\ngeq": sp.NotGe,
-    "\\ngeqslant": sp.NotGe,
-    "\\in": sp.In,
-}
-
-_CONSTANTS = {"TRUE": TRUE, "FALSE": FALSE, "BOOLEAN": BOOLEANS}
+# each relation's node kind by lexeme, with the input aliases /= and \ngeqslant
+_RELATIONS = {lexeme: kind for kind, lexeme in RELATIONS.items()}
+_RELATIONS.update({"/=": sp.Neq, "\\ngeqslant": sp.NotGe})
+_QUANTIFIERS = {lexeme: kind for kind, lexeme in QUANTIFIERS.items()}
 
 _NO_FENCE = -1
 
@@ -195,10 +183,8 @@ class _ExprParser:
         if self.stream.at_op("~"):
             self.stream.next()
             return sp.Not(self.unary(fence))
-        if self.stream.at_op("\\A", "\\E"):
-            return self.quantified(fence)
         tok = self.stream.peek()
-        if tok is not None and tok.kind == "keyword" and tok.lexeme == "CHOOSE":
+        if tok is not None and tok.lexeme in _QUANTIFIERS:
             return self.quantified(fence)
         if self.stream.at_op("/\\", "\\/"):
             if tok.col <= fence:
@@ -216,8 +202,7 @@ class _ExprParser:
 
     def quantified(self, fence: int) -> sp.Expr:
         head = self.stream.next()
-        kinds = {"\\A": sp.Forall, "\\E": sp.Exists, "CHOOSE": sp.Choose}
-        node = kinds[head.lexeme]
+        node = _QUANTIFIERS[head.lexeme]
         name_tok = self.stream.peek()
         if name_tok is None or name_tok.kind != "ident":
             raise self.stream.error(f"expected a bound variable after {head.lexeme}")
@@ -236,10 +221,10 @@ class _ExprParser:
         left = self.range_expr(fence)
         tok = self.stream.peek()
         if (tok is not None and tok.kind == "op"
-                and tok.lexeme in _COMPARISON_OPS and tok.col > fence):
+                and tok.lexeme in _RELATIONS and tok.col > fence):
             self.stream.next()
             right = self.range_expr(fence)
-            return _COMPARISON_OPS[tok.lexeme](left, right)
+            return _RELATIONS[tok.lexeme](left, right)
         return left
 
     def range_expr(self, fence: int) -> sp.Expr:
@@ -273,8 +258,8 @@ class _ExprParser:
             return sp.Const(IntVal(-int(number.lexeme)))
         if tok.kind == "keyword":
             self.stream.next()
-            if tok.lexeme in _CONSTANTS:
-                return sp.Const(_CONSTANTS[tok.lexeme])
+            if tok.lexeme in CONSTANTS:
+                return sp.Const(CONSTANTS[tok.lexeme])
             raise ParseError(f"{tok.lexeme} cannot start an expression",
                              tok.line, tok.col)
         if tok.kind == "ident":

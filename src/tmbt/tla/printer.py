@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from .. import spec as sp
 from ..errors import TypeMismatch
-from ..values import BOOLEANS, BoolVal, IntVal, SeqVal, SetVal
+from ..values import BoolVal, IntVal, SeqVal, SetVal
+from .lexemes import CONSTANTS, QUANTIFIERS, RELATIONS
 
 # Binding strength as the printer sees it.  Comparisons and quantified
 # forms share the loosest level so they are parenthesized under every
@@ -21,15 +22,15 @@ from ..values import BOOLEANS, BoolVal, IntVal, SeqVal, SetVal
 # the conventional way these formulas are written.
 _LOOSE, _OR, _AND, _NOT, _RANGE, _ADD, _ATOM = range(7)
 
+_CONSTANT_TEXTS = {value: text for text, value in CONSTANTS.items()}
+
 
 def _value_text(v) -> str:
     if isinstance(v, IntVal):
         return str(v.value)
-    if isinstance(v, BoolVal):
-        return "TRUE" if v.value else "FALSE"
-    if v == BOOLEANS:
-        return "BOOLEAN"
-    if isinstance(v, (SetVal, SeqVal)):
+    if isinstance(v, (BoolVal, SetVal, SeqVal)):
+        if v in _CONSTANT_TEXTS:
+            return _CONSTANT_TEXTS[v]
         msg = "only BOOLEAN has a literal form among container constants"
         raise TypeMismatch(msg)
     msg = f"not a value: {v!r}"
@@ -67,19 +68,6 @@ def _items(opening: str, closing: str):
     return step
 
 
-_COMPARISON_LEXEMES = {
-    sp.Eq: "=",
-    sp.Neq: "#",
-    sp.Lt: "<",
-    sp.Le: "<=",
-    sp.Gt: ">",
-    sp.Ge: ">=",
-    sp.NotLt: "\\nless",
-    sp.NotLe: "\\nleq",
-    sp.NotGt: "\\ngtr",
-    sp.NotGe: "\\ngeq",
-}
-
 # One step per node class: (node, its parts' (text, strength) pairs) ->
 # the node's (text, strength).
 _STEPS = {
@@ -90,18 +78,15 @@ _STEPS = {
     sp.Or: _infix(" \\/ ", _OR, _OR, _AND),
     sp.And: _infix(" /\\ ", _AND, _AND, _NOT),
     sp.Not: lambda node, parts: ("~" + _wrap(parts[0], _ATOM), _NOT),
-    sp.In: _infix(" \\in ", _LOOSE, _RANGE, _RANGE),
     sp.IntRange: _infix("..", _RANGE, _ADD, _ADD),
     sp.Add: _infix(" + ", _ADD, _ADD, _ATOM),
     sp.Sub: _infix(" - ", _ADD, _ADD, _ATOM),
-    sp.Forall: _quantifier("\\A"),
-    sp.Exists: _quantifier("\\E"),
-    sp.Choose: _quantifier("CHOOSE"),
     sp.SetLit: _items("{", "}"),
     sp.SeqLit: _items("<<", ">>"),
 }
 _STEPS.update((kind, _infix(f" {lexeme} ", _LOOSE, _RANGE, _RANGE))
-              for kind, lexeme in _COMPARISON_LEXEMES.items())
+              for kind, lexeme in RELATIONS.items())
+_STEPS.update((kind, _quantifier(lexeme)) for kind, lexeme in QUANTIFIERS.items())
 
 
 def _print_node(node, parts: list) -> tuple:

@@ -14,6 +14,12 @@ test_candidate_plan.py holds the walk to the states these give.
 `behaviors` is the random walk as it was before it walked on the fly:
 it explores the whole reachable graph first and walks its edges.
 test_explore.py holds the new walk to the same walks.
+
+`explore_then_search` is `explore` as it was before the BFS picked each
+state's trace parent: the same BFS, then `counterexamples` turned the
+finished graph's edges into an adjacency dict and ran a second BFS from
+the initial states in key order, each state's successors in key order.
+test_explore.py holds `explore` to the same graphs, stats and traces.
 """
 
 from __future__ import annotations
@@ -21,9 +27,19 @@ from __future__ import annotations
 import itertools
 import random
 
+from collections import deque
+
 import tmbt.spec as sp
 from tmbt.errors import NoInitialStates, TmbtError, UnboundedDomain
-from tmbt.explore import explore
+from tmbt.explore import (
+    Counterexample,
+    ExplorationStats,
+    StateGraph,
+    explore,
+)
+from tmbt.explore import derive_domains as walk_domains
+from tmbt.explore import initial_states as walk_initial_states
+from tmbt.explore import successors as walk_successors
 from tmbt.values import FALSE, TRUE, Value, sorted_values
 
 TYPE_OK_NAME = "TypeOK"
@@ -238,3 +254,85 @@ def behaviors(spec: sp.TemporalSpec, count: int, max_len: int,
             states.append(state)
         walks.append(sp.Behavior(states))
     return walks
+
+
+# ---------------------------------------------------------------------------
+# Counterexamples from a second search
+
+
+def explore_then_search(spec: sp.TemporalSpec, max_distinct: int | None = None,
+                        max_depth: int | None = None,
+                        shuffle: random.Random | None = None):
+    domains = walk_domains(spec)
+    inits = walk_initial_states(spec, domains)
+
+    depth = {s: 0 for s in inits}  # every reached state, by BFS level
+    edges = set()
+    states_found = len(inits)
+    truncated = False
+
+    level = list(inits)
+    while level:
+        if shuffle is not None:
+            shuffle.shuffle(level)
+        if max_depth is not None and level and depth[level[0]] >= max_depth:
+            truncated = True
+            break
+        next_level = []
+        for state in level:
+            succs = walk_successors(spec, state, domains)
+            states_found += len(succs)
+            for action_name, target in succs:
+                if target not in depth:
+                    if max_distinct is not None and len(depth) >= max_distinct:
+                        truncated = True
+                        continue
+                    depth[target] = depth[state] + 1
+                    next_level.append(target)
+                edges.add((state, action_name, target))
+        level = next_level
+
+    graph = StateGraph(frozenset(depth), frozenset(edges), frozenset(inits))
+    diameter = 1 + max(depth.values()) if depth else 0
+    stats = ExplorationStats(diameter, states_found, len(depth), truncated)
+    cexs = counterexamples(spec, graph, depth)
+    return graph, stats, cexs
+
+
+def counterexamples(spec: sp.TemporalSpec, graph: StateGraph,
+                    depth: dict) -> list:
+    """Shortest counterexample per violated invariant, deterministically.
+
+    Recomputed from the finished graph so the result is independent of
+    the order the frontier was processed in.
+    """
+    violated = []
+    for inv_name, formula in spec.invariants:
+        bad = [s for s in graph.nodes if not sp.eval_state_formula(formula, s)]
+        if bad:
+            target = min(bad, key=lambda s: (depth[s], sp.state_key(s)))
+            violated.append((inv_name, target))
+    if not violated:
+        return []
+
+    adjacency: dict = {}
+    for source, _, target in graph.edges:
+        adjacency.setdefault(source, set()).add(target)
+    parent = {s: None for s in sorted(graph.initials, key=sp.state_key)}
+    queue = deque(parent)
+    while queue:
+        state = queue.popleft()
+        for target in sorted(adjacency.get(state, ()), key=sp.state_key):
+            if target not in parent:
+                parent[target] = state
+                queue.append(target)
+
+    out = []
+    for inv_name, target in violated:
+        path = []
+        walk = target
+        while walk is not None:
+            path.append(walk)
+            walk = parent[walk]
+        out.append(Counterexample(inv_name, sp.Behavior(reversed(path))))
+    return out

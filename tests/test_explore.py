@@ -1,5 +1,6 @@
 """Breadth-first exploration against hand-coded brute-force oracles."""
 
+import pathlib
 import random
 import sys
 
@@ -299,6 +300,79 @@ class TestOrderIndependence:
         assert shuffled[0] == baseline[0]  # same graph
         assert shuffled[1] == baseline[1]  # same stats
         assert shuffled[2] == baseline[2]  # same counterexamples
+
+
+DIAMOND = pathlib.Path(__file__).parent / "golden" / "specs" / "diamond.tla"
+
+
+def random_graph_spec(rng: random.Random) -> sp.TemporalSpec:
+    """A spec over x, y in 0..3 with several initial states, two to four
+    actions whose steps often meet again, and one or two invariants that
+    some reachable states violate."""
+    x, y = sp.Var("x"), sp.Var("y")
+
+    def values():
+        return sp.SetLit(sp.intval(v) for v in rng.sample(range(4), rng.randint(1, 3)))
+
+    def update(name):
+        var, nxt = sp.Var(name), sp.Primed(name)
+        pick = rng.randrange(4)
+        if pick == 0:
+            return sp.Eq(nxt, var)
+        if pick == 1:
+            return sp.In(nxt, values())
+        if pick == 2:
+            return sp.And(sp.Lt(var, sp.intval(3)),
+                          sp.Eq(nxt, sp.Add(var, sp.intval(1))))
+        return sp.And(sp.Gt(var, sp.intval(0)), sp.Eq(nxt, sp.Sub(var, sp.intval(1))))
+
+    def invariant():
+        if rng.random() < 0.5:
+            return sp.Lt(sp.Add(x, y), sp.intval(rng.randint(1, 6)))
+        return sp.Not(sp.And(sp.Eq(x, sp.intval(rng.randrange(4))),
+                             sp.Eq(y, sp.intval(rng.randrange(4)))))
+
+    actions = tuple(sp.NamedAction(f"A{i}", sp.conj(update("x"), update("y")))
+                    for i in range(rng.randint(2, 4)))
+    invariants = tuple((f"Inv{i}", invariant()) for i in range(rng.randint(1, 2)))
+    return sp.TemporalSpec("graph", ("x", "y"), sp.conj(sp.In(x, values()),
+                           sp.In(y, values())), actions, invariants)
+
+
+class TestTraceParents:
+    """The BFS picks each state's trace parent; a second search over the
+    finished graph (`explore_reference`) gives the same traces."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_lesser_initial_states_path_wins_in_any_order(self, seed):
+        # (2, 1) has the smaller key, but its parent (1, 0) ranks after (0, 0)
+        spec = to_spec(parse_module(DIAMOND.read_text()), name="diamond",
+                       invariant_names=("Inv",))
+        _, _, [cex] = explore(spec, shuffle=random.Random(seed))
+        assert [as_pair(s, "x", "y") for s in cex.trace.states] == \
+            [(0, 0), (5, 1), (9, 2)]
+
+    def test_random_specs_match_the_second_search(self):
+        rng = random.Random(14)
+        traces = choices = truncated = 0
+        for _ in range(1000):
+            spec = random_graph_spec(rng)
+            max_distinct = rng.choice((None, None, rng.randint(1, 16)))
+            max_depth = rng.choice((None, None, rng.randint(0, 5)))
+            seed = rng.choice((None, rng.randrange(1000)))
+            old, new = (None if seed is None else random.Random(seed) for _ in "on")
+            limits = (max_distinct, max_depth)
+            got = explore(spec, *limits, new)
+            assert got == ref.explore_then_search(spec, *limits, old), spec
+            graph, stats, cexs = got
+            traces += len(cexs)
+            truncated += stats.truncated
+            # a trace state with two or more predecessors: a tie to break
+            choices += any(
+                len({source for source, _, target in graph.edges if target == s}) > 1
+                for cex in cexs for s in cex.trace.states[1:])
+        assert traces > 900 and choices > 200 and truncated > 250, \
+            (traces, choices, truncated)
 
 
 class TestTruncation:

@@ -7,7 +7,8 @@ form.  The IR still writes the binary form.  On random trees with
 junctions nested both ways, the codec and the printer must give what
 the recursive binary walkers in `tree_walkers` give over the binary
 view, and decoding must invert encoding.  Long junctions must compare,
-hash and print without recursing once per part.
+hash and print without recursing once per part, and a right-nested one
+must evaluate and walk without recursing once per level.
 """
 
 import pytest
@@ -18,6 +19,7 @@ import tree_walkers
 import tmbt.ir as ir
 import tmbt.spec as sp
 from tmbt.errors import TypeMismatch
+from tmbt.explore import derive_domains, initial_states, successors
 from tmbt.tla import parse_expression, print_expression
 
 A, B, C, D = (sp.Var(name) for name in "abcd")
@@ -120,3 +122,46 @@ class TestDeepRecords:
         text = repr(one)
         assert text.startswith(f"{type(one).__name__}(parts=(Eq(")
         assert text.count("Eq(") == self.PARTS
+
+
+class TestRightNested:
+    DEPTH = 3_000
+    X = sp.Var("x")
+    ONE = sp.Eq(X, sp.intval(1))
+    STATE = sp.State({"x": sp.intval(1).value})
+
+    def nested(self, kind, leaf):
+        """`leaf` op (`leaf` op (... op `leaf`)), DEPTH levels deep."""
+        formula = leaf
+        for _ in range(self.DEPTH):
+            formula = kind(leaf, formula)
+        return formula
+
+    def test_flat_parts_splice_only_their_own_kind(self):
+        assert sp.flat_parts(sp.And(A, sp.And(B, sp.And(C, D)))) == [A, B, C, D]
+        inner = sp.And(B, sp.Or(C, D))
+        assert sp.flat_parts(sp.Or(A, inner)) == [A, inner]
+
+    @pytest.mark.parametrize("kind", [sp.And, sp.Or])
+    def test_the_evaluator_compiles_one_flat_loop(self, kind):
+        leaves = [sp.Eq(self.X, sp.intval(i)) for i in range(3)]
+        formula = kind(leaves[0], kind(leaves[1], leaves[2]))
+        assert sp.eval_state_formula(formula, self.STATE) == (kind is sp.Or)
+        assert all("compiled" in vars(leaf) for leaf in leaves)
+        assert "compiled" not in vars(formula.parts[1])  # read through, not compiled
+        assert sp.eval_state_formula(self.nested(kind, self.ONE), self.STATE)
+
+    @pytest.mark.parametrize("kind", [sp.And, sp.Or])
+    def test_init_and_next_walk_without_recursion(self, kind):
+        step = sp.And(self.ONE, sp.Eq(sp.Primed("x"), sp.intval(1)))
+        spec = sp.TemporalSpec("t", ("x",), self.nested(kind, self.ONE),
+                               (sp.NamedAction("A", self.nested(kind, step)),))
+        assert initial_states(spec) == [self.STATE]
+        assert successors(spec, self.STATE) == [("A", self.STATE)]
+
+    @pytest.mark.parametrize("kind", [sp.And, sp.Or])
+    def test_type_ok_narrows_without_recursion(self, kind):
+        member = sp.In(self.X, sp.SetLit((sp.intval(1), sp.intval(2))))
+        spec = sp.TemporalSpec("t", ("x",), self.ONE, (),
+                               (("TypeOK", self.nested(kind, member)),))
+        assert list(derive_domains(spec)["x"]) == [sp.intval(n).value for n in (1, 2)]

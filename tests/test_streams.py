@@ -11,8 +11,6 @@ from tmbt.streams import (
     SIGNAL_OFF,
     SIGNAL_ON,
     AssumptionViolated,
-    BoilerPlant,
-    ClosedLoop,
     ComponentSpec,
     Conforms,
     ControllerState,
@@ -249,7 +247,7 @@ class TestToTemporalSpec:
 
     def test_unordered_thresholds_are_rejected(self):
         with pytest.raises(ValueError):
-            to_temporal_spec(ClosedLoop(thresholds=Thresholds(700, 300)))
+            to_temporal_spec(Thresholds(700, 300))
 
     def test_every_transition_moves_the_level_at_most_ten(self):
         graph, _, _ = explore(to_temporal_spec())
@@ -267,10 +265,9 @@ class TestToTemporalSpec:
         assert all(200 <= s["level"].value <= 800 for s in graph.nodes)
 
     def test_loose_loop_is_not(self):
-        loop = ClosedLoop(thresholds=Thresholds(190, 810))
-        _, _, cexs = explore(to_temporal_spec(loop))
+        _, _, cexs = explore(to_temporal_spec(Thresholds(190, 810)))
         assert any(c.invariant == "LevelInBand" for c in cexs)
 
     def test_parameters_are_recorded(self):
-        spec = to_temporal_spec(ClosedLoop(thresholds=Thresholds(250, 750)))
+        spec = to_temporal_spec(Thresholds(250, 750))
         assert spec.param_map() == {"low": 250, "high": 750}

@@ -12,7 +12,8 @@ test_traversal.py hold the new walkers to their results and to their
 
 They were written for binary junctions, and read an n-ary And or Or
 through `binary`, the binary node its left-nested chain ends in; the
-compiler's operands of a junction are its `parts`.
+compiler's operands of a junction are its `parts`, each nested part of
+the same kind read as its own operands (`_flat`).
 """
 
 from __future__ import annotations
@@ -70,11 +71,16 @@ def _sides(expr) -> tuple:
     return binary(expr) if isinstance(expr, (And, Or)) else (expr.left, expr.right)
 
 
+def _flat(junction) -> list:
+    return [leaf for part in junction.parts for leaf in (
+        _flat(part) if type(part) is type(junction) else (part,))]
+
+
 def _operands(expr: ExprNode) -> t.Sequence:
     """The subexpressions to compile before `expr`: its operands, or the
-    parts of a junction."""
+    parts of a junction read through nested parts of its kind."""
     if isinstance(expr, (And, Or)):
-        return expr.parts
+        return _flat(expr)
     if isinstance(expr, Not):
         return (expr.operand,)
     if isinstance(expr, (SetLit, SeqLit)):
