@@ -4,59 +4,82 @@ Executable Init/Next specifications with exhaustive breadth-first
 exploration, a textual TLA+ subset front end, timed-stream component
 specs, and model-guided stateful property-based testing.
 
+Every public name loads its module on first use (PEP 562), so
+`import tmbt` loads no submodule, and a process such as the boiler SUT
+pays only for the modules it runs.
+
 `tmbt.explore` is the exploration function, and it shadows the submodule
-of the same name: `import tmbt.explore as m` binds the function too.
-Reach the module as `from tmbt.explore import ...` or
-`importlib.import_module("tmbt.explore")`.
+of the same name whatever the import order: `import tmbt.explore as m`
+binds the function too.  Reach the module as `from tmbt.explore import
+...` or `importlib.import_module("tmbt.explore")`.
 """
 
 import importlib
-
-from .errors import TmbtError
-from .explore import (
-    Counterexample,
-    ExplorationStats,
-    StateGraph,
-    behavior_satisfies,
-    behaviors,
-    explore,
-    initial_states,
-    successors,
-)
-from .spec import (
-    Behavior,
-    NamedAction,
-    State,
-    TemporalSpec,
-    eval_action_formula,
-    eval_expr,
-    eval_state_formula,
-    well_formed,
-)
-from .values import BoolVal, IntVal, SeqVal, SetVal, Value
+import sys
+import types
 
 __version__ = "0.1.0"
 
-# The IR codec and the TLA-subset front end load on first use of one of
-# their names (PEP 562), so importing the package, or a command that
-# needs neither, does not pay for them.  `explore` stays an eager import:
-# the function it binds must shadow the submodule of the same name.
-_LAZY = {
+# Each public name and the submodule that defines it.
+_HOMES = {
+    "TmbtError": "errors",
+    "Counterexample": "explore",
+    "ExplorationStats": "explore",
+    "StateGraph": "explore",
+    "behavior_satisfies": "explore",
+    "behaviors": "explore",
+    "initial_states": "explore",
+    "successors": "explore",
     "spec_from_text": "ir",
     "spec_to_text": "ir",
+    "Behavior": "spec",
+    "NamedAction": "spec",
+    "State": "spec",
+    "TemporalSpec": "spec",
+    "eval_action_formula": "spec",
+    "eval_expr": "spec",
+    "eval_state_formula": "spec",
+    "well_formed": "spec",
     "parse_expression": "tla",
     "parse_module": "tla",
     "pretty_print": "tla",
     "to_spec": "tla",
+    "BoolVal": "values",
+    "IntVal": "values",
+    "SeqVal": "values",
+    "SetVal": "values",
+    "Value": "values",
 }
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    if name not in _HOMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
-    return getattr(module, name)
+    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
 
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    """The package module, whose `explore` is always the function.
+
+    Importing `tmbt.explore` binds the submodule onto the package; the
+    property ignores that assignment and reads the function instead."""
+
+    @property
+    def explore(self):
+        return importlib.import_module(f"{__name__}.explore").explore
+
+    @explore.setter
+    def explore(self, module):
+        pass
+
+
+sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "Behavior",

@@ -1,12 +1,12 @@
-"""Steam-boiler system under test, its test model, and the SUT executable.
+"""Steam-boiler system under test and the SUT executable.
 
 BoilerSystem is the implementation being tested: a small imperative
-state machine behind the nine-operation control API.  The model side
-describes the same behavior for the property-based test engine:
-build_sut_model_spec states the model's variables, their types and its
-initial state, and build_boiler_binding the operations that move it.
-The two sides are kept separate on purpose, since agreement between
-them is exactly what the tests establish.
+state machine behind the nine-operation control API.  Its test model
+lives in tmbt.boiler_model; build_sut_model_spec, build_boiler_binding
+and reference_adapter are reachable here too, and load it on first use.
+At module level this file imports only the standard library's json and
+sys, so the SUT process `python -m tmbt.boiler` loads no other tmbt
+module.
 
 Two seeded faults are available for exercising the engine:
   band   the controller reacts at 190/810 instead of the configured
@@ -15,15 +15,8 @@ Two seeded faults are available for exercising the engine:
          controller still works)
 """
 
-from __future__ import annotations
-
 import json
 import sys
-
-from . import spec as sp
-from .explore import initial_states
-from .pbt import ArgSpec, InProcessAdapter, ModelBinding, OpSpec
-from .values import BOOLEANS, FALSE, TRUE, BoolVal, IntVal
 
 LOW_DEFAULT = 300
 HIGH_DEFAULT = 700
@@ -37,6 +30,8 @@ OP_NAMES = (
     "pumpDidClose", "closePump", "waterLevelDidChange",
     "checkWaterLevel", "controlSignalDidChange",
 )
+
+MALFORMED = "malformed request"
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +93,9 @@ class BoilerSystem:
         if op == "pumpDidOpen" or op == "pumpDidClose":
             return {"pump": self.pump}
         if op == "waterLevelDidChange":
-            amount = args["amount"]
+            amount = args.get("amount")
+            if type(amount) is not int:  # a JSON true is no amount
+                raise ValueError(MALFORMED)
             self.level = max(TANK_MIN, min(TANK_MAX, self.level + amount))
             self._react()
             return {"level": self.level, "pump": self.pump,
@@ -120,122 +117,17 @@ def build_system(mutant: str | None = None) -> BoilerSystem:
     raise ValueError(f"unknown mutant {mutant!r}")
 
 
-def reference_adapter(mutant: str | None = None) -> InProcessAdapter:
-    return InProcessAdapter(build_system(mutant))
+_MODEL_NAMES = ("build_boiler_binding", "build_sut_model_spec",
+                "reference_adapter")
 
 
-# ---------------------------------------------------------------------------
-# The test model
-
-
-def build_sut_model_spec() -> sp.TemporalSpec:
-    """Model state space for the API tests: the executive flag, the
-    tank level, the pump state and the last emitted control signal
-    (-1 before any signal).  The spec has no actions: the model's
-    transitions are the operations of build_boiler_binding."""
-    running = sp.Var("running")
-    level = sp.Var("level")
-    pump = sp.Var("pump")
-    sig = sp.Var("sig")
-    booleans = sp.Const(BOOLEANS)
-    type_ok = sp.conj(
-        sp.In(running, booleans),
-        sp.In(level, sp.IntRange(sp.intval(TANK_MIN), sp.intval(TANK_MAX))),
-        sp.In(pump, booleans),
-        sp.In(sig, sp.IntRange(sp.intval(-1), sp.intval(1))),
-    )
-    init = sp.conj(
-        sp.Eq(running, sp.Const(FALSE)),
-        sp.Eq(level, sp.intval(START_LEVEL)),
-        sp.Eq(pump, sp.Const(FALSE)),
-        sp.Eq(sig, sp.intval(-1)),
-    )
-    return sp.TemporalSpec(
-        name="boiler-api",
-        variables=("running", "level", "pump", "sig"),
-        init=init,
-        actions=(),
-        invariants=(("TypeOK", type_ok),),
-    )
-
-
-def _clamp(level: int) -> int:
-    return max(TANK_MIN, min(TANK_MAX, level))
-
-
-def _controller(level: int, pump: bool, sig, low: int, high: int):
-    if not pump and level <= low:
-        return True, IntVal(1)
-    if pump and level >= high:
-        return False, IntVal(0)
-    return pump, sig
-
-
-def _started(state: sp.State, args: dict):
-    nxt = state.replace(running=TRUE, level=IntVal(START_LEVEL),
-                        pump=FALSE, sig=IntVal(-1))
-    return nxt, {"level": IntVal(START_LEVEL), "pump": FALSE}
-
-
-def _ended(state: sp.State, args: dict):
-    return state.replace(running=FALSE), {}
-
-
-def _pump_set(value: bool):
-    def effect(state: sp.State, args: dict):
-        return state.replace(pump=BoolVal(value)), {"pump": BoolVal(value)}
-    return effect
-
-
-def _pump_query(state: sp.State, args: dict):
-    return state, {"pump": state["pump"]}
-
-
-def _level_query(state: sp.State, args: dict):
-    return state, {"level": state["level"]}
-
-
-def _signal_query(state: sp.State, args: dict):
-    return state, {"signal": state["sig"]}
-
-
-def _level_changed(low: int, high: int):
-    def effect(state: sp.State, args: dict):
-        level = _clamp(state["level"].value + args["amount"].value)
-        pump, sig = _controller(level, state["pump"].value, state["sig"],
-                                low, high)
-        nxt = state.replace(level=IntVal(level), pump=BoolVal(pump), sig=sig)
-        return nxt, {"level": IntVal(level), "pump": BoolVal(pump),
-                     "signal": sig}
-    return effect
-
-
-def build_boiler_binding(low: int = LOW_DEFAULT,
-                         high: int = HIGH_DEFAULT) -> ModelBinding:
-    """Bind the nine boiler API operations to the model, starting from
-    the one state its spec's Init admits."""
-    (initial,) = initial_states(build_sut_model_spec(), {})
-    running = sp.Var("running")
-    pump = sp.Var("pump")
-    sig = sp.Var("sig")
-    run_only = running
-    alphabet = (
-        OpSpec("startSystem", sp.Not(running), _started),
-        OpSpec("endSystem", run_only, _ended),
-        OpSpec("pumpDidOpen", sp.And(running, pump), _pump_query),
-        OpSpec("openPump", sp.And(running, sp.Not(pump)), _pump_set(True)),
-        OpSpec("pumpDidClose", sp.And(running, sp.Not(pump)), _pump_query),
-        OpSpec("closePump", sp.And(running, pump), _pump_set(False)),
-        OpSpec("waterLevelDidChange", run_only, _level_changed(low, high),
-               args=(ArgSpec("amount",
-                             sp.IntRange(sp.intval(-100), sp.intval(100))),),
-               weight=4),
-        OpSpec("checkWaterLevel", run_only, _level_query, weight=2),
-        OpSpec("controlSignalDidChange",
-               sp.And(running, sp.Ge(sig, sp.intval(0))), _signal_query,
-               args=(ArgSpec("val", sp.SetLit((sig,))),)),
-    )
-    return ModelBinding(initial, alphabet)
+def __getattr__(name: str):
+    """The test model's names load tmbt.boiler_model on first use
+    (PEP 562), so the SUT process does not compile the model side."""
+    if name in _MODEL_NAMES:
+        from . import boiler_model
+        return getattr(boiler_model, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +151,19 @@ def main(argv=None) -> int:
         try:
             request = json.loads(line)
             op = request["op"]
+            args = request.get("args", {})
         except (json.JSONDecodeError, KeyError, TypeError):
-            reply = {"ok": False, "error": "malformed request"}
+            args = None
+        if not isinstance(args, dict):
+            reply = {"ok": False, "error": MALFORMED}
+        elif op == "__reset":
+            system.reset()
+            reply = {"ok": True, "observed": {}}
         else:
-            if op == "__reset":
-                system.reset()
-                reply = {"ok": True, "observed": {}}
-            else:
-                try:
-                    observed = system.handle(op, request.get("args", {}))
-                    reply = {"ok": True, "observed": observed}
-                except ValueError as fault:
-                    reply = {"ok": False, "error": str(fault)}
+            try:
+                reply = {"ok": True, "observed": system.handle(op, args)}
+            except ValueError as fault:
+                reply = {"ok": False, "error": str(fault)}
         print(json.dumps(reply, sort_keys=True), flush=True)
     return 0
 

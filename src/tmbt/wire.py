@@ -20,6 +20,8 @@ CASE_DEADLINE_S = 5.0
 # close() waits this long for the SUT to exit once its input is closed,
 # and as long again after asking it to terminate, before killing it.
 CLOSE_GRACE_S = 10.0
+# How often close() checks for an exit that brought no EOF.
+EXIT_POLL_S = 0.05
 
 
 def _observation(line: bytes) -> dict:
@@ -45,6 +47,29 @@ def _observations(lines: list, crash: t.Optional[str]) -> t.Iterator[dict]:
         yield _observation(line)
     if crash is not None:
         raise SutCrashed(crash)
+
+
+def _exited(proc: subprocess.Popen, grace: float) -> bool:
+    """Whether `proc` exits, and is reaped, within `grace` seconds.
+
+    Its output reaching EOF wakes the wait at once, where Popen.wait
+    would sleep between polls; the exit of a process whose output
+    something else holds open is seen within EXIT_POLL_S."""
+    deadline = time.monotonic() + grace
+    stdout = proc.stdout.fileno()
+    with selectors.DefaultSelector() as selector:
+        selector.register(stdout, selectors.EVENT_READ)
+        while (left := deadline - time.monotonic()) > 0:
+            if selector.select(min(left, EXIT_POLL_S)):
+                if not os.read(stdout, 1 << 13):
+                    break  # EOF: the process is exiting
+            elif proc.poll() is not None:
+                return True
+    try:
+        proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+    except subprocess.TimeoutExpired:
+        return False
+    return True
 
 
 class SubprocessAdapter:
@@ -157,11 +182,9 @@ class SubprocessAdapter:
         except OSError:
             pass  # the child stopped reading; its unread input is moot
         for stop in (proc.terminate, proc.kill):
-            try:
-                proc.wait(timeout=CLOSE_GRACE_S)
+            if _exited(proc, CLOSE_GRACE_S):
                 break
-            except subprocess.TimeoutExpired:
-                stop()
+            stop()
         else:
             proc.wait()
         proc.stdout.close()

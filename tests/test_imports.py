@@ -119,13 +119,53 @@ ONEBIT = SRC / "tmbt" / "specs" / "onebit.tla"
     _cli_run(["check", "--example", "steamboiler"]),
     _cli_run(["check", "--spec", str(ONEBIT)]),
     _cli_run(["test", "--cases", "2", "--sut", f"{sys.executable} -m tmbt.boiler"]),
-    "import tmbt.boiler",
+    "import tmbt.boiler; tmbt.boiler.build_boiler_binding()",
 ], ids=["check-example", "check-spec", "test-sut", "boiler"])
 def test_no_command_compiles_dataclasses(code):
     # every record class is a tmbt.record.Record, built without exec
     modules = modules_after(code)
     assert "tmbt.record" in modules
     assert "dataclasses" not in modules
+
+
+def test_the_sut_process_loads_only_the_standard_library_and_itself():
+    # -X importtime names every module the process imports, including
+    # those `main` imports while it serves
+    def imported(argv: list, stdin: str) -> tuple:
+        done = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                              input=stdin, capture_output=True, text=True,
+                              check=True, env=ENV)
+        return done.stdout, {line.rpartition("|")[2].strip()
+                             for line in done.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+    _, bare = imported(["-c", "pass"], "")
+    reply, loaded = imported(["-m", "tmbt.boiler"], '{"op": "__reset"}\n')
+    assert json.loads(reply) == {"ok": True, "observed": {}}
+    outside = sorted(m for m in loaded - bare
+                     if m.partition(".")[0] not in sys.stdlib_module_names)
+    # runpy runs tmbt.boiler as __main__, so only the package is imported
+    assert outside == ["tmbt"]
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_after("import tmbt") == {"tmbt"}
+
+
+@pytest.mark.parametrize("first", [
+    "import tmbt.cli",
+    "import tmbt.explore",
+    "from tmbt.explore import successors",
+    "import tmbt; tmbt.explore",
+    "from tmbt import *",
+])
+def test_tmbt_explore_is_the_function_whatever_loads_the_module(first):
+    code = (f"{first}\n"
+            "import inspect, sys, tmbt\n"
+            "assert 'tmbt.explore' in sys.modules\n"
+            "assert inspect.isfunction(tmbt.explore)\n"
+            "assert tmbt.explore is sys.modules['tmbt.explore'].explore")
+    assert "tmbt.explore" in loaded_after(code)
 
 
 # where each public name is defined

@@ -1,8 +1,11 @@
 """Wire protocol: driving SUT processes over line-delimited JSON."""
 
 import json
+import os
 import signal
+import subprocess
 import sys
+import time
 
 import pbt_reference as ref
 import pytest
@@ -117,6 +120,28 @@ class TestBoilerProcess:
             assert sut.apply(Command("startSystem"))["level"].value == 500
         finally:
             sut.close()
+
+    def test_malformed_arguments_are_answered_and_serving_goes_on(self):
+        malformed = {"ok": False, "error": "malformed request"}
+        exchanges = [
+            ({"op": "startSystem"},
+             {"ok": True, "observed": {"level": 500, "pump": False}}),
+            ({"op": "waterLevelDidChange", "args": {}}, malformed),
+            ({"op": "waterLevelDidChange", "args": {"amount": "5"}}, malformed),
+            ({"op": "waterLevelDidChange", "args": {"amount": True}}, malformed),
+            ({"op": "waterLevelDidChange", "args": {"amount": 1.5}}, malformed),
+            ({"op": "waterLevelDidChange", "args": [5]}, malformed),
+            ({"op": "checkWaterLevel", "args": None}, malformed),
+            ({"op": "waterLevelDidChange", "args": {"amount": -5}},
+             {"ok": True,
+              "observed": {"level": 495, "pump": False, "signal": -1}}),
+        ]
+        requests = "".join(json.dumps(r) + "\n" for r, _ in exchanges)
+        done = subprocess.run(BOILER_ARGV, input=requests, capture_output=True,
+                              text=True, timeout=30)
+        assert (done.returncode, done.stderr) == (0, "")
+        replies = [json.loads(line) for line in done.stdout.splitlines()]
+        assert replies == [reply for _, reply in exchanges]
 
     def test_close_is_idempotent(self):
         sut = boiler_process()
@@ -281,3 +306,24 @@ class TestFailingProcesses:
         assert sut.process is None
         assert spawned[0].returncode == -signal.SIGKILL
         assert_all_reaped(spawned)
+
+    def test_exit_is_seen_while_a_child_holds_the_output_open(
+            self, tmp_path, monkeypatch, spawned):
+        # The SUT leaves a child holding its output open and exits on EOF,
+        # so close() sees the exit without an EOF, long before the grace
+        # period ends, and neither terminates nor kills it.
+        monkeypatch.setattr(wire, "CLOSE_GRACE_S", 30.0)
+        body = ("import subprocess, sys\n"
+                "child = subprocess.Popen([sys.executable, '-c',"
+                " 'import time; time.sleep(60)'])\n"
+                "print(child.pid, flush=True)\n"
+                "sys.stdin.read()\n")
+        sut = script_adapter(tmp_path, body)
+        child = int(sut.process.stdout.readline())
+        try:
+            started = time.monotonic()
+            sut.close()
+            assert time.monotonic() - started < 10.0
+            assert spawned[0].returncode == 0
+        finally:
+            os.kill(child, signal.SIGKILL)
