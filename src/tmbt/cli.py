@@ -13,7 +13,6 @@ import os
 import pathlib
 import sys
 
-from . import specs
 from .errors import TmbtError
 from .explore import (
     behavior_to_json,
@@ -25,8 +24,13 @@ from .explore import (
 from .values import value_to_json
 
 # Each command imports the layers only it runs (the parser where a
-# source file is read, the IR in translate, PBT and the boiler in test),
-# so a process pays start-up only for what its command needs.
+# source file is read, the examples where one is named, the IR in
+# translate, PBT and the boiler in test), so a process pays start-up only
+# for what its command needs.
+
+# tmbt.specs.EXAMPLE_NAMES, repeated so that parsing the arguments loads
+# no example; test_cli.py holds the two equal
+EXAMPLE_NAMES = ("onebit", "diehard", "euclid", "therac25", "steamboiler")
 
 PASS, FAIL, USAGE = 0, 1, 2
 INTERRUPTED, PIPE_CLOSED = 130, 141
@@ -71,6 +75,8 @@ def _load_spec(spec_path, example, params, invariants=()):
         path = pathlib.Path(spec_path)
         module = parse_module(path.read_text())
         return to_spec(module, name=path.stem, invariant_names=tuple(invariants))
+    from . import specs
+
     spec = specs.load(example, params)
     known = {name for name, _ in spec.invariants}
     missing = [inv for inv in invariants if inv not in known]
@@ -208,10 +214,23 @@ def _existing_path(text: str) -> str:
     return text
 
 
+def _count(text: str) -> int:
+    """A count option's value: an integer, 0 or more."""
+    import argparse
+
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 # options that more than one command takes
 SPEC = dict(dest="spec_path", type=_existing_path, metavar="FILE",
             help="a .tla-subset source file (or --example)")
-EXAMPLE = dict(choices=specs.EXAMPLE_NAMES,
+EXAMPLE = dict(choices=EXAMPLE_NAMES,
                help="a built-in example spec (or --spec)")
 PARAM = dict(dest="params", action="append", default=[], metavar="K=V",
              help="example parameter K=V (repeatable; default: the "
@@ -254,10 +273,10 @@ def _parser(prog_name):
                      default=[], metavar="NAME",
                      help="check only this invariant (repeatable; default: "
                           "all)")
-    sub.add_argument("--max-distinct", type=int, metavar="N",
+    sub.add_argument("--max-distinct", type=_count, metavar="N",
                      help="stop after this many distinct states (default: "
                           "no limit)")
-    sub.add_argument("--max-depth", type=int, metavar="N",
+    sub.add_argument("--max-depth", type=_count, metavar="N",
                      help="do not explore past this BFS depth (default: "
                           "no limit)")
     sub.add_argument("--format", **FORMAT)
@@ -266,16 +285,16 @@ def _parser(prog_name):
     sub.add_argument("--spec", **SPEC)
     sub.add_argument("--example", **EXAMPLE)
     sub.add_argument("--param", **PARAM)
-    sub.add_argument("--count", type=int, default=10, metavar="N",
+    sub.add_argument("--count", type=_count, default=10, metavar="N",
                      help="behaviors to emit (default: %(default)s)")
-    sub.add_argument("--max-len", type=int, default=10, metavar="N",
+    sub.add_argument("--max-len", type=_count, default=10, metavar="N",
                      help="maximum states per behavior (default: "
                           "%(default)s)")
     sub.add_argument("--seed", type=int, default=0, metavar="N",
                      help="random seed (default: %(default)s)")
 
     sub = command(test)
-    sub.add_argument("--example", choices=specs.EXAMPLE_NAMES,
+    sub.add_argument("--example", choices=EXAMPLE_NAMES,
                      default="steamboiler",
                      help="the example whose test model to run (default: "
                           "%(default)s, the only one with a test model)")
@@ -283,9 +302,9 @@ def _parser(prog_name):
     sub.add_argument("--sut", dest="sut_cmdline", metavar="CMDLINE",
                      help="SUT command line speaking the adapter protocol "
                           "(default: in-process reference implementation)")
-    sub.add_argument("--cases", type=int, default=100, metavar="N",
+    sub.add_argument("--cases", type=_count, default=100, metavar="N",
                      help="cases to generate (default: %(default)s)")
-    sub.add_argument("--max-len", type=int, default=40, metavar="N",
+    sub.add_argument("--max-len", type=_count, default=40, metavar="N",
                      help="maximum commands per case (default: %(default)s)")
     sub.add_argument("--seed", type=int, default=0, metavar="N",
                      help="random seed (default: %(default)s)")

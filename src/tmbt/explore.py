@@ -19,6 +19,7 @@ Counting contract:
 
 from __future__ import annotations
 
+import functools
 import random
 
 from . import spec as sp
@@ -34,9 +35,28 @@ TYPE_OK_NAME = sp.TYPE_OK_NAME
 
 
 class StateGraph(Record):
+    """The explored graph: `nodes`, every reached state, and `initials`.
+
+    The search keeps no edge, as TLC keeps none.  `edges`, every
+    (state, action name, target) step of an expanded state whose target
+    is a node, is derived on first read by stepping those states again.
+    Every node is expanded but those in `unexpanded`: the level at which
+    `max_depth` stopped the search.
+    """
+
     nodes: frozenset
-    edges: frozenset
     initials: frozenset
+    spec: sp.TemporalSpec
+    unexpanded: frozenset = frozenset()
+
+    @functools.cached_property
+    def edges(self) -> frozenset:
+        domains = derive_domains(self.spec)
+        return frozenset(
+            (state, action_name, target)
+            for state in self.nodes - self.unexpanded
+            for action_name, target in successors(self.spec, state, domains)
+            if target in self.nodes)
 
 
 class ExplorationStats(Record):
@@ -312,7 +332,8 @@ def explore(spec: sp.TemporalSpec, max_distinct: int | None = None,
     not depend on frontier processing order; `shuffle` only exists so
     tests can permute each BFS level and check exactly that.  When a
     limit cuts the search short the stats carry truncated=True and count
-    only what was actually generated.
+    only what was actually generated.  `max_distinct` bounds the initial
+    states too: the first in `state_key` order are kept.
 
     The same search picks each state's trace parent, as TLC keeps a
     predecessor per state: of the states one level up with a step to it,
@@ -322,13 +343,15 @@ def explore(spec: sp.TemporalSpec, max_distinct: int | None = None,
     """
     domains = derive_domains(spec)
     inits = initial_states(spec, domains)
-
-    depth = {s: 0 for s in inits}  # every reached state, by BFS level
-    parent = dict.fromkeys(inits)  # (rank of trace parent, trace parent)
-    rank = {s: i for i, s in enumerate(inits)}  # this level's, see above
-    edges = set()
     states_found = len(inits)
-    truncated = False
+    truncated = max_distinct is not None and len(inits) > max_distinct
+    if truncated:
+        inits = inits[:max_distinct]
+
+    # Each reached state's one record: (BFS level, rank, trace parent).
+    # While its level is being found, rank is its trace parent's rank;
+    # once the whole level is found, its own.
+    seen = {s: (0, rank, None) for rank, s in enumerate(inits)}
 
     level, here = list(inits), 0
     while level:
@@ -337,43 +360,43 @@ def explore(spec: sp.TemporalSpec, max_distinct: int | None = None,
         if max_depth is not None and here >= max_depth:
             truncated = True
             break
-        next_level = []
+        found = []
         for state in level:
             succs = successors(spec, state, domains)
             states_found += len(succs)
-            mine = (rank[state], state)
-            for action_name, target in succs:
-                reached = depth.get(target)
-                if reached is None:
-                    if max_distinct is not None and len(depth) >= max_distinct:
+            rank = seen[state][1]
+            for _, target in succs:
+                record = seen.get(target)
+                if record is None:
+                    if max_distinct is not None and len(seen) >= max_distinct:
                         truncated = True
                         continue
-                    depth[target] = here + 1
-                    parent[target] = mine
-                    next_level.append(target)
-                elif reached > here and mine[0] < parent[target][0]:
-                    parent[target] = mine
-                edges.add((state, action_name, target))
-        ranked = sorted(next_level, key=lambda s: (parent[s][0], sp.state_key(s)))
-        rank = {s: i for i, s in enumerate(ranked)}
-        level, here = next_level, here + 1
+                    seen[target] = (here + 1, rank, state)
+                    found.append(target)
+                elif record[0] > here and rank < record[1]:
+                    seen[target] = (here + 1, rank, state)
+        ranked = sorted(found, key=lambda s: (seen[s][1], sp.state_key(s)))
+        for rank, s in enumerate(ranked):
+            seen[s] = (here + 1, rank, seen[s][2])
+        level, here = found, here + 1
 
-    graph = StateGraph(frozenset(depth), frozenset(edges), frozenset(inits))
-    diameter = 1 + max(depth.values()) if depth else 0
-    stats = ExplorationStats(diameter, states_found, len(depth), truncated)
-    return graph, stats, _counterexamples(spec, depth, parent)
+    # `level` is empty unless max_depth stopped the search at level `here`
+    graph = StateGraph(frozenset(seen), frozenset(inits), spec, frozenset(level))
+    diameter = here + 1 if level else here
+    stats = ExplorationStats(diameter, states_found, len(seen), truncated)
+    return graph, stats, _counterexamples(spec, seen)
 
 
-def _counterexamples(spec: sp.TemporalSpec, depth: dict, parent: dict) -> list:
+def _counterexamples(spec: sp.TemporalSpec, seen: dict) -> list:
     """Per violated invariant, the trace to its shallowest violating state
     of least `state_key`, read back through the trace parents."""
     out = []
     for inv_name, formula in spec.invariants:
-        bad = [s for s in depth if not sp.eval_state_formula(formula, s)]
+        bad = [s for s in seen if not sp.eval_state_formula(formula, s)]
         if bad:
-            path = [min(bad, key=lambda s: (depth[s], sp.state_key(s)))]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]][1])
+            path = [min(bad, key=lambda s: (seen[s][0], sp.state_key(s)))]
+            while seen[path[-1]][2] is not None:
+                path.append(seen[path[-1]][2])
             out.append(Counterexample(inv_name, sp.Behavior(reversed(path))))
     return out
 

@@ -185,16 +185,10 @@ def generate_commands(binding: ModelBinding, max_len: int, seed: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Adapters
-
-
-class SutAdapter(t.Protocol):
-    def reset(self) -> None: ...
-    def apply(self, command: Command) -> dict: ...
-
-    def replies(self, commands) -> t.Iterator[dict]:
-        """Reset the SUT, then yield its observation of each command in
-        order; raises SutCrashed at the first command it did not answer."""
+# Adapters.  Each has reset(), apply(command) -> observation, and
+# replies(commands), which resets the SUT, then yields its observation of
+# each command in order and raises SutCrashed at the first command it did
+# not answer.
 
 
 class InProcessAdapter:

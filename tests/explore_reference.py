@@ -16,10 +16,12 @@ it explores the whole reachable graph first and walks its edges.
 test_explore.py holds the new walk to the same walks.
 
 `explore_then_search` is `explore` as it was before the BFS picked each
-state's trace parent: the same BFS, then `counterexamples` turned the
+state's trace parent and before it stopped keeping edges: the same BFS
+recorded every step in an edge set, then `counterexamples` turned the
 finished graph's edges into an adjacency dict and ran a second BFS from
 the initial states in key order, each state's successors in key order.
-test_explore.py holds `explore` to the same graphs, stats and traces.
+Its `Graph` holds that edge set.  test_explore.py holds `explore` to the
+same nodes, edges, stats and traces.
 """
 
 from __future__ import annotations
@@ -31,15 +33,11 @@ from collections import deque
 
 import tmbt.spec as sp
 from tmbt.errors import NoInitialStates, TmbtError, UnboundedDomain
-from tmbt.explore import (
-    Counterexample,
-    ExplorationStats,
-    StateGraph,
-    explore,
-)
+from tmbt.explore import Counterexample, ExplorationStats, explore
 from tmbt.explore import derive_domains as walk_domains
 from tmbt.explore import initial_states as walk_initial_states
 from tmbt.explore import successors as walk_successors
+from tmbt.record import Record
 from tmbt.values import FALSE, TRUE, Value, sorted_values
 
 TYPE_OK_NAME = "TypeOK"
@@ -260,16 +258,24 @@ def behaviors(spec: sp.TemporalSpec, count: int, max_len: int,
 # Counterexamples from a second search
 
 
+class Graph(Record):
+    nodes: frozenset
+    edges: frozenset
+    initials: frozenset
+
+
 def explore_then_search(spec: sp.TemporalSpec, max_distinct: int | None = None,
                         max_depth: int | None = None,
                         shuffle: random.Random | None = None):
     domains = walk_domains(spec)
     inits = walk_initial_states(spec, domains)
+    states_found = len(inits)
+    truncated = max_distinct is not None and len(inits) > max_distinct
+    if truncated:  # the first initial states in key order are kept
+        inits = inits[:max_distinct]
 
     depth = {s: 0 for s in inits}  # every reached state, by BFS level
     edges = set()
-    states_found = len(inits)
-    truncated = False
 
     level = list(inits)
     while level:
@@ -292,14 +298,14 @@ def explore_then_search(spec: sp.TemporalSpec, max_distinct: int | None = None,
                 edges.add((state, action_name, target))
         level = next_level
 
-    graph = StateGraph(frozenset(depth), frozenset(edges), frozenset(inits))
+    graph = Graph(frozenset(depth), frozenset(edges), frozenset(inits))
     diameter = 1 + max(depth.values()) if depth else 0
     stats = ExplorationStats(diameter, states_found, len(depth), truncated)
     cexs = counterexamples(spec, graph, depth)
     return graph, stats, cexs
 
 
-def counterexamples(spec: sp.TemporalSpec, graph: StateGraph,
+def counterexamples(spec: sp.TemporalSpec, graph: Graph,
                     depth: dict) -> list:
     """Shortest counterexample per violated invariant, deterministically.
 

@@ -410,6 +410,36 @@ class TestUsage:
         assert result.stderr.startswith("usage: ")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["test", "--cases", "-3"],
+        ["test", "--max-len", "-1"],
+        ["behaviors", "--example", "onebit", "--count", "-2"],
+        ["behaviors", "--example", "onebit", "--max-len", "-1"],
+        ["check", "--example", "onebit", "--max-distinct", "-1"],
+        ["check", "--example", "onebit", "--max-depth", "-1"],
+    ], ids=["cases", "test-max-len", "count", "behaviors-max-len",
+            "max-distinct", "max-depth"])
+    def test_a_negative_count_is_a_usage_error(self, runner, args):
+        result = invoke(runner, *args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: ")
+        assert f"argument {args[-2]}: must be 0 or more, got {args[-1]}" \
+            in result.stderr
+
+    # zero keeps its meaning: no cases, no states kept, no level expanded
+    @pytest.mark.parametrize("args", [
+        ["test", "--cases", "0"],
+        ["check", "--example", "onebit", "--max-distinct", "0"],
+        ["check", "--example", "onebit", "--max-depth", "0"],
+    ], ids=["cases", "max-distinct", "max-depth"])
+    def test_a_zero_count_is_accepted(self, runner, args):
+        assert invoke(runner, *args).exit_code == 0
+
+    def test_example_choices_are_the_examples(self):
+        import tmbt.cli as cli
+        assert cli.EXAMPLE_NAMES == specs.EXAMPLE_NAMES
+
     @pytest.mark.parametrize("command,names", [
         ("translate", ["source", "output"]),
         ("check", ["--spec", "--example", "--param", "--invariant",

@@ -1,5 +1,6 @@
 """Breadth-first exploration against hand-coded brute-force oracles."""
 
+import gc
 import pathlib
 import random
 import sys
@@ -10,6 +11,7 @@ import tmbt.spec as sp
 import tmbt.specs as specs
 from tmbt.errors import NoInitialStates, UnboundedDomain
 from tmbt.explore import (
+    ExplorationStats,
     behavior_satisfies,
     behaviors,
     derive_domains,
@@ -275,6 +277,20 @@ class TestExploreExamples:
         assert stats.distinct_states == len(depth)
 
 
+class TestMemory:
+    def test_one_state_object_per_distinct_state(self):
+        # the search keeps no edge, so the target each duplicate step
+        # builds is dropped once it is found to be a node already
+        spec = specs.load("steamboiler", {"low": 190, "high": 810})
+        gc.collect()
+        before = sum(type(o) is sp.State for o in gc.get_objects())
+        graph, stats, _ = explore(spec)
+        gc.collect()
+        live = sum(type(o) is sp.State for o in gc.get_objects()) - before
+        assert live == len(graph.nodes) == 1258
+        assert stats.states_found == 7549
+
+
 class TestCountingContract:
     @pytest.mark.parametrize("name", specs.EXAMPLE_NAMES)
     def test_states_found_accounting_identity(self, name):
@@ -362,9 +378,11 @@ class TestTraceParents:
             seed = rng.choice((None, rng.randrange(1000)))
             old, new = (None if seed is None else random.Random(seed) for _ in "on")
             limits = (max_distinct, max_depth)
-            got = explore(spec, *limits, new)
-            assert got == ref.explore_then_search(spec, *limits, old), spec
-            graph, stats, cexs = got
+            graph, stats, cexs = explore(spec, *limits, new)
+            want, *rest = ref.explore_then_search(spec, *limits, old)
+            assert (graph.nodes, graph.initials, stats, cexs) == \
+                (want.nodes, want.initials, *rest), spec
+            assert graph.edges == want.edges, spec
             traces += len(cexs)
             truncated += stats.truncated
             # a trace state with two or more predecessors: a tie to break
@@ -390,6 +408,27 @@ class TestTruncation:
         _, stats, _ = explore(specs.load("diehard"), max_depth=0)
         assert (stats.diameter, stats.states_found, stats.distinct_states) == (1, 1, 1)
         assert stats.truncated
+
+    def test_max_distinct_keeps_the_first_initial_states(self):
+        spec = parsed("VARIABLE x", "Init == x \\in 0..20",
+                      "Next == x < 20 /\\ x' = x + 1")
+        graph, stats, _ = explore(spec, max_distinct=5)
+        assert sorted(s["x"].value for s in graph.nodes) == [0, 1, 2, 3, 4]
+        assert graph.initials == graph.nodes
+        # all 21 initial states were built, and the steps of the 5 kept
+        assert stats == ExplorationStats(1, 26, 5, True)
+
+    def test_max_distinct_zero_keeps_no_state(self):
+        graph, stats, cexs = explore(specs.load("diehard"), max_distinct=0)
+        assert graph.nodes == graph.initials == graph.edges == frozenset()
+        assert stats == ExplorationStats(0, 1, 0, True)
+        assert cexs == []
+
+    def test_max_depth_leaves_the_last_level_unexpanded(self):
+        graph, _, _ = explore(specs.load("diehard"), max_depth=2)
+        assert len(graph.unexpanded) == 3  # the level at depth 2, of 6 states
+        assert graph.unexpanded < graph.nodes
+        assert not {s for s, _, _ in graph.edges} & graph.unexpanded
 
     def test_generous_limits_do_not_truncate(self):
         _, stats, _ = explore(specs.load("diehard"), max_distinct=1000,

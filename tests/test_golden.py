@@ -49,6 +49,13 @@ CASES = {
     # two shortest traces to the violation: the first initial state's wins,
     # though the other passes through a state with the smaller key
     "diamond": (["--spec", str(SPECS / "diamond.tla"), "--invariant", "Inv"], 1),
+    # 21 initial states: --max-distinct keeps the first in key order
+    "init-range-max-distinct-5": (["--spec", str(SPECS / "init_range.tla"),
+                                   "--invariant", "Small",
+                                   "--max-distinct", "5"], 1),
+    "init-range-max-distinct-0": (["--spec", str(SPECS / "init_range.tla"),
+                                   "--invariant", "Small",
+                                   "--max-distinct", "0"], 0),
 }
 
 # name: the source `translate` reads

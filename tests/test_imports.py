@@ -115,6 +115,23 @@ def test_the_cli_starts_on_the_standard_library_alone():
 ONEBIT = SRC / "tmbt" / "specs" / "onebit.tla"
 
 
+def test_checking_a_spec_file_loads_neither_the_printer_nor_the_examples():
+    loaded = loaded_after(_cli_run(["check", "--spec", str(ONEBIT)]))
+    assert "tmbt.tla.parser" in loaded
+    assert not loaded & {"tmbt.tla.printer", "tmbt.specs"}
+
+
+def test_the_printers_names_resolve_on_first_use():
+    code = ("import sys, tmbt.tla\n"
+            "assert 'tmbt.tla.printer' not in sys.modules\n"
+            "from tmbt.tla import *\n"
+            "from tmbt.tla.printer import print_spec as p\n"
+            "assert print_spec is p")
+    assert "tmbt.tla.printer" in loaded_after(code)
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        importlib.import_module("tmbt.tla").nonesuch
+
+
 @pytest.mark.parametrize("code", [
     _cli_run(["check", "--example", "steamboiler"]),
     _cli_run(["check", "--spec", str(ONEBIT)]),
