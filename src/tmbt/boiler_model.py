@@ -35,23 +35,23 @@ def build_sut_model_spec() -> sp.TemporalSpec:
     running = sp.Var("running")
     level = sp.Var("level")
     pump = sp.Var("pump")
-    sig = sp.Var("sig")
+    signal = sp.Var("signal")
     booleans = sp.Const(BOOLEANS)
     type_ok = sp.conj(
         sp.In(running, booleans),
         sp.In(level, sp.IntRange(sp.intval(TANK_MIN), sp.intval(TANK_MAX))),
         sp.In(pump, booleans),
-        sp.In(sig, sp.IntRange(sp.intval(-1), sp.intval(1))),
+        sp.In(signal, sp.IntRange(sp.intval(-1), sp.intval(1))),
     )
     init = sp.conj(
         sp.Eq(running, sp.Const(FALSE)),
         sp.Eq(level, sp.intval(START_LEVEL)),
         sp.Eq(pump, sp.Const(FALSE)),
-        sp.Eq(sig, sp.intval(-1)),
+        sp.Eq(signal, sp.intval(-1)),
     )
     return sp.TemporalSpec(
         name="boiler-api",
-        variables=("running", "level", "pump", "sig"),
+        variables=("running", "level", "pump", "signal"),
         init=init,
         actions=(),
         invariants=(("TypeOK", type_ok),),
@@ -62,76 +62,75 @@ def _clamp(level: int) -> int:
     return max(TANK_MIN, min(TANK_MAX, level))
 
 
-def _controller(level: int, pump: bool, sig, low: int, high: int):
+def _controller(level: int, pump: bool, signal, low: int, high: int):
     if not pump and level <= low:
         return True, IntVal(1)
     if pump and level >= high:
         return False, IntVal(0)
-    return pump, sig
+    return pump, signal
 
 
-def _started(state: sp.State, args: dict):
-    nxt = state.replace(running=TRUE, level=IntVal(START_LEVEL),
-                        pump=FALSE, sig=IntVal(-1))
-    return nxt, {"level": IntVal(START_LEVEL), "pump": FALSE}
+def _started(state: sp.State, args: dict) -> sp.State:
+    return state.replace(running=TRUE, level=IntVal(START_LEVEL),
+                         pump=FALSE, signal=IntVal(-1))
 
 
-def _ended(state: sp.State, args: dict):
-    return state.replace(running=FALSE), {}
+def _ended(state: sp.State, args: dict) -> sp.State:
+    return state.replace(running=FALSE)
 
 
 def _pump_set(value: bool):
-    def effect(state: sp.State, args: dict):
-        return state.replace(pump=BoolVal(value)), {"pump": BoolVal(value)}
+    def effect(state: sp.State, args: dict) -> sp.State:
+        return state.replace(pump=BoolVal(value))
     return effect
 
 
-def _pump_query(state: sp.State, args: dict):
-    return state, {"pump": state["pump"]}
-
-
-def _level_query(state: sp.State, args: dict):
-    return state, {"level": state["level"]}
-
-
-def _signal_query(state: sp.State, args: dict):
-    return state, {"signal": state["sig"]}
+def _unchanged(state: sp.State, args: dict) -> sp.State:
+    return state
 
 
 def _level_changed(low: int, high: int):
-    def effect(state: sp.State, args: dict):
+    def effect(state: sp.State, args: dict) -> sp.State:
         level = _clamp(state["level"].value + args["amount"].value)
-        pump, sig = _controller(level, state["pump"].value, state["sig"],
-                                low, high)
-        nxt = state.replace(level=IntVal(level), pump=BoolVal(pump), sig=sig)
-        return nxt, {"level": IntVal(level), "pump": BoolVal(pump),
-                     "signal": sig}
+        pump, signal = _controller(level, state["pump"].value,
+                                   state["signal"], low, high)
+        return state.replace(level=IntVal(level), pump=BoolVal(pump),
+                             signal=signal)
     return effect
 
 
 def build_boiler_binding(low: int = LOW_DEFAULT,
                          high: int = HIGH_DEFAULT) -> ModelBinding:
     """Bind the nine boiler API operations to the model, starting from
-    the one state its spec's Init admits."""
+    the one state its spec's Init admits.  Each reply is the next state
+    read at the operation's observed variables."""
+    if not low < high:
+        raise ValueError(f"thresholds low={low}, high={high} are not ordered")
     (initial,) = initial_states(build_sut_model_spec(), {})
     running = sp.Var("running")
     pump = sp.Var("pump")
-    sig = sp.Var("sig")
-    run_only = running
+    signal = sp.Var("signal")
     alphabet = (
-        OpSpec("startSystem", sp.Not(running), _started),
-        OpSpec("endSystem", run_only, _ended),
-        OpSpec("pumpDidOpen", sp.And(running, pump), _pump_query),
-        OpSpec("openPump", sp.And(running, sp.Not(pump)), _pump_set(True)),
-        OpSpec("pumpDidClose", sp.And(running, sp.Not(pump)), _pump_query),
-        OpSpec("closePump", sp.And(running, pump), _pump_set(False)),
-        OpSpec("waterLevelDidChange", run_only, _level_changed(low, high),
+        OpSpec("startSystem", sp.Not(running), _started,
+               observes=("level", "pump")),
+        OpSpec("endSystem", running, _ended),
+        OpSpec("pumpDidOpen", sp.And(running, pump), _unchanged,
+               observes=("pump",)),
+        OpSpec("openPump", sp.And(running, sp.Not(pump)), _pump_set(True),
+               observes=("pump",)),
+        OpSpec("pumpDidClose", sp.And(running, sp.Not(pump)), _unchanged,
+               observes=("pump",)),
+        OpSpec("closePump", sp.And(running, pump), _pump_set(False),
+               observes=("pump",)),
+        OpSpec("waterLevelDidChange", running, _level_changed(low, high),
                args=(ArgSpec("amount",
                              sp.IntRange(sp.intval(-100), sp.intval(100))),),
-               weight=4),
-        OpSpec("checkWaterLevel", run_only, _level_query, weight=2),
+               weight=4, observes=("level", "pump", "signal")),
+        OpSpec("checkWaterLevel", running, _unchanged, weight=2,
+               observes=("level",)),
         OpSpec("controlSignalDidChange",
-               sp.And(running, sp.Ge(sig, sp.intval(0))), _signal_query,
-               args=(ArgSpec("val", sp.SetLit((sig,))),)),
+               sp.And(running, sp.Ge(signal, sp.intval(0))), _unchanged,
+               args=(ArgSpec("val", sp.SetLit((signal,))),),
+               observes=("signal",)),
     )
     return ModelBinding(initial, alphabet)

@@ -43,7 +43,11 @@ class UsageError(Exception):
     """A combination of arguments the parser alone cannot reject."""
 
 
-def _usage_error(prefix: str, problem: Exception) -> int:
+def _input_error(options, problem: Exception) -> int:
+    """Report one of INPUT_ERRORS on one stderr line, which names the
+    source file in translate."""
+    prefix = (pathlib.Path(options.source).name if options.run is translate
+              else "error")
     deep = isinstance(problem, RecursionError)
     print(f"{prefix}: {'formula nests too deeply' if deep else problem}",
           file=sys.stderr)
@@ -97,14 +101,11 @@ def translate(options) -> int:
     from .tla import parse_module, to_spec
 
     path = pathlib.Path(options.source)
-    try:
-        spec = to_spec(parse_module(path.read_text()), name=path.stem)
-        text = ir.spec_to_text(spec)
-        if options.output:
-            pathlib.Path(options.output).write_text(text)
-    except INPUT_ERRORS as problem:
-        return _usage_error(path.name, problem)
-    if not options.output:
+    text = ir.spec_to_text(to_spec(parse_module(path.read_text()),
+                                   name=path.stem))
+    if options.output:
+        pathlib.Path(options.output).write_text(text)
+    else:
         sys.stdout.write(text)
     return PASS
 
@@ -112,14 +113,10 @@ def translate(options) -> int:
 def check(options) -> int:
     """Explore the state space and check invariants."""
     invariants = options.invariants
-    try:
-        spec = _load_spec(options.spec_path, options.example,
-                          _parse_params(options.params), invariants)
-        _, stats, counterexamples = explore(
-            spec, max_distinct=options.max_distinct,
-            max_depth=options.max_depth)
-    except INPUT_ERRORS as problem:
-        return _usage_error("error", problem)
+    spec = _load_spec(options.spec_path, options.example,
+                      _parse_params(options.params), invariants)
+    _, stats, counterexamples = explore(
+        spec, max_distinct=options.max_distinct, max_depth=options.max_depth)
     if invariants:
         # reporting is restricted; the exploration itself is not
         counterexamples = [cex for cex in counterexamples
@@ -146,13 +143,9 @@ def check(options) -> int:
 
 def behaviors(options) -> int:
     """Emit seeded random behaviors as JSON lines."""
-    try:
-        spec = _load_spec(options.spec_path, options.example,
-                          _parse_params(options.params))
-        walks = spec_behaviors(spec, options.count, options.max_len,
-                               options.seed)
-    except INPUT_ERRORS as problem:
-        return _usage_error("error", problem)
+    spec = _load_spec(options.spec_path, options.example,
+                      _parse_params(options.params))
+    walks = spec_behaviors(spec, options.count, options.max_len, options.seed)
     for walk in walks:
         print(json.dumps(behavior_to_json(walk), sort_keys=True))
     return PASS
@@ -168,28 +161,19 @@ def test(options) -> int:
     if options.example != "steamboiler":
         raise UsageError("only the steamboiler example has a test model")
     values = _parse_params(options.params)
-    low = values.get("low", 300)
-    high = values.get("high", 700)
     unknown = set(values) - {"low", "high"}
     if unknown:
         raise UsageError(f"unknown parameter {sorted(unknown)[0]!r}")
-    binding = build_boiler_binding(low, high)
+    binding = build_boiler_binding(values.get("low", 300),
+                                   values.get("high", 700))
     config = pbt.TestConfig(cases=options.cases, max_len=options.max_len,
                             seed=options.seed,
                             continue_on_fail=options.continue_on_fail)
-    sut_cmdline = options.sut_cmdline
-    adapter = None
-    try:
-        if sut_cmdline is None:
-            adapter = reference_adapter()
-        else:
-            adapter = pbt.SubprocessAdapter(shlex.split(sut_cmdline))
-        report = pbt.test(binding, adapter, config)
-    except INPUT_ERRORS as problem:
-        return _usage_error("error", problem)
-    finally:
-        if sut_cmdline is not None and adapter is not None:
-            adapter.close()
+    if options.sut_cmdline is None:
+        report = pbt.test(binding, reference_adapter(), config)
+    else:
+        with pbt.SubprocessAdapter(shlex.split(options.sut_cmdline)) as sut:
+            report = pbt.test(binding, sut, config)
     if options.fmt == "json":
         print(json.dumps(report.to_json(), sort_keys=True))
     else:
@@ -335,6 +319,8 @@ def main(args=None, prog_name=None) -> None:
         # nowhere instead of raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = PIPE_CLOSED
+    except INPUT_ERRORS as problem:  # after BrokenPipeError, an OSError
+        code = _input_error(options, problem)
     sys.exit(code)
 
 

@@ -2,10 +2,11 @@
 
 A ModelBinding turns a spec's state space into an executable test
 model: each operation has a precondition (a state formula), argument
-domains (expressions over the current model state) and an effect that
-yields the expected next model state plus the expected observable
-reply.  Cases are generated model-first, replayed against a system
-under test through an adapter, and shrunk on failure.
+domains (expressions over the current model state), an effect that
+computes the next model state, and the variables it observes, at which
+that state gives the expected reply.  Cases are generated model-first,
+replayed against a system under test through an adapter, and shrunk on
+failure.
 
 Command sequences, case verdicts and reports are all plain immutable
 data; everything is reproducible from the seed.
@@ -74,9 +75,10 @@ class ArgSpec(Record):
 class OpSpec(Record):
     name: str
     pre: "t.Any"  # state formula
-    effect: t.Callable  # (State, {name: Value}) -> (State, {name: Value})
+    effect: t.Callable  # (State, {name: Value}) -> next State
     args: tuple = ()
     weight: int = 1
+    observes: tuple = ()  # the next-state variables the reply must match
 
 
 class ModelBinding(Record):
@@ -179,7 +181,7 @@ def generate_commands(binding: ModelBinding, max_len: int, seed: int) -> tuple:
             candidates.remove(op)  # an argument domain was empty
         if command is None:
             break
-        state, _ = op.effect(state, command.arg_map())
+        state = op.effect(state, command.arg_map())
         commands.append(command)
     return tuple(commands)
 
@@ -271,8 +273,8 @@ def _expected(binding: ModelBinding, commands) -> list:
     expected = []
     for index, command in enumerate(commands):
         op = _check_step(binding, state, command, index)
-        state, observed = op.effect(state, command.arg_map())
-        expected.append(observed)
+        state = op.effect(state, command.arg_map())
+        expected.append({name: state[name] for name in op.observes})
     return expected
 
 

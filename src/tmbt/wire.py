@@ -96,6 +96,8 @@ class SubprocessAdapter:
 
     def __init__(self, argv):
         self.argv = list(argv)
+        if not self.argv:
+            raise ValueError("the SUT command line is empty")
         self.process = None
         self._spawn()
 

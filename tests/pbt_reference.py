@@ -42,8 +42,8 @@ def _arg_domain(arg: ArgSpec, state: State, chosen: dict) -> list:
 
 
 def _apply_effect(op: OpSpec, state: State, args: dict):
-    nxt, observed = op.effect(state, dict(args))
-    return nxt, observed
+    nxt = op.effect(state, dict(args))
+    return nxt, {name: nxt[name] for name in op.observes}
 
 
 def _check_step(binding: ModelBinding, state: State, command: Command,

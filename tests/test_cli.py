@@ -275,6 +275,24 @@ class TestTest:
         assert result.exit_code == 2
         assert "No such file" in result.stderr
 
+    @pytest.mark.parametrize("cmdline", ["", "   "], ids=["empty", "blank"])
+    def test_an_empty_sut_is_a_usage_error(self, runner, cmdline):
+        result = invoke(runner, "test", "--sut", cmdline)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: the SUT command line is empty\n"
+
+    @pytest.mark.parametrize("low,high", [(800, 100), (500, 500)])
+    def test_unordered_thresholds_are_a_usage_error(self, runner, low, high):
+        params = ["--param", f"low={low}", "--param", f"high={high}"]
+        for args in (["test", *params],
+                     ["check", "--example", "steamboiler", *params]):
+            result = invoke(runner, *args)
+            assert result.exit_code == 2, args
+            assert result.stdout == ""
+            assert result.stderr.startswith("error: thresholds ")
+            assert result.stderr.endswith(" are not ordered\n")
+
     def test_only_the_boiler_has_a_test_model(self, runner):
         result = invoke(runner, "test", "--example", "onebit")
         assert result.exit_code == 2

@@ -1,5 +1,7 @@
 """Stateful property-based testing engine, driven by the boiler model."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,8 +96,67 @@ class TestGeneration:
         state = BINDING.initial
         for command in generate_commands(BINDING, 20, seed):
             op = BINDING.op(command.op)
-            state, _ = op.effect(state, command.arg_map())
+            state = op.effect(state, command.arg_map())
             assert sp.eval_state_formula(type_ok, state)
+
+
+def _cases(seed):
+    """The command sequences pbt.test generates for `seed` in its default
+    configuration."""
+    config = pbt.TestConfig(seed=seed)
+    rng = random.Random(seed)
+    return [generate_commands(BINDING, config.max_len, rng.getrandbits(64))
+            for _ in range(config.cases)]
+
+
+def _steps(commands):
+    """(operation, state, next state) for each command of a sequence."""
+    state = BINDING.initial
+    for command in commands:
+        op = BINDING.op(command.op)
+        nxt = op.effect(state, command.arg_map())
+        yield op, state, nxt
+        state = nxt
+
+
+class TestModelAgainstSpec:
+    """The operations keep the model inside its spec, and each expected
+    reply is the next state read at the operation's observed variables."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_reached_state_satisfies_type_ok(self, seed):
+        type_ok = SPEC.invariant_map()["TypeOK"]
+        steps = 0
+        for commands in _cases(seed):
+            for _, _, nxt in _steps(commands):
+                assert sp.eval_state_formula(type_ok, nxt)
+                steps += 1
+        assert steps == 4000
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_reply_is_the_next_state_at_the_observed_variables(self,
+                                                                    seed):
+        for commands in _cases(seed):
+            projected = [{name: nxt[name] for name in op.observes}
+                         for op, _, nxt in _steps(commands)]
+            assert pbt._expected(BINDING, commands) == projected
+            # the reference system replies with exactly those variables
+            assert list(reference_adapter().replies(commands)) == projected
+
+    def test_observed_names_are_spec_variables(self):
+        for op in BINDING.alphabet:
+            assert set(op.observes) <= set(SPEC.variables), op.name
+
+    def test_queries_leave_the_state_unchanged(self):
+        queries = {"pumpDidOpen", "pumpDidClose", "checkWaterLevel",
+                   "controlSignalDidChange"}
+        seen = set()
+        for commands in _cases(0):
+            for op, state, nxt in _steps(commands):
+                if op.name in queries:
+                    assert nxt == state, op.name
+                    seen.add(op.name)
+        assert seen == queries
 
 
 class FaultySystem:

@@ -116,10 +116,9 @@ def _clamp(n: int) -> IntVal:
 def _effect(shift: int):
     def effect(state, args):
         total = sum(v.value for v in args.values() if type(v) is IntVal)
-        nxt = state.replace(x=_clamp(state["x"].value + total + shift),
-                            y=_clamp(state["y"].value - total + shift),
-                            b=BoolVal(not state["b"].value))
-        return nxt, {}
+        return state.replace(x=_clamp(state["x"].value + total + shift),
+                             y=_clamp(state["y"].value - total + shift),
+                             b=BoolVal(not state["b"].value))
     return effect
 
 
@@ -163,7 +162,7 @@ def _visited(binding, commands):
     state = binding.initial
     yield state
     for command in commands:
-        state, _ = binding.op(command.op).effect(state, command.arg_map())
+        state = binding.op(command.op).effect(state, command.arg_map())
         yield state
 
 
@@ -188,7 +187,7 @@ class TestEnabledCache:
             for state in _visited(binding,
                                   pbt.generate_commands(binding, 40, seed)):
                 assert binding.enabled(state) == _direct(binding, state)
-        assert binding._reads == {"running", "pump", "sig"}
+        assert binding._reads == {"running", "pump", "signal"}
         assert len(binding._enabled) == 12
 
     def test_a_bound_name_hiding_a_variable(self):
@@ -311,7 +310,7 @@ class TestValidationMatchesReference:
                 assert old == new, (command, state)
                 if old[0] == "value":
                     accepted += 1
-                    state, _ = old[1].effect(state, command.arg_map())
+                    state = old[1].effect(state, command.arg_map())
                 else:
                     rejected += 1
         assert accepted > 800 and rejected > 800
