@@ -185,8 +185,9 @@ def test(options) -> int:
             print("shrunk counterexample:")
             for command in report.failing.shrunk:
                 print(f"  {json.dumps(command.to_json(), sort_keys=True)}")
-            detail = report.failing.result
-            print(f"first divergence at index {detail.index}")
+            failing = report.failing
+            print(f"first divergence at index {failing.result.index} of the "
+                  f"{len(failing.commands)}-command generated case")
     return PASS if report.verdict == "pass" else FAIL
 
 

@@ -25,6 +25,7 @@ import random
 from . import spec as sp
 from .errors import NoInitialStates, TmbtError, UnboundedDomain, UnboundVariable
 from .record import Record
+from .spec import UNBOUND
 from .values import FALSE, TRUE, Value, require_bool, sorted_values, value_to_json
 
 TYPE_OK_NAME = sp.TYPE_OK_NAME
@@ -92,47 +93,58 @@ def counterexample_to_json(cex: Counterexample) -> dict:
 
 # ---------------------------------------------------------------------------
 # The walk: Init and Next are built by one engine.  A formula compiles once
-# into closures `(branches, env) -> branches`; a guard is (closure,
-# variables read, what a type error names).
+# into closures `(branches, env) -> branches`; a guard is a closure
+# `(branch, env, final=False) -> branch or None` (see `_walk_node`).
 
 
-class _Branch(dict):
-    """A branch of a walk: its bound variables, read as a state through
-    `bindings`; `current`, the state an action steps from (None walking
-    Init); and the (guard, env)s waiting for a variable it has not bound."""
+class _Branch:
+    """A branch of a walk, read as a state: `values`, a value or UNBOUND
+    per slot of `layout`; `current`, the state an action steps from (None
+    walking Init); and the (guard, env)s waiting for a variable it has not
+    bound.  A bind copies `values`; nothing changes them in place."""
 
-    __slots__ = ("bindings", "current", "waiting")
+    __slots__ = ("layout", "values", "current", "waiting")
 
-    def __init__(self, current, bound=(), waiting=()):
-        super().__init__(bound)
-        self.bindings = self.items()
-        self.current = current
-        self.waiting = waiting
+    def __init__(self, layout, values: list, current, waiting=()):
+        self.layout, self.values = layout, values
+        self.current, self.waiting = current, waiting
 
-    def evaluate(self, fn, env, *what):
-        if self.current is None:
-            return fn(self, None, env, *what)
-        return fn(self.current, self, env, *what)
-
-    def unbound(self, names, env) -> bool:
-        """Whether one of `names` is unbound; walking Init, `env` shadows."""
-        scoped = env if self.current is None and env else ()
-        return any(name not in self and name not in scoped for name in names)
-
-    def check(self, guard, env):
-        """The branch if `guard` holds, else None, or a copy where it waits."""
-        fn, reads, what = guard
-        if reads and self.unbound(reads, env):
-            return _Branch(self.current, self, self.waiting + ((guard, env),))
-        return self if require_bool(self.evaluate(fn, env), what) else None
-
-    def bind(self, name: str, value: Value):
-        """The branch with `name` bound, or None if a guard waiting fails."""
-        out = _Branch(self.current, self)
-        out[name] = value
+    def bind(self, name: str, value: Value, at):
+        """The branch with `name` bound in slot `at`, or None if a guard
+        waiting fails.  A name no variable has (`at` None) gets a slot past
+        the variables' ones, in a layout of its own: `_states` raises."""
+        layout, values = self.layout, self.values.copy()
+        if at is None:
+            layout = sp.Layout(layout.names + (name,))
+            values.append(value)
+        else:
+            values[at] = value
+        out = _Branch(layout, values, self.current)
         for guard, env in self.waiting:
-            out = None if out is None else out.check(guard, env)
+            if (out := guard(out, env)) is None:
+                break
         return out
+
+
+def _unbound(names, initial: bool):
+    """`unbound(branch, env)`: whether a name of `names` is unbound on the
+    branch, whose slots it looks up once per layout; walking Init, a name
+    that `env` binds is bound.  None if there are no names."""
+    names, cache = tuple(sorted(names)), (None, ())
+
+    def unbound(branch, env) -> bool:
+        nonlocal cache
+        if cache[0] is not branch.layout:
+            cache = branch.layout, tuple(map(branch.layout.slot.get, names))
+        values = branch.values
+        if initial and env:
+            return any((at is None or values[at] is UNBOUND) and name not in env
+                       for name, at in zip(names, cache[1]))
+        for at in cache[1]:
+            if at is None or values[at] is UNBOUND:
+                return True
+        return False
+    return unbound if names else None
 
 
 def _binding(expr, kind: type):
@@ -191,67 +203,95 @@ def _walk_node(node, parts: list, kind: type, what: str):
             branch for part in parts for branch in part(branches, env)]
     fn = node.compiled if isinstance(node, sp.ExprNode) else (
         lambda current, nxt, env: sp.eval_expr(node, current, nxt, env))
-    guard = (fn, sp.names_read(node, kind), what)
+    initial = kind is sp.Var  # walking Init, a branch is the current state
+    unbound = _unbound(sp.names_read(node, kind), initial)
+
+    def guard(branch, env, final=False):
+        """The branch if the leaf holds on it, else None, or a copy where
+        it waits for a variable it reads; `final` waits for none."""
+        if unbound is not None and not final and unbound(branch, env):
+            return _Branch(branch.layout, branch.values, branch.current,
+                           branch.waiting + ((guard, env),))
+        value = fn(branch, None, env) if initial else fn(branch.current, branch, env)
+        return branch if value is TRUE or (
+            value is not FALSE and require_bool(value, what)) else None
     # `expand` gives the branches a leaf binds, or None where it is a guard
     if isinstance(node, sp.Exists):  # `\E v \in S : P` walks P per member
         var, members, body = node.var, sp.set_view(node.domain).members, parts[0]
-        reads = sp.names_read(node.domain, kind)
+        waits = _unbound(sp.names_read(node.domain, kind), initial)
 
         def expand(branch, env):
-            if reads and branch.unbound(reads, env):
+            if waits is not None and waits(branch, env):
                 return None
-            domain = branch.evaluate(members, env, "quantifier domain")
+            domain = members(branch, None, env, "quantifier domain") if initial \
+                else members(branch.current, branch, env, "quantifier domain")
             return [grown for member in domain
                     for grown in body([branch], {**(env or {}), var: member})]
     elif (binding := _binding(node, kind)) is not None:
         name, reads, values = binding
+        waits = _unbound(reads, initial)
+        cache = (None, None)  # the last layout and the slot of `name` in it
 
         def expand(branch, env):
-            if (name in branch or branch.current is None and env and name in env
-                    or reads and branch.unbound(reads, env)):
+            nonlocal cache
+            layout, at = cache
+            if layout is not branch.layout:
+                layout = branch.layout
+                cache = layout, (at := layout.slot.get(name))
+            if (at is not None and branch.values[at] is not UNBOUND
+                    or initial and env and name in env
+                    or waits is not None and waits(branch, env)):
                 return None
-            return [child for value in branch.evaluate(values, env)
-                    if (child := branch.bind(name, value)) is not None]
+            found = values(branch, None, env) if initial \
+                else values(branch.current, branch, env)
+            return [child for value in found
+                    if (child := branch.bind(name, value, at)) is not None]
     else:
-        expand = None
+        return lambda branches, env: [
+            kept for branch in branches if (kept := guard(branch, env)) is not None]
 
     def leaf(branches, env):
         out = []
         for branch in branches:
-            grown = expand(branch, env) if expand else None
-            if grown is not None:
+            if (grown := expand(branch, env)) is not None:
                 out += grown
-            elif (kept := branch.check(guard, env)) is not None:
+            elif (kept := guard(branch, env)) is not None:
                 out.append(kept)
         return out
     return leaf
 
 
-def _states(branches: list, variables: tuple, domains: dict, formula: str) -> list:
+def _states(branches: list, spec: sp.TemporalSpec, domains: dict,
+            formula: str) -> list:
     """The branches' states, each once, canonically sorted.  A variable a
     branch leaves unbound ranges over its domain, or is UnboundedDomain
     naming `formula`; a value the domain holds is the domain's own."""
-    for name in variables:
-        if name not in domains and any(name not in branch for branch in branches):
+    layout = spec.layout
+    for name in spec.variables:
+        at = layout.slot[name]
+        if all(branch.values[at] is not UNBOUND for branch in branches):
+            continue
+        if name not in domains:
             msg = (f"no finite domain for variable {name}: {formula} leaves "
                    f"it free and {TYPE_OK_NAME} gives it no domain")
             raise UnboundedDomain(msg)
         branches = [child for branch in branches for child in (
-            [branch] if name in branch else
-            (branch.bind(name, value) for value in domains[name]))
+            [branch] if branch.values[at] is not UNBOUND else
+            (branch.bind(name, value, at) for value in domains[name]))
             if child is not None]
+    canonical = [domains.get(name, {}) for name in layout.names]  # per slot
     found = set()
     for branch in branches:
-        if len(branch) > len(variables):  # it bound a name no variable has
-            name = next(name for name in branch if name not in variables)
+        if branch.layout is not layout:  # it bound a name no variable has
+            name = branch.layout.names[len(layout.names)]
             raise UnboundVariable(f"variable {name} is not bound")
         # a guard still waiting reads such a name
-        if all(require_bool(branch.evaluate(fn, env), what)
-               for (fn, _, what), env in branch.waiting):
-            found.add(sp.State({name: domains[name].get(value, value)
-                                if name in domains else value
-                                for name, value in branch.items()}))
-    return sorted(found, key=sp.state_key)
+        if not branch.waiting or all(guard(branch, env, True) is not None
+                                     for guard, env in branch.waiting):
+            values = branch.values
+            found.add(sp.positional(layout, tuple(
+                map(dict.get, canonical, values, values))))
+    return sorted(found, key=sp.values_key)
 
 
 def _narrowing(node, parts: list):
@@ -276,7 +316,7 @@ def _narrowing(node, parts: list):
     if binding is None or binding[1]:
         return None
     try:
-        return {binding[0]: set(binding[2](_Branch(None), None, None))}
+        return {binding[0]: set(binding[2](sp.State(()), None, None))}
     except TmbtError:
         return None
 
@@ -302,11 +342,12 @@ def successors(spec: sp.TemporalSpec, state: sp.State,
     """
     if domains is None:
         domains = derive_domains(spec)
-    out = []
+    out, unbound = [], [UNBOUND] * len(spec.layout.names)
     for action in spec.actions:
-        branches = _walk(action.formula, sp.Primed)([_Branch(state)], None)
+        start = _Branch(spec.layout, unbound, state)
+        branches = _walk(action.formula, sp.Primed)([start], None)
         out += [(action.name, t) for t in _states(
-            branches, spec.variables, domains, f"action {action.name}")]
+            branches, spec, domains, f"action {action.name}")]
     return out
 
 
@@ -315,8 +356,9 @@ def initial_states(spec: sp.TemporalSpec, domains: dict | None = None) -> list:
     builds them from nothing bound: `x = 0 /\\ y \\in {1, 2}` builds two."""
     if domains is None:
         domains = derive_domains(spec)
-    branches = _walk(spec.init, sp.Var)([_Branch(None)], None)
-    return _states(branches, spec.variables, domains, "Init")
+    start = _Branch(spec.layout, [UNBOUND] * len(spec.layout.names), None)
+    branches = _walk(spec.init, sp.Var)([start], None)
+    return _states(branches, spec, domains, "Init")
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +417,7 @@ def explore(spec: sp.TemporalSpec, max_distinct: int | None = None,
                     found.append(target)
                 elif record[0] > here and rank < record[1]:
                     seen[target] = (here + 1, rank, state)
-        ranked = sorted(found, key=lambda s: (seen[s][1], sp.state_key(s)))
+        ranked = sorted(found, key=lambda s: (seen[s][1], sp.values_key(s)))
         for rank, s in enumerate(ranked):
             seen[s] = (here + 1, rank, seen[s][2])
         level, here = found, here + 1

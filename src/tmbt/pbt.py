@@ -97,6 +97,7 @@ class ModelBinding(Record):
         reads = frozenset().union(*(names_read(op.pre, Var)
                                     for op in self.alphabet))
         object.__setattr__(self, "_reads", reads)
+        object.__setattr__(self, "_slots", {})
         object.__setattr__(self, "_enabled", {})
 
     def op(self, name: str) -> OpSpec:
@@ -112,8 +113,12 @@ class ModelBinding(Record):
     def enabled(self, state: State) -> tuple:
         """The operations whose preconditions hold in `state`, in alphabet
         order.  Preconditions read only the variables in `_reads`, so the
-        list is evaluated once per distinct binding of those and kept."""
-        key = tuple(pair for pair in state.bindings if pair[0] in self._reads)
+        list is evaluated once per layout and values of those, and kept."""
+        layout = state.layout
+        if (slots := self._slots.get(layout)) is None:
+            slots = self._slots[layout] = [
+                at for at in map(layout.slot.get, self._reads) if at is not None]
+        key = (layout, *map(state.values.__getitem__, slots))
         ops = self._enabled.get(key)
         if ops is None:
             ops = tuple(op for op in self.alphabet

@@ -54,39 +54,105 @@ from .values import (
 # States
 
 
-class State(Record):
-    """A total assignment of values to variable names. Immutable, hashable."""
+class Layout:
+    """The slot of each name of a tuple, in its order: `Layout(names)` is
+    the one layout of `names`, shared by every state over those names."""
 
-    bindings: tuple
+    __slots__ = ("names", "slot")
+    _made: dict = {}
 
-    def __init__(self, bindings):
-        pairs = bindings.items() if isinstance(bindings, dict) else bindings
-        object.__setattr__(self, "bindings", tuple(sorted(pairs)))
+    def __new__(cls, names: tuple):
+        if (layout := cls._made.get(names)) is None:
+            layout = object.__new__(cls)
+            layout.names, layout.slot = names, {n: at for at, n in enumerate(names)}
+            layout = cls._made.setdefault(names, layout)  # one, even if raced
+        return layout
+
+
+UNBOUND = object()  # the value of a slot that a walk branch has not bound
+
+
+class State:
+    """A total assignment of values to variable names. Immutable, hashable.
+
+    `values` holds one value per slot of `layout`, whose names are sorted,
+    and the hash is computed once, from the values alone."""
+
+    __slots__ = ("layout", "values", "_hash")
+
+    def __new__(cls, bindings):
+        named = dict(bindings)
+        names = tuple(sorted(named))
+        return positional(Layout(names), tuple(named[name] for name in names))
+
+    @property
+    def bindings(self) -> tuple:
+        """The (name, value) pairs, sorted by name."""
+        return tuple(zip(self.layout.names, self.values))
+
+    def __reduce__(self):
+        return State, (self.bindings,)
 
     def __getitem__(self, name: str) -> Value:
-        for key, value in self.bindings:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return self.values[self.layout.slot[name]]
 
     def __contains__(self, name: str) -> bool:
-        return any(key == name for key, _ in self.bindings)
+        return name in self.layout.slot
+
+    def __eq__(self, other):
+        if other.__class__ is State:
+            return self.layout is other.layout and self.values == other.values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"State(bindings={self.bindings!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def variables(self) -> tuple:
-        return tuple(key for key, _ in self.bindings)
+        return self.layout.names
 
     def as_dict(self) -> dict:
-        return dict(self.bindings)
+        return dict(zip(self.layout.names, self.values))
 
     def replace(self, **changes: Value) -> "State":
-        d = self.as_dict()
-        d.update(changes)
-        return State(d)
+        slot = self.layout.slot
+        if not changes.keys() <= slot.keys():  # a name that adds a variable
+            return State({**self.as_dict(), **changes})
+        values = list(self.values)
+        for name, value in changes.items():
+            values[slot[name]] = value
+        return positional(self.layout, tuple(values))
+
+
+_set_layout, _set_values, _set_hash = (
+    State.layout.__set__, State.values.__set__, State._hash.__set__)
+
+
+def positional(layout: Layout, values: tuple) -> State:
+    """The state with `values` in the slots of `layout`, a state's layout."""
+    state = object.__new__(State)
+    _set_layout(state, layout)
+    _set_values(state, values)
+    _set_hash(state, hash(values))
+    return state
 
 
 def state_key(s: State):
     """Canonical sort key over whole states (variable-name major)."""
-    return tuple((name, canonical_key(value)) for name, value in s.bindings)
+    return tuple(zip(s.layout.names, map(canonical_key, s.values)))
+
+
+def values_key(s: State):
+    """A sort key over states of one layout, in `state_key` order."""
+    return tuple(map(canonical_key, s.values))
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +500,11 @@ class TemporalSpec(Record):
     def invariant_map(self) -> dict:
         return dict(self.invariants)
 
+    @functools.cached_property
+    def layout(self) -> Layout:
+        """The layout of the spec's states."""
+        return Layout(tuple(sorted(set(self.variables))))
+
     def param_map(self) -> dict:
         return dict(self.params)
 
@@ -514,10 +585,8 @@ def _build(expr: ExprNode) -> t.Callable:
     if isinstance(expr, Const):
         value = expr.value
         return lambda current, nxt, env: value
-    if isinstance(expr, Var):
-        return _build_var(expr.name)
-    if isinstance(expr, Primed):
-        return _build_primed(expr.name)
+    if isinstance(expr, (Var, Primed)):
+        return _build_var(expr.name, isinstance(expr, Primed))
     if isinstance(expr, Not):
         operand = _closure(expr.operand)
 
@@ -548,29 +617,29 @@ def _build(expr: ExprNode) -> t.Callable:
     return _failing(expr)
 
 
-def _build_var(name: str) -> t.Callable:
+def _build_var(name: str, primed: bool) -> t.Callable:
+    """The closure of `name`, or of `name'`: the value in the name's slot
+    of the state read.  The slot is looked up once per layout; the last
+    layout and its slot are kept, so one node reads the states of two
+    specs correctly."""
+    cache = (None, None)
+
     def variable(current, nxt, env):
-        if env is not None and name in env:
+        nonlocal cache
+        if primed:
+            if nxt is None:
+                raise PrimedInStateFormula(f"{name}' used in a state formula")
+            current = nxt
+        elif env is not None and name in env:
             return env[name]
-        for key, value in current.bindings:
-            if key == name:
-                return value
-        msg = f"variable {name} is not bound"
-        raise UnboundVariable(msg)
+        layout, at = cache
+        if layout is not current.layout:
+            layout = current.layout
+            cache = layout, (at := layout.slot.get(name))
+        if at is not None and (value := current.values[at]) is not UNBOUND:
+            return value
+        raise UnboundVariable(f"variable {name} is not bound")
     return variable
-
-
-def _build_primed(name: str) -> t.Callable:
-    def primed(current, nxt, env):
-        if nxt is None:
-            msg = f"{name}' used in a state formula"
-            raise PrimedInStateFormula(msg)
-        for key, value in nxt.bindings:
-            if key == name:
-                return value
-        msg = f"variable {name} is not bound"
-        raise UnboundVariable(msg)
-    return primed
 
 
 def _build_junction(expr: Junction) -> t.Callable:

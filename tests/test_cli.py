@@ -268,7 +268,9 @@ class TestTest:
         lines = result.stdout.splitlines()
         assert lines[0] == "verdict: fail (1 cases, seed 7)"
         assert "shrunk counterexample:" in lines
-        assert lines[-1] == "first divergence at index 7"
+        # the index counts in the generated case, which the text omits
+        assert lines[-1] == \
+            "first divergence at index 7 of the 40-command generated case"
 
     def test_missing_sut_binary(self, runner):
         result = invoke(runner, "test", "--sut", "/no/such/sut")
