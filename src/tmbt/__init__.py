@@ -81,34 +81,4 @@ class _Package(types.ModuleType):
 
 sys.modules[__name__].__class__ = _Package
 
-__all__ = [
-    "Behavior",
-    "BoolVal",
-    "Counterexample",
-    "ExplorationStats",
-    "IntVal",
-    "NamedAction",
-    "SeqVal",
-    "SetVal",
-    "State",
-    "StateGraph",
-    "TemporalSpec",
-    "TmbtError",
-    "Value",
-    "behavior_satisfies",
-    "behaviors",
-    "eval_action_formula",
-    "eval_expr",
-    "eval_state_formula",
-    "explore",
-    "initial_states",
-    "parse_expression",
-    "parse_module",
-    "pretty_print",
-    "spec_from_text",
-    "spec_to_text",
-    "successors",
-    "to_spec",
-    "well_formed",
-    "__version__",
-]
+__all__ = sorted([*_HOMES, "explore"]) + ["__version__"]

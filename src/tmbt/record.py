@@ -2,8 +2,8 @@
 
 `@dataclasses.dataclass(frozen=True)` writes the source of six methods
 per class and compiles it with `exec` at every import, cached bytecode
-or not: defining a two-field class takes about 0.75 ms that way, and
-about 25 us as a `Record` (timeit, Python 3.11.7, 2 vCPU).  With tmbt's
+or not: defining a two-field class takes about 0.5 ms that way, and
+about 17 us as a `Record` (timeit, Python 3.11.7, 2 vCPU).  With tmbt's
 60 record classes that was about half of the start-up time of every
 `tmbt` process and every SUT.
 
@@ -25,27 +25,34 @@ equality only between instances of the same class, field-tuple hashes,
 Fields named in a class's `uncompared` tuple take no part in equality
 and hashing.
 
-Nothing is compiled.  Constructor, equality and hash are copies of the
-hand-written templates below, one per number of fields, with their
+Nothing is compiled.  A constructor is a copy of one of the
+hand-written templates below, one per number of fields, with its
 placeholder names `_0`, `_1`, ... renamed to the field names in the code
-object (`CodeType.replace`).  So a constructor takes its fields as named
-parameters and reads no field list at run time, and `__eq__` and
-`__hash__` read fields as plain attributes: each runs the same bytecode
-a dataclass would have compiled for it.  Fields live in the instance
-`__dict__`, which a constructor fills through `object.__setattr__`
-without materialising it.
+object (`CodeType.replace`), so it takes its fields as named parameters
+with their defaults and reads no field list at run time: records are
+built often (tens of thousands of `IntVal`s in one exploration), and
+this runs the bytecode a dataclass would have compiled.  Fields live in
+the instance `__dict__`, which a constructor fills through
+`object.__setattr__` without materialising it.
+
+`__eq__` and `__hash__` take no named parameters, so one closure pair
+over an `operator.attrgetter` of the compared fields serves every class:
+they compare and hash the tuple of those fields, as a dataclass does.
+They are rarely hot, since the records that are compared and hashed
+most, `IntVal` and `BoolVal`, define their own.
 """
 
 from __future__ import annotations
 
 import types
+from operator import attrgetter
 
 _store = object.__setattr__
 _PLACEHOLDERS = ("_0", "_1", "_2", "_3", "_4", "_5", "_6")
 
 
 # ---------------------------------------------------------------------------
-# Templates, indexed by the number of fields they cover
+# Constructor templates, indexed by the number of fields they take
 
 
 def _init_0(self):
@@ -91,115 +98,45 @@ def _init_6(self, _0, _1, _2, _3, _4, _5):
     _store(self, "_5", _5)
 
 
-def _eq_0(self, other):
-    if other.__class__ is self.__class__:
-        return True
-    return NotImplemented
-
-
-def _eq_1(self, other):
-    if other.__class__ is self.__class__:
-        return (self._0,) == (other._0,)
-    return NotImplemented
-
-
-def _eq_2(self, other):
-    if other.__class__ is self.__class__:
-        return (self._0, self._1) == (other._0, other._1)
-    return NotImplemented
-
-
-def _eq_3(self, other):
-    if other.__class__ is self.__class__:
-        return (self._0, self._1, self._2) == (other._0, other._1, other._2)
-    return NotImplemented
-
-
-def _eq_4(self, other):
-    if other.__class__ is self.__class__:
-        return ((self._0, self._1, self._2, self._3)
-                == (other._0, other._1, other._2, other._3))
-    return NotImplemented
-
-
-def _eq_5(self, other):
-    if other.__class__ is self.__class__:
-        return ((self._0, self._1, self._2, self._3, self._4)
-                == (other._0, other._1, other._2, other._3, other._4))
-    return NotImplemented
-
-
-def _eq_6(self, other):
-    if other.__class__ is self.__class__:
-        return ((self._0, self._1, self._2, self._3, self._4, self._5)
-                == (other._0, other._1, other._2, other._3, other._4, other._5))
-    return NotImplemented
-
-
-def _eq_7(self, other):
-    if other.__class__ is self.__class__:
-        return ((self._0, self._1, self._2, self._3, self._4, self._5, self._6)
-                == (other._0, other._1, other._2, other._3, other._4, other._5,
-                    other._6))
-    return NotImplemented
-
-
-def _hash_0(self):
-    return hash(())
-
-
-def _hash_1(self):
-    return hash((self._0,))
-
-
-def _hash_2(self):
-    return hash((self._0, self._1))
-
-
-def _hash_3(self):
-    return hash((self._0, self._1, self._2))
-
-
-def _hash_4(self):
-    return hash((self._0, self._1, self._2, self._3))
-
-
-def _hash_5(self):
-    return hash((self._0, self._1, self._2, self._3, self._4))
-
-
-def _hash_6(self):
-    return hash((self._0, self._1, self._2, self._3, self._4, self._5))
-
-
-def _hash_7(self):
-    return hash((self._0, self._1, self._2, self._3, self._4, self._5, self._6))
-
-
 _INITS = (_init_0, _init_1, _init_2, _init_3, _init_4, _init_5, _init_6)
-_EQS = (_eq_0, _eq_1, _eq_2, _eq_3, _eq_4, _eq_5, _eq_6, _eq_7)
-_HASHES = (_hash_0, _hash_1, _hash_2, _hash_3, _hash_4, _hash_5, _hash_6, _hash_7)
 
 
-def _specialise(templates: tuple, names: tuple, cls: type, method: str,
-                defaults: tuple = ()) -> types.FunctionType:
-    """The template for `len(names)` fields with its placeholders renamed
-    to `names`, as `cls.method`."""
-    if len(names) >= len(templates):
-        msg = (f"{cls.__qualname__}: a record without its own {method} "
-               f"takes at most {len(templates) - 1} fields")
+def _specialise(cls: type, names: tuple, defaults: tuple) -> types.FunctionType:
+    """The constructor template for `len(names)` fields with its
+    placeholders renamed to `names`, as `cls.__init__`."""
+    if len(names) >= len(_INITS):
+        msg = (f"{cls.__qualname__}: a record without its own __init__ "
+               f"takes at most {len(_INITS) - 1} fields")
         raise TypeError(msg)
-    code = templates[len(names)].__code__
+    code = _INITS[len(names)].__code__
     rename = dict(zip(_PLACEHOLDERS, names))
     code = code.replace(
-        co_name=method,
+        co_name="__init__",
         co_varnames=tuple(rename.get(n, n) for n in code.co_varnames),
-        co_names=tuple(rename.get(n, n) for n in code.co_names),
         co_consts=tuple(rename.get(c, c) if isinstance(c, str) else c
                         for c in code.co_consts))
-    function = types.FunctionType(code, globals(), method, defaults or None)
-    function.__qualname__ = f"{cls.__qualname__}.{method}"
+    function = types.FunctionType(code, globals(), "__init__", defaults or None)
+    function.__qualname__ = f"{cls.__qualname__}.__init__"
     return function
+
+
+def _comparisons(names: tuple) -> tuple:
+    """`__eq__` and `__hash__` over the tuple of the fields `names`."""
+    if len(names) > 1:
+        key = attrgetter(*names)
+    else:  # `attrgetter` of one name gives the bare value, not a tuple
+        def key(record):
+            return tuple(getattr(record, name) for name in names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    return __eq__, __hash__
 
 
 _MISSING = object()
@@ -237,11 +174,12 @@ class Record:
         compared = tuple(n for n in fields if n not in cls.uncompared)
         own_methods = cls.__dict__
         if "__init__" not in own_methods and (fields != inherited or not fields):
-            cls.__init__ = _specialise(_INITS, fields, cls, "__init__", defaults)
+            cls.__init__ = _specialise(cls, fields, defaults)
+        eq, hash_ = _comparisons(compared)
         if "__eq__" not in own_methods:
-            cls.__eq__ = _specialise(_EQS, compared, cls, "__eq__")
+            cls.__eq__ = eq
         if own_methods.get("__hash__") is None:
-            cls.__hash__ = _specialise(_HASHES, compared, cls, "__hash__")
+            cls.__hash__ = hash_
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -21,8 +21,9 @@ class IntVal(Record):
     value: int
 
     # Integers and booleans are the hottest keys (state hashing, the
-    # enabled-operation cache): compare without building tuples, and
-    # hash as a one-field record does.
+    # enabled-operation cache), so they skip the generic record closure
+    # and its field tuples: compare the values directly, and hash
+    # `(value,)` as a one-field record does.
     def __eq__(self, other):
         if other.__class__ is IntVal:
             return self.value == other.value
