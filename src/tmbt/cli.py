@@ -164,8 +164,7 @@ def test(options) -> int:
     unknown = set(values) - {"low", "high"}
     if unknown:
         raise UsageError(f"unknown parameter {sorted(unknown)[0]!r}")
-    binding = build_boiler_binding(values.get("low", 300),
-                                   values.get("high", 700))
+    binding = build_boiler_binding(**values)
     config = pbt.TestConfig(cases=options.cases, max_len=options.max_len,
                             seed=options.seed,
                             continue_on_fail=options.continue_on_fail)

@@ -25,10 +25,10 @@ import random
 from . import spec as sp
 from .errors import NoInitialStates, TmbtError, UnboundedDomain, UnboundVariable
 from .record import Record
-from .spec import UNBOUND
 from .values import FALSE, TRUE, Value, require_bool, sorted_values, value_to_json
 
 TYPE_OK_NAME = sp.TYPE_OK_NAME
+UNBOUND = object()  # the value of a slot that a walk branch has not bound
 
 
 # ---------------------------------------------------------------------------

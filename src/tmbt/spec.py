@@ -69,9 +69,6 @@ class Layout:
         return layout
 
 
-UNBOUND = object()  # the value of a slot that a walk branch has not bound
-
-
 class State:
     """A total assignment of values to variable names. Immutable, hashable.
 
@@ -636,8 +633,8 @@ def _build_var(name: str, primed: bool) -> t.Callable:
         if layout is not current.layout:
             layout = current.layout
             cache = layout, (at := layout.slot.get(name))
-        if at is not None and (value := current.values[at]) is not UNBOUND:
-            return value
+        if at is not None:
+            return current.values[at]
         raise UnboundVariable(f"variable {name} is not bound")
     return variable
 

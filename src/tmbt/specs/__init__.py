@@ -180,4 +180,4 @@ def load(name: str, params: dict | None = None) -> sp.TemporalSpec:
         return euclid(params.get("M", 24), params.get("N", 16))
     if name == "therac25":
         return therac25()
-    return steamboiler(params.get("low", 300), params.get("high", 700))
+    return steamboiler(**params)

@@ -31,7 +31,7 @@ _BACKSLASH_OPS = frozenset((
 
 
 class Token(Record):
-    kind: str  # "ident" | "int" | "op" | "keyword"
+    kind: str  # "ident" | "int" | "op" | "keyword"; the parser adds an "end"
     lexeme: str
     line: int
     col: int

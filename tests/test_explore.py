@@ -191,6 +191,16 @@ class TestEnumeration:
         spec = sp.TemporalSpec("t", ("x",), init, ())
         assert initial_states(spec) == []
 
+    @pytest.mark.parametrize("witnesses,steps", [("{1, 5}", [3]), ("{5, 6}", [])])
+    def test_a_waiting_guard_keeps_its_witness_past_the_quantifier(
+            self, witnesses, steps):
+        # `x' > v` waits for x', which only `x' = 3` after the quantifier
+        # binds; each witness's branch then judges it with its own v
+        spec = parsed("VARIABLE x", "Init == x = 0",
+                      f"Next == (\\E v \\in {witnesses} : x' > v) /\\ x' = 3")
+        got = successors(spec, sp.State({"x": IntVal(0)}))
+        assert [s["x"].value for _, s in got] == steps
+
 
 class TestExploreExamples:
     def test_onebit(self):

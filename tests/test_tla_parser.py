@@ -12,7 +12,7 @@ from tmbt.errors import (
     UnsupportedConstruct,
 )
 from tmbt.explore import explore
-from tmbt.tla import parse_expression, parse_module, to_spec
+from tmbt.tla import ParsedModule, parse_expression, parse_module, to_spec
 from tmbt.values import BOOLEANS, IntVal
 
 ONE_BIT = """\
@@ -298,3 +298,51 @@ class TestToSpec:
         assert stats.distinct_states == 3
         assert [c.invariant for c in cexs] == ["Inv"]
         assert [s["b"] for s in cexs[0].trace.states] == [IntVal(0), IntVal(2)]
+
+
+class TestErrorSites:
+    """Each raise site of the parser, with its error's type, message,
+    line and column."""
+
+    @pytest.mark.parametrize("source, kind, message, line, col", [
+        ("VARIABLE x\nInit == \\E v \\in {1} x = v\n", ParseError,
+         "expected ':', found 'x' at 2:21", 2, 21),
+        ("VARIABLE x\nInit == \\E v \\in {1}", ParseError,
+         "expected ':', found end of input", 2, 20),
+        ("VARIABLE x\nInit == /\\ x = 1 /\\\nx = 2\n", ParseError,
+         "expected an expression", 3, 0),  # the conjunct left of the bullet
+        ("VARIABLE x\nInit == \\A 1 \\in {1} : x = 1\n", ParseError,
+         "expected a bound variable after \\A", 2, 11),
+        ("VARIABLE x\nInit == x = - y\n", ParseError,
+         "expected an integer after unary '-'", 2, 14),
+        ("VARIABLE x\nInit == x = VARIABLE\n", ParseError,
+         "VARIABLE cannot start an expression", 2, 12),
+        ("VARIABLE 1\n", ParseError, "expected a variable name", 1, 9),
+        ("VARIABLES x, IF\n", UnsupportedConstruct,
+         "IF is outside the supported subset", 1, 13),
+        ("VARIABLE x\nInit x = 1\n", ParseError,
+         "expected a declaration or definition, found 'Init' at 2:0", 2, 0),
+    ])
+    def test_module_errors(self, source, kind, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_module(source)
+        assert type(err.value) is kind
+        assert (err.value.args[0], err.value.line, err.value.col) == (
+            message, line, col)
+
+    def test_raw_of_a_missing_name(self):
+        module = parse_module("VARIABLE x\nInit == x = 1\n")
+        with pytest.raises(MissingDefinition) as err:
+            module.raw("Ghost")
+        assert type(err.value) is MissingDefinition
+        assert str(err.value) == "no definition named 'Ghost'"
+
+    def test_to_spec_of_a_module_declaring_a_variable_twice(self):
+        x = sp.Var("x")
+        module = ParsedModule(("x", "x"), (
+            ("Init", sp.Eq(x, ZERO)), ("Next", sp.Eq(sp.Primed("x"), ZERO))))
+        with pytest.raises(ParseError) as err:
+            to_spec(module)
+        assert type(err.value) is ParseError
+        assert (err.value.args[0], err.value.line, err.value.col) == (
+            "variables: duplicate-variable: x declared twice", 0, 0)
