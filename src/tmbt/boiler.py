@@ -18,6 +18,8 @@ Two seeded faults are available for exercising the engine:
 import json
 import sys
 
+# streams.Thresholds states these defaults too: `check --example
+# steamboiler` takes them from there without loading this module.
 LOW_DEFAULT = 300
 HIGH_DEFAULT = 700
 

@@ -13,8 +13,6 @@ from importlib import resources
 from .. import spec as sp
 from ..values import BOOLEANS, FALSE
 
-EXAMPLE_NAMES = ("onebit", "diehard", "euclid", "therac25", "steamboiler")
-
 
 def _shipped(filename: str) -> str:
     return resources.files(__package__).joinpath(filename).read_text()
@@ -35,10 +33,10 @@ def diehard() -> sp.TemporalSpec:
     return to_spec(module, name="diehard", invariant_names=("big_ne_4",))
 
 
-def euclid(m: int = 24, n: int = 16) -> sp.TemporalSpec:
+def euclid(M: int = 24, N: int = 16) -> sp.TemporalSpec:
     """Subtraction GCD: repeatedly subtract the smaller from the larger."""
-    if m < 1 or n < 1:
-        msg = f"Euclid needs positive M and N, got {m} and {n}"
+    if M < 1 or N < 1:
+        msg = f"Euclid needs positive M and N, got {M} and {N}"
         raise ValueError(msg)
     x = sp.Var("x")
     y = sp.Var("y")
@@ -46,18 +44,18 @@ def euclid(m: int = 24, n: int = 16) -> sp.TemporalSpec:
     yn = sp.Primed("y")
     subtract_y = sp.conj(sp.Gt(x, y), sp.Eq(xn, sp.Sub(x, y)), sp.Eq(yn, y))
     subtract_x = sp.conj(sp.Gt(y, x), sp.Eq(yn, sp.Sub(y, x)), sp.Eq(xn, x))
-    type_ok = sp.And(sp.In(x, sp.IntRange(sp.intval(1), sp.intval(m))),
-                     sp.In(y, sp.IntRange(sp.intval(1), sp.intval(n))))
+    type_ok = sp.And(sp.In(x, sp.IntRange(sp.intval(1), sp.intval(M))),
+                     sp.In(y, sp.IntRange(sp.intval(1), sp.intval(N))))
     return sp.TemporalSpec(
         name="euclid",
         variables=("x", "y"),
-        init=sp.And(sp.Eq(x, sp.intval(m)), sp.Eq(y, sp.intval(n))),
+        init=sp.And(sp.Eq(x, sp.intval(M)), sp.Eq(y, sp.intval(N))),
         actions=(
             sp.NamedAction("SubtractY", subtract_y),
             sp.NamedAction("SubtractX", subtract_x),
         ),
         invariants=(("TypeOK", type_ok),),
-        params={"M": m, "N": n},
+        params={"M": M, "N": N},
     )
 
 
@@ -145,18 +143,21 @@ def therac25() -> sp.TemporalSpec:
     )
 
 
-def steamboiler(low: int = 300, high: int = 700) -> sp.TemporalSpec:
+def steamboiler(**thresholds) -> sp.TemporalSpec:
+    """The closed loop under `streams.Thresholds(**thresholds)`."""
     from ..streams import Thresholds, to_temporal_spec
-    return to_temporal_spec(Thresholds(low, high))
+    return to_temporal_spec(Thresholds(**thresholds))
 
 
-_INT_PARAMS = {
-    "onebit": (),
-    "diehard": (),
-    "euclid": ("M", "N"),
-    "therac25": (),
-    "steamboiler": ("low", "high"),
+# each example's builder, and the integer parameters it takes
+_EXAMPLES = {
+    "onebit": (onebit, ()),
+    "diehard": (diehard, ()),
+    "euclid": (euclid, ("M", "N")),
+    "therac25": (therac25, ()),
+    "steamboiler": (steamboiler, ("low", "high")),
 }
+EXAMPLE_NAMES = tuple(_EXAMPLES)
 
 
 def load(name: str, params: dict | None = None) -> sp.TemporalSpec:
@@ -166,18 +167,10 @@ def load(name: str, params: dict | None = None) -> sp.TemporalSpec:
         msg = f"unknown example {name!r} (known: {known})"
         raise ValueError(msg)
     params = dict(params or {})
-    allowed = _INT_PARAMS[name]
+    build, allowed = _EXAMPLES[name]
     for key in params:
         if key not in allowed:
             hint = f"takes {', '.join(allowed)}" if allowed else "takes none"
             msg = f"example {name} has no parameter {key!r} ({hint})"
             raise ValueError(msg)
-    if name == "onebit":
-        return onebit()
-    if name == "diehard":
-        return diehard()
-    if name == "euclid":
-        return euclid(params.get("M", 24), params.get("N", 16))
-    if name == "therac25":
-        return therac25()
-    return steamboiler(**params)
+    return build(**params)

@@ -1,5 +1,7 @@
-"""The subset's lexemes for relations, quantifier heads and constants,
-stated once: the parser reads them and the printer writes them."""
+"""The subset's lexemes, stated once: the relations, quantifier heads
+and constants, which the parser reads and the printer writes; the input
+aliases, which only the parser reads; and the declaration keywords.
+The lexer takes its keywords and backslash words from these."""
 
 from .. import spec as sp
 from ..values import BOOLEANS, FALSE, TRUE
@@ -21,3 +23,7 @@ RELATIONS = {
 QUANTIFIERS = {sp.Forall: "\\A", sp.Exists: "\\E", sp.Choose: "CHOOSE"}
 
 CONSTANTS = {"TRUE": TRUE, "FALSE": FALSE, "BOOLEAN": BOOLEANS}
+
+ALIASES = {"/=": sp.Neq, "\\ngeqslant": sp.NotGe}
+
+DECLARATIONS = ("VARIABLE", "VARIABLES")

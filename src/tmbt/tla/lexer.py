@@ -1,4 +1,5 @@
-"""Tokenizer for the ASCII TLA+ subset.
+"""Tokenizer for the ASCII TLA+ subset: one regular expression, whose
+keywords, backslash words and relation symbols come from `lexemes`.
 
 Every token carries its line and column; those positions, not the
 newlines, are what lets the parser interpret bulleted /\\ and \\/ lists,
@@ -8,12 +9,12 @@ no token.
 
 from __future__ import annotations
 
+import itertools
+import re
+
 from ..errors import LexError
 from ..record import Record
-
-KEYWORDS = frozenset((
-    "VARIABLE", "VARIABLES", "CHOOSE", "TRUE", "FALSE", "BOOLEAN",
-))
+from .lexemes import ALIASES, CONSTANTS, DECLARATIONS, QUANTIFIERS, RELATIONS
 
 # Recognized but deliberately outside the subset; the parser reports
 # these by name instead of treating them as ordinary identifiers.
@@ -23,11 +24,28 @@ RESERVED = frozenset((
     "THEN", "THEOREM", "UNCHANGED", "UNION",
 ))
 
-_TWO_CHAR_OPS = ("==", "=>", "<=", ">=", "/=", "..", "/\\", "\\/", "<<", ">>")
-_ONE_CHAR_OPS = "='~<>#:(){},+-"
-_BACKSLASH_OPS = frozenset((
-    "in", "A", "E", "nleq", "nless", "ngeq", "ngeqslant", "ngtr",
-))
+_STATED = (*RELATIONS.values(), *QUANTIFIERS.values(), *ALIASES,
+           *CONSTANTS, *DECLARATIONS)
+_KEYWORDS = frozenset(word for word in _STATED if word.isalpha())
+_BACKSLASH_WORDS = frozenset(word[1:] for word in _STATED if word[0] == "\\")
+# the relation symbols, and the punctuation that the grammar spells
+_OPERATORS = {op for op in _STATED if not op.isalpha() and op[0] != "\\"}
+_OPERATORS.update(("==", "=>", "..", "/\\", "\\/", "<<", ">>", *"'~:(){},+-"))
+
+# Each match is one token after any blanks; `bad` takes no blank, so
+# blanks that end the source match nothing.  [^\W\d_] also takes for
+# letters the numeric characters that are no decimal digits ('½', '²'),
+# which str.isalpha rejects; tokenize and _unknown_operator sort them out.
+_TOKEN = re.compile(r"[ \t\r]*(?:%s)" % "|".join((
+    r"(?P<newline>\n)",
+    r"(?P<int>\d+)",
+    r"(?P<word>[^\W\d]\w*)",
+    r"(?P<backslash>\\(?=[^/])[^\W\d_]*)",
+    r"(?P<delimiter>----)",
+    "(?P<op>%s)" % "|".join(  # two-character operators first
+        map(re.escape, sorted(_OPERATORS, key=lambda op: (-len(op), op)))),
+    r"(?P<bad>[^ \t\r])",
+)))
 
 
 class Token(Record):
@@ -43,64 +61,35 @@ class Token(Record):
 def tokenize(source: str) -> list:
     """Split source text into tokens. Raises LexError with a position."""
     tokens: list = []
-    line, col = 1, 0
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 0
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c == "\\" and i + 1 < n and source[i + 1] != "/":
-            j = i + 1
-            while j < n and source[j].isalpha():
-                j += 1
-            word = source[i:j]
-            if word[1:] not in _BACKSLASH_OPS:
-                msg = f"unknown operator {word!r}"
-                raise LexError(msg, line, col)
-            tokens.append(Token("op", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if source.startswith("----", i):
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        lexeme, col = match[kind], match.start(kind) - line_start
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            kind = "keyword" if lexeme in _KEYWORDS else "ident"
+            tokens.append(Token(kind, lexeme, line, col))
+        elif kind == "backslash":
+            if lexeme[1:] not in _BACKSLASH_WORDS:
+                raise _unknown_operator(lexeme, line, col)
+            tokens.append(Token("op", lexeme, line, col))
+        elif kind == "int" or kind == "op":
+            tokens.append(Token(kind, lexeme, line, col))
+        elif kind == "delimiter":
             msg = "module delimiter lines are not part of the subset"
             raise LexError(msg, line, col)
-        two = source[i:i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token("op", two, line, col))
-            col += 2
-            i += 2
-            continue
-        if c in _ONE_CHAR_OPS:
-            tokens.append(Token("op", c, line, col))
-            col += 1
-            i += 1
-            continue
-        msg = f"unexpected character {c!r}"
-        raise LexError(msg, line, col)
+        else:  # a stray character, or a word that starts with a numeric one
+            raise LexError(f"unexpected character {lexeme[0]!r}", line, col)
     return tokens
+
+
+def _unknown_operator(lexeme: str, line: int, col: int) -> LexError:
+    """The error for a backslash and the letters after it, which name no
+    operator; the word ends at the first numeric character."""
+    word = "\\" + "".join(itertools.takewhile(str.isalpha, lexeme[1:]))
+    if word[1:] not in _BACKSLASH_WORDS:
+        return LexError(f"unknown operator {word!r}", line, col)
+    # an operator, then a numeric character
+    at = len(word)
+    return LexError(f"unexpected character {lexeme[at]!r}", line, col + at)

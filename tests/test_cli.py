@@ -140,6 +140,14 @@ class TestCheck:
         assert result.exit_code == 0
         assert json.loads(result.stdout)["distinct_states"] == 2
 
+    def test_a_digit_that_is_no_decimal_digit_is_a_lex_error(self, runner,
+                                                              tmp_path):
+        square = tmp_path / "square.tla"
+        square.write_text("VARIABLE x\nInit == x = ²\nNext == x' = x\n")
+        result = invoke(runner, "check", "--spec", str(square))
+        assert result.exit_code == 2
+        assert result.stderr == "error: 2:12: unexpected character '²'\n"
+
     def test_spec_and_example_are_mutually_exclusive(self, runner):
         result = invoke(runner, "check", "--example", "onebit",
                         "--spec", str(ONEBIT_TLA))

@@ -2,8 +2,10 @@
 
 import pytest
 
+import tmbt.spec as sp
 from tmbt.errors import LexError
-from tmbt.tla import tokenize
+from tmbt.tla import parse_expression, tokenize
+from tmbt.values import IntVal
 
 
 def lexemes(source):
@@ -70,6 +72,32 @@ class TestTokenize:
     def test_tabs_and_cr_are_plain_whitespace(self):
         assert lexemes("a\t\rb") == [("ident", "a"), ("ident", "b")]
 
+    def test_crlf_ends_a_line(self):
+        b = tokenize("a\r\nb")[-1]
+        assert (b.lexeme, b.line, b.col) == ("b", 2, 0)
+
+    def test_dashes_short_of_a_delimiter_are_minus_signs(self):
+        assert lexemes("x---y") == [
+            ("ident", "x"), ("op", "-"), ("op", "-"), ("op", "-"),
+            ("ident", "y")]
+
+    def test_backslash_before_a_slash_is_a_disjunction(self):
+        toks = tokenize("a\\/b")
+        assert [(t.kind, t.lexeme, t.col) for t in toks] == [
+            ("ident", "a", 0), ("op", "\\/", 1), ("ident", "b", 3)]
+
+    def test_backslash_word_ends_before_a_disjunction(self):
+        toks = tokenize("\\in\\/")
+        assert [(t.lexeme, t.col) for t in toks] == [("\\in", 0), ("\\/", 3)]
+
+    def test_identifiers_are_unicode_words(self):
+        assert lexemes("x²") == [("ident", "x²")]
+        assert lexemes("été") == [("ident", "été")]
+
+    def test_integers_are_unicode_decimal_digits(self):
+        assert lexemes("٣") == [("int", "٣")]
+        assert parse_expression("٣") == sp.Const(IntVal(3))
+
 
 class TestLexErrors:
     def test_unknown_character(self):
@@ -81,6 +109,23 @@ class TestLexErrors:
     def test_unknown_backslash_operator(self):
         with pytest.raises(LexError, match="nope"):
             tokenize("a \\nope b")
+
+    @pytest.mark.parametrize("source,message", [
+        ("a \\", "1:2: unexpected character '\\\\'"),
+        ("a \\1", "1:2: unknown operator '\\\\'"),
+        ("a ----", "1:2: module delimiter lines are not part of the subset"),
+        ("a ½", "1:2: unexpected character '½'"),
+        ("\\in½", "1:3: unexpected character '½'"),
+        ("\\x½", "1:0: unknown operator '\\\\x'"),
+        ("a ²", "1:2: unexpected character '²'"),
+        ("1²", "1:1: unexpected character '²'"),
+    ], ids=["backslash-at-end", "backslash-before-digit", "delimiter",
+            "fraction", "fraction-after-operator", "fraction-after-unknown",
+            "superscript", "superscript-after-digit"])
+    def test_edges(self, source, message):
+        with pytest.raises(LexError) as err:
+            tokenize(source)
+        assert str(err.value) == message
 
     def test_module_delimiter_rejected(self):
         with pytest.raises(LexError, match="module delimiter"):
