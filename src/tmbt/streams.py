@@ -225,8 +225,14 @@ def check_asm_gar(component: ComponentSpec, inputs: dict, outputs: dict,
 
     A failed assumption short-circuits to AssumptionViolated (vacuous
     pass: guarantees are not judged).  Guarantees are checked interval
-    by interval; the first failure wins.
+    by interval; the first failure wins.  Every stream given must
+    record at least `up_to` intervals.
     """
+    for name, stream in (*inputs.items(), *outputs.items()):
+        if up_to > len(stream):
+            msg = (f"stream {name!r} prefix has {len(stream)} intervals, "
+                   f"asked about {up_to}")
+            raise ValueError(msg)
     for index, predicate in enumerate(component.asm):
         if not predicate.check_assumption(inputs, up_to):
             return AssumptionViolated(index)

@@ -1,5 +1,8 @@
 """Tokenizer for the ASCII TLA+ subset: one regular expression, whose
 keywords, backslash words and relation symbols come from `lexemes`.
+The pattern is ASCII: identifiers are letters, digits and `_`, not led
+by a digit, integers are decimal digits, and a character outside ASCII
+is an error wherever it stands.
 
 Every token carries its line and column; those positions, not the
 newlines, are what lets the parser interpret bulleted /\\ and \\/ lists,
@@ -9,7 +12,6 @@ no token.
 
 from __future__ import annotations
 
-import itertools
 import re
 
 from ..errors import LexError
@@ -33,9 +35,7 @@ _OPERATORS = {op for op in _STATED if not op.isalpha() and op[0] != "\\"}
 _OPERATORS.update(("==", "=>", "..", "/\\", "\\/", "<<", ">>", *"'~:(){},+-"))
 
 # Each match is one token after any blanks; `bad` takes no blank, so
-# blanks that end the source match nothing.  [^\W\d_] also takes for
-# letters the numeric characters that are no decimal digits ('½', '²'),
-# which str.isalpha rejects; tokenize and _unknown_operator sort them out.
+# blanks that end the source match nothing.
 _TOKEN = re.compile(r"[ \t\r]*(?:%s)" % "|".join((
     r"(?P<newline>\n)",
     r"(?P<int>\d+)",
@@ -45,7 +45,7 @@ _TOKEN = re.compile(r"[ \t\r]*(?:%s)" % "|".join((
     "(?P<op>%s)" % "|".join(  # two-character operators first
         map(re.escape, sorted(_OPERATORS, key=lambda op: (-len(op), op)))),
     r"(?P<bad>[^ \t\r])",
-)))
+)), re.ASCII)
 
 
 class Token(Record):
@@ -67,29 +67,18 @@ def tokenize(source: str) -> list:
         lexeme, col = match[kind], match.start(kind) - line_start
         if kind == "newline":
             line, line_start = line + 1, match.end()
-        elif kind == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
+        elif kind == "word":
             kind = "keyword" if lexeme in _KEYWORDS else "ident"
             tokens.append(Token(kind, lexeme, line, col))
         elif kind == "backslash":
             if lexeme[1:] not in _BACKSLASH_WORDS:
-                raise _unknown_operator(lexeme, line, col)
+                raise LexError(f"unknown operator {lexeme!r}", line, col)
             tokens.append(Token("op", lexeme, line, col))
         elif kind == "int" or kind == "op":
             tokens.append(Token(kind, lexeme, line, col))
         elif kind == "delimiter":
             msg = "module delimiter lines are not part of the subset"
             raise LexError(msg, line, col)
-        else:  # a stray character, or a word that starts with a numeric one
-            raise LexError(f"unexpected character {lexeme[0]!r}", line, col)
+        else:
+            raise LexError(f"unexpected character {lexeme!r}", line, col)
     return tokens
-
-
-def _unknown_operator(lexeme: str, line: int, col: int) -> LexError:
-    """The error for a backslash and the letters after it, which name no
-    operator; the word ends at the first numeric character."""
-    word = "\\" + "".join(itertools.takewhile(str.isalpha, lexeme[1:]))
-    if word[1:] not in _BACKSLASH_WORDS:
-        return LexError(f"unknown operator {word!r}", line, col)
-    # an operator, then a numeric character
-    at = len(word)
-    return LexError(f"unexpected character {lexeme[at]!r}", line, col + at)

@@ -25,7 +25,7 @@ from ..errors import (
     UnsupportedConstruct,
 )
 from ..record import Record
-from ..values import IntVal
+from ..values import INT64_MAX, INT64_MIN, IntVal
 from .lexemes import ALIASES, CONSTANTS, DECLARATIONS, QUANTIFIERS, RELATIONS
 from .lexer import RESERVED, Token, tokenize
 
@@ -34,6 +34,7 @@ _RELATIONS = {lexeme: kind for kind, lexeme in RELATIONS.items()} | ALIASES
 _QUANTIFIERS = {lexeme: kind for kind, lexeme in QUANTIFIERS.items()}
 
 _NO_FENCE = -1
+_INT64_DIGITS = len(str(INT64_MAX))  # and of -INT64_MIN
 
 
 class Ref(Record):
@@ -234,13 +235,12 @@ class _Parser:
         if tok.kind == "end" or tok.col <= fence:
             raise self.error("expected an expression")
         if tok.kind == "int":
-            self.next()
-            return sp.Const(IntVal(int(tok.lexeme)))
+            return self.integer(tok, 1)
         if tok.kind == "op" and tok.lexeme == "-":
             self.next()
             if self.tok.kind != "int":
                 raise self.error("expected an integer after unary '-'")
-            return sp.Const(IntVal(-int(self.next().lexeme)))
+            return self.integer(tok, -1)
         if tok.kind == "keyword":
             self.next()
             if tok.lexeme in CONSTANTS:
@@ -267,6 +267,17 @@ class _Parser:
             self.next()
             return sp.SeqLit(self.item_list(">>"))
         raise self.error(f"expected an expression, found {tok}")
+
+    def integer(self, start: Token, sign: int) -> sp.Expr:
+        """The integer token at hand times `sign`, a literal that begins
+        at `start`; its digits are counted before int() reads them."""
+        digits = self.next().lexeme.lstrip("0")
+        if len(digits) <= _INT64_DIGITS:
+            value = sign * int(digits or "0")
+            if INT64_MIN <= value <= INT64_MAX:
+                return sp.Const(IntVal(value))
+        raise ParseError("integer literal outside signed 64-bit range",
+                         start.line, start.col)
 
     def item_list(self, closer: str) -> list:
         items: list = []

@@ -1,7 +1,9 @@
 """Render spec-core expressions and specs back to the ASCII TLA+ subset.
 
-The contract is parse(pretty_print(x)) == x, structurally.  Printing is
-one `spec.fold` over the tree: each node's step gets its parts as
+The contract is parse(pretty_print(x)) == x, structurally, for trees
+whose names and integers are the subset's: ASCII identifiers, and
+integers within signed 64-bit, the range arithmetic keeps.  Printing
+is one `spec.fold` over the tree: each node's step gets its parts as
 (text, binding strength) pairs and parenthesizes a part whose strength
 is below the place it occupies, so tree depth never reaches Python's
 recursion limit.  Comparisons are printed parenthesized under the

@@ -148,6 +148,17 @@ class TestCheck:
         assert result.exit_code == 2
         assert result.stderr == "error: 2:12: unexpected character '²'\n"
 
+    def test_an_integer_past_int64_is_a_positioned_error(self, runner,
+                                                         tmp_path):
+        big = tmp_path / "big.tla"
+        big.write_text(f"VARIABLE x\nInit == x = {'9' * 5000}\nNext == x' = x\n")
+        for args, prefix in ((("check", "--spec"), "error"),
+                             (("translate",), "big.tla")):
+            result = invoke(runner, *args, str(big))
+            assert result.exit_code == 2
+            assert result.stderr == (
+                f"{prefix}: 2:12: integer literal outside signed 64-bit range\n")
+
     def test_spec_and_example_are_mutually_exclusive(self, runner):
         result = invoke(runner, "check", "--example", "onebit",
                         "--spec", str(ONEBIT_TLA))

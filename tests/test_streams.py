@@ -1,13 +1,14 @@
 """Timed streams, assumption/guarantee checking, boiler dynamics."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmbt.spec as sp
 from tmbt.errors import ConsumptionOutOfRange, TypeMismatch
-from tmbt.explore import explore, initial_states
+from tmbt.explore import behavior_satisfies, explore, initial_states
 from tmbt.streams import (
+    INITIAL_LEVEL,
     SIGNAL_OFF,
     SIGNAL_ON,
     AssumptionViolated,
@@ -26,7 +27,7 @@ from tmbt.streams import (
     to_temporal_spec,
     ts,
 )
-from tmbt.values import FALSE, IntVal
+from tmbt.values import FALSE, TRUE, IntVal
 
 ONE_PER_INTERVAL = TimedStream([[IntVal(3)], [IntVal(1)], [IntVal(4)]])
 GAPPY = TimedStream([[IntVal(3)], [], [IntVal(4)]])
@@ -157,6 +158,26 @@ class TestCheckAsmGar:
         verdict = self.run(Thresholds(190, 810))
         assert verdict == GuaranteeViolated(index=0, interval=57)
 
+    @pytest.mark.parametrize("component", [
+        COMP,
+        ComponentSpec("ranged", asm=[StreamPredicate(
+            "each_in_range", {"stream": "steam", "low": 0, "high": 10})]),
+    ], ids=["ts-first", "without-ts"])
+    def test_asking_past_an_input_prefix_is_an_error(self, component):
+        ins, outs = simulate_closed_loop(intervals=10)
+        with pytest.raises(ValueError) as err:
+            check_asm_gar(component, ins, outs, 11)
+        assert str(err.value) == (
+            "stream 'steam' prefix has 10 intervals, asked about 11")
+
+    def test_asking_past_an_output_prefix_is_an_error(self):
+        _, outs = simulate_closed_loop(intervals=10)
+        ins = {"steam": TimedStream([[IntVal(5)]] * 11)}
+        with pytest.raises(ValueError) as err:
+            check_asm_gar(self.COMP, ins, outs, 11)
+        assert str(err.value) == (
+            "stream 'sensor' prefix has 10 intervals, asked about 11")
+
     def test_guarantee_failure_reports_first_interval(self):
         ins = {"steam": TimedStream([[IntVal(5)], [IntVal(5)]])}
         outs = {"sensor": TimedStream([[IntVal(500)], [IntVal(100)]]),
@@ -271,3 +292,38 @@ class TestToTemporalSpec:
     def test_parameters_are_recorded(self):
         spec = to_temporal_spec(Thresholds(250, 750))
         assert spec.param_map() == {"low": 250, "high": 750}
+
+
+def loop_behavior(outputs: dict) -> sp.Behavior:
+    """A closed-loop run as states over {level, pumpOn}: the idle tank at
+    its starting level, then each sensor reading with the pump mode that
+    the signals emitted so far leave."""
+    pump = FALSE
+    states = [sp.State({"level": IntVal(INITIAL_LEVEL), "pumpOn": pump})]
+    for (reading,), signals in zip(outputs["sensor"].intervals,
+                                   outputs["ctrl"].intervals):
+        for signal in signals:
+            pump = TRUE if signal == SIGNAL_ON else FALSE
+        states.append(sp.State({"level": reading, "pumpOn": pump}))
+    return sp.Behavior(states)
+
+
+ORDERED_THRESHOLDS = st.lists(
+    st.integers(100, 900), min_size=2, max_size=2, unique=True).map(
+        lambda pair: Thresholds(*sorted(pair)))
+
+
+class TestClosedLoopAgainstItsSpec:
+    """The executable loop and its TemporalSpec state one system twice;
+    every run of the one must be a behavior of the other."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           thresholds=st.one_of(st.just(Thresholds()), ORDERED_THRESHOLDS))
+    def test_every_run_is_a_behavior_of_the_spec(self, seed, thresholds):
+        ins, outs = simulate_closed_loop(thresholds, 100, seed)
+        behavior = loop_behavior(outs)
+        assert behavior_satisfies(to_temporal_spec(thresholds), behavior)
+        if thresholds == Thresholds():
+            verdict = check_asm_gar(closed_loop_component_spec(), ins, outs, 100)
+            assert verdict == Conforms()

@@ -2,10 +2,8 @@
 
 import pytest
 
-import tmbt.spec as sp
 from tmbt.errors import LexError
 from tmbt.tla import parse_expression, tokenize
-from tmbt.values import IntVal
 
 
 def lexemes(source):
@@ -90,13 +88,17 @@ class TestTokenize:
         toks = tokenize("\\in\\/")
         assert [(t.lexeme, t.col) for t in toks] == [("\\in", 0), ("\\/", 3)]
 
-    def test_identifiers_are_unicode_words(self):
-        assert lexemes("x²") == [("ident", "x²")]
-        assert lexemes("été") == [("ident", "été")]
+    def test_identifiers_are_ascii_words(self):
+        for source, message in (("x²", "1:1: unexpected character '²'"),
+                                ("été", "1:0: unexpected character 'é'")):
+            with pytest.raises(LexError) as err:
+                tokenize(source)
+            assert str(err.value) == message
 
-    def test_integers_are_unicode_decimal_digits(self):
-        assert lexemes("٣") == [("int", "٣")]
-        assert parse_expression("٣") == sp.Const(IntVal(3))
+    def test_integers_are_ascii_decimal_digits(self):
+        with pytest.raises(LexError) as err:
+            parse_expression("٣")
+        assert str(err.value) == "1:0: unexpected character '٣'"
 
 
 class TestLexErrors:
@@ -119,9 +121,12 @@ class TestLexErrors:
         ("\\x½", "1:0: unknown operator '\\\\x'"),
         ("a ²", "1:2: unexpected character '²'"),
         ("1²", "1:1: unexpected character '²'"),
+        ("\\é", "1:0: unknown operator '\\\\'"),
+        ("ab\\/é", "1:4: unexpected character 'é'"),
     ], ids=["backslash-at-end", "backslash-before-digit", "delimiter",
             "fraction", "fraction-after-operator", "fraction-after-unknown",
-            "superscript", "superscript-after-digit"])
+            "superscript", "superscript-after-digit", "accent-after-backslash",
+            "accent-after-disjunction"])
     def test_edges(self, source, message):
         with pytest.raises(LexError) as err:
             tokenize(source)

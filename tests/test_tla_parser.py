@@ -13,7 +13,7 @@ from tmbt.errors import (
 )
 from tmbt.explore import explore
 from tmbt.tla import ParsedModule, parse_expression, parse_module, to_spec
-from tmbt.values import BOOLEANS, IntVal
+from tmbt.values import BOOLEANS, INT64_MAX, INT64_MIN, IntVal
 
 ONE_BIT = """\
 VARIABLE b
@@ -82,6 +82,19 @@ class TestExpressionGrammar:
     def test_unary_minus_makes_negative_literals(self):
         assert parse_expression("-3") == sp.intval(-3)
         assert parse_expression("x - -3") == sp.Sub(sp.Var("x"), sp.intval(-3))
+
+    def test_literals_span_int64(self):
+        assert parse_expression("9223372036854775807") == sp.intval(INT64_MAX)
+        assert parse_expression("-9223372036854775808") == sp.intval(INT64_MIN)
+
+    @pytest.mark.parametrize("literal", [
+        "9223372036854775808", "-9223372036854775809", "9" * 5000,
+    ], ids=["past-max", "past-min", "5000-digits"])
+    def test_literals_outside_int64_are_positioned_errors(self, literal):
+        with pytest.raises(ParseError) as err:
+            parse_expression(f"x = {literal}")
+        assert str(err.value) == (
+            "1:4: integer literal outside signed 64-bit range")
 
     def test_primes(self):
         assert parse_expression("b' = b + 1") == sp.Eq(
