@@ -21,7 +21,7 @@ from .explore import (
     explore,
     stats_to_json,
 )
-from .values import value_to_json
+from .values import INT64_MAX, INT64_MIN, value_to_json
 
 # Each command imports the layers only it runs (the parser where a
 # source file is read, the examples where one is named, the IR in
@@ -61,9 +61,12 @@ def _parse_params(pairs) -> dict:
         if not sep or not key:
             raise UsageError(f"--param expects K=V, got {pair!r}")
         try:
-            params[key] = int(raw)
+            value = int(raw)
         except ValueError:
             raise UsageError(f"--param {key} needs an integer, got {raw!r}")
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise UsageError(f"--param {key} is outside signed 64-bit range")
+        params[key] = value
     return params
 
 

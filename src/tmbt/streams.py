@@ -20,14 +20,7 @@ import typing as t
 from . import spec as sp
 from .errors import ConsumptionOutOfRange, TypeMismatch
 from .record import Record
-from .values import (
-    BOOLEANS,
-    FALSE,
-    IntVal,
-    Value,
-    value_from_json,
-    value_to_json,
-)
+from .values import BOOLEANS, FALSE, IntVal, Value
 
 SIGNAL_ON = IntVal(1)
 SIGNAL_OFF = IntVal(0)
@@ -63,13 +56,6 @@ class TimedStream(Record):
     def at(self, interval: int) -> tuple:
         return self.intervals[interval]
 
-    def to_json(self) -> list:
-        return [[value_to_json(m) for m in msgs] for msgs in self.intervals]
-
-    @classmethod
-    def from_json(cls, data: list) -> "TimedStream":
-        return cls([[value_from_json(m) for m in msgs] for msgs in data])
-
 
 def ts(stream: TimedStream, up_to: int) -> bool:
     """True iff every interval in [0, up_to) carries exactly one message."""
@@ -79,27 +65,36 @@ def ts(stream: TimedStream, up_to: int) -> bool:
     return all(len(stream.at(i)) == 1 for i in range(up_to))
 
 
+def _require_prefix(name: str, stream: TimedStream, up_to: int) -> None:
+    """Raise ValueError unless stream `name` records `up_to` intervals."""
+    if up_to > len(stream):
+        msg = (f"stream {name!r} prefix has {len(stream)} intervals, "
+               f"asked about {up_to}")
+        raise ValueError(msg)
+
+
 # ---------------------------------------------------------------------------
 # Component specifications
 
 class StreamPredicate(Record):
-    """A named predicate form; `kind` selects the check, fields configure it.
+    """A named predicate form; `kind` selects the check, the `fields`
+    dict (kept as sorted pairs) configures it.
 
-    Supported kinds:
-      ts                 stream carries exactly one message per interval
-      each_in_range      every message on stream is an integer in [low, high]
-      level_in_band      every message on stream stays in [low, high]
-      signals_alternate  emitted on/off signals on stream strictly alternate
+    Assumption kinds, over the input stream named `stream`:
+      ts                 exactly one message per interval
+      each_in_range      every message is an integer in [low, high]
+    Guarantee kinds, at one interval of the output stream named `stream`
+    (or of the input stream, if no output has that name):
+      level_in_band      every message at that interval is in [low, high]
+      signals_alternate  the on/off signals up to it strictly alternate
     """
 
     kind: str
     fields: tuple
 
-    def __init__(self, kind, fields=()):
+    def __init__(self, kind, fields):
         object.__setattr__(self, "kind", kind)
-        if isinstance(fields, dict):
-            fields = tuple(sorted(fields.items()))
-        object.__setattr__(self, "fields", tuple(fields))
+        object.__setattr__(self, "fields", tuple(sorted(fields.items())))
 
     def field_map(self) -> dict:
         return dict(self.fields)
@@ -123,10 +118,14 @@ class StreamPredicate(Record):
     def check_guarantee(self, inputs: dict, outputs: dict, interval: int) -> bool:
         f = self.field_map()
         name = f["stream"]
-        stream = outputs.get(name) or inputs.get(name)
-        if stream is None:
+        if name in outputs:
+            stream = outputs[name]
+        elif name in inputs:
+            stream = inputs[name]
+        else:
             msg = f"guarantee references unknown stream {name!r}"
             raise TypeMismatch(msg)
+        _require_prefix(name, stream, interval + 1)
         if self.kind == "level_in_band":
             return all(isinstance(m, IntVal) and f["low"] <= m.value <= f["high"]
                        for m in stream.at(interval))
@@ -141,63 +140,24 @@ class StreamPredicate(Record):
         msg = f"unknown guarantee kind {self.kind!r}"
         raise TypeMismatch(msg)
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        out.update({k: v for k, v in self.fields})
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StreamPredicate":
-        fields = {k: v for k, v in data.items() if k != "kind"}
-        return cls(data["kind"], fields)
-
 
 class ComponentSpec(Record):
-    """Assumption/guarantee interface spec of a timed-stream component."""
+    """Assumption/guarantee interface spec of a timed-stream component:
+    its channel-to-type dicts (kept as sorted pairs) and the
+    StreamPredicates it assumes (`asm`) and guarantees (`gar`)."""
 
     name: str
     inputs: tuple
     outputs: tuple
-    local: tuple
-    init: tuple
     asm: tuple
     gar: tuple
 
-    def __init__(self, name, inputs=(), outputs=(), local=(), init=(),
-                 asm=(), gar=()):
-        def pairs(v):
-            return tuple(sorted(v.items())) if isinstance(v, dict) else tuple(v)
-
+    def __init__(self, name, inputs=(), outputs=(), asm=(), gar=()):
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "inputs", pairs(inputs))
-        object.__setattr__(self, "outputs", pairs(outputs))
-        object.__setattr__(self, "local", pairs(local))
-        object.__setattr__(self, "init", pairs(init))
+        object.__setattr__(self, "inputs", tuple(sorted(dict(inputs).items())))
+        object.__setattr__(self, "outputs", tuple(sorted(dict(outputs).items())))
         object.__setattr__(self, "asm", tuple(asm))
         object.__setattr__(self, "gar", tuple(gar))
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "in": dict(self.inputs),
-            "out": dict(self.outputs),
-            "local": dict(self.local),
-            "init": {k: value_to_json(v) for k, v in self.init},
-            "asm": [p.to_json() for p in self.asm],
-            "gar": [p.to_json() for p in self.gar],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ComponentSpec":
-        return cls(
-            name=data["name"],
-            inputs=data.get("in", {}),
-            outputs=data.get("out", {}),
-            local=data.get("local", {}),
-            init={k: value_from_json(v) for k, v in data.get("init", {}).items()},
-            asm=[StreamPredicate.from_json(p) for p in data.get("asm", [])],
-            gar=[StreamPredicate.from_json(p) for p in data.get("gar", [])],
-        )
 
 
 # Verdicts
@@ -229,10 +189,7 @@ def check_asm_gar(component: ComponentSpec, inputs: dict, outputs: dict,
     record at least `up_to` intervals.
     """
     for name, stream in (*inputs.items(), *outputs.items()):
-        if up_to > len(stream):
-            msg = (f"stream {name!r} prefix has {len(stream)} intervals, "
-                   f"asked about {up_to}")
-            raise ValueError(msg)
+        _require_prefix(name, stream, up_to)
     for index, predicate in enumerate(component.asm):
         if not predicate.check_assumption(inputs, up_to):
             return AssumptionViolated(index)
@@ -248,8 +205,16 @@ def check_asm_gar(component: ComponentSpec, inputs: dict, outputs: dict,
 
 
 class Thresholds(Record):
-    low: int = 300
-    high: int = 700
+    """The controller's switching levels, refused unless `low < high`."""
+
+    low: int
+    high: int
+
+    def __init__(self, low=300, high=700):
+        if not low < high:
+            raise ValueError(f"thresholds low={low}, high={high} are not ordered")
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", high)
 
 
 class ControllerState(Record):
@@ -275,9 +240,6 @@ def controller_step(state: ControllerState, sensor_level: int,
     Output stays sparse: nothing is emitted while the level sits between
     the thresholds, so consecutive emitted signals always alternate.
     """
-    if not thresholds.low < thresholds.high:
-        msg = f"thresholds {thresholds} are not ordered"
-        raise ValueError(msg)
     signal = None
     pump_on = state.pump_on
     if not state.pump_on and sensor_level <= thresholds.low:
@@ -290,7 +252,7 @@ def controller_step(state: ControllerState, sensor_level: int,
     return ControllerState(sensor_level, pump_on, last), signal
 
 
-def closed_loop_component_spec(band=(BAND_LOW, BAND_HIGH)) -> ComponentSpec:
+def closed_loop_component_spec() -> ComponentSpec:
     """Interface spec of the closed loop: steam in, sensor and signals out."""
     return ComponentSpec(
         name="steam-boiler-closed-loop",
@@ -303,7 +265,8 @@ def closed_loop_component_spec(band=(BAND_LOW, BAND_HIGH)) -> ComponentSpec:
         ],
         gar=[
             StreamPredicate("level_in_band",
-                            {"stream": "sensor", "low": band[0], "high": band[1]}),
+                            {"stream": "sensor", "low": BAND_LOW,
+                             "high": BAND_HIGH}),
             StreamPredicate("signals_alternate", {"stream": "ctrl"}),
         ],
     )
@@ -347,9 +310,6 @@ def to_temporal_spec(thresholds: Thresholds = Thresholds()) -> sp.TemporalSpec:
     which drives the pump from the next transition on (the one-step
     signal latency of the stream semantics).
     """
-    if not thresholds.low < thresholds.high:
-        msg = f"thresholds {thresholds} are not ordered"
-        raise ValueError(msg)
     level = sp.Var("level")
     level_next = sp.Primed("level")
     pump = sp.Var("pumpOn")

@@ -145,6 +145,9 @@ def value_from_json(data) -> Value:
     if isinstance(data, bool):
         return BoolVal(data)
     if isinstance(data, int):
+        if not INT64_MIN <= data <= INT64_MAX:
+            msg = f"integer {data} outside signed 64-bit range"
+            raise TypeMismatch(msg)
         return IntVal(data)
     if isinstance(data, dict) and set(data) == {"set"}:
         return SetVal(value_from_json(e) for e in data["set"])

@@ -179,6 +179,32 @@ class TestCheck:
         assert result.exit_code == 2
         assert "--param M needs an integer" in result.stderr
 
+    # steamboiler under a limit, not euclid: an unrefused huge M or N would
+    # have the explorer enumerate TypeOK's range 1..M first
+    @pytest.mark.parametrize("args", [
+        ["check", "--example", "steamboiler", "--max-distinct", "3",
+         "--param", "low=-9223372036854775809"],
+        ["behaviors", "--example", "steamboiler", "--param",
+         "high=9223372036854775808"],
+        ["test", "--param", "high=99999999999999999999"],
+    ], ids=["check", "behaviors", "test"])
+    def test_parameters_stay_within_signed_64_bit(self, runner, args):
+        result = invoke(runner, *args)
+        key = args[-1].partition("=")[0]
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: ")
+        assert result.stderr.endswith(
+            f"error: --param {key} is outside signed 64-bit range\n")
+
+    def test_parameters_may_reach_the_signed_64_bit_bounds(self, runner):
+        result = invoke(runner, "check", "--example", "steamboiler",
+                        "--param", "low=-9223372036854775808",
+                        "--param", "high=9223372036854775807",
+                        "--max-distinct", "3", "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["distinct_states"] == 3
+
     def test_parameters_need_a_key_and_value(self, runner):
         result = invoke(runner, "check", "--example", "euclid",
                         "--param", "M24")
@@ -311,8 +337,8 @@ class TestTest:
             result = invoke(runner, *args)
             assert result.exit_code == 2, args
             assert result.stdout == ""
-            assert result.stderr.startswith("error: thresholds ")
-            assert result.stderr.endswith(" are not ordered\n")
+            assert result.stderr == (
+                f"error: thresholds low={low}, high={high} are not ordered\n")
 
     def test_only_the_boiler_has_a_test_model(self, runner):
         result = invoke(runner, "test", "--example", "onebit")
@@ -426,6 +452,21 @@ class TestDeadSut:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error: SUT ")
+
+    def test_sut_reply_past_signed_64_bit_is_exit_2(self, tmp_path):
+        script = tmp_path / "sut.py"
+        script.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    print('{\"ok\": true, \"observed\": "
+            "{\"level\": 9223372036854775808, \"pump\": false}}', "
+            "flush=True)\n")
+        result = self.run("test", "--sut", f"{sys.executable} {script}",
+                          "--cases", "2")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: integer 9223372036854775808 outside signed 64-bit range\n")
 
 
 class TestUsage:

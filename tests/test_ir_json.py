@@ -79,6 +79,20 @@ class TestExpressionNodes:
         with pytest.raises(TypeMismatch, match="unknown expression op"):
             ir.expr_from_json({"op": "xor", "args": []})
 
+    def test_constant_past_signed_64_bit_is_rejected(self):
+        spec = sp.TemporalSpec(
+            name="x5", variables=("x",),
+            init=sp.Eq(sp.Var("x"), sp.intval(5)),
+            actions=(sp.NamedAction("A1", sp.Eq(sp.Primed("x"), sp.Var("x"))),))
+        text = ir.spec_to_text(spec)
+        assert ir.spec_from_text(text) == spec
+        huge = text.replace('"value": 5', '"value": 99999999999999999999')
+        assert huge != text
+        with pytest.raises(TypeMismatch) as err:
+            ir.spec_from_text(huge)
+        assert str(err.value) == (
+            "integer 99999999999999999999 outside signed 64-bit range")
+
     def test_malformed_node_is_rejected(self):
         with pytest.raises(TypeMismatch, match="malformed"):
             ir.expr_from_json(["not", "a", "node"])

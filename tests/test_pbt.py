@@ -52,6 +52,11 @@ class TestCommand:
     def test_json_tolerates_missing_args(self):
         assert Command.from_json({"op": "endSystem"}) == Command("endSystem")
 
+    def test_json_refuses_integers_past_signed_64_bit(self):
+        data = {"op": "waterLevelDidChange", "args": {"amount": 2**63}}
+        with pytest.raises(TypeMismatch, match="outside signed 64-bit range"):
+            Command.from_json(data)
+
 
 class TestBinding:
     def test_alphabet_lookup(self):
@@ -184,6 +189,16 @@ class ChattySystem:
         return "fine"
 
 
+class HugeLevelSystem:
+    """Reports a level one past the largest signed 64-bit integer."""
+
+    def reset(self):
+        pass
+
+    def handle(self, op, args):
+        return {"level": 2**63, "pump": False}
+
+
 class RecordingSystem(BoilerSystem):
     """The pump mutant, noting each call it receives."""
 
@@ -246,6 +261,13 @@ class TestRunCase:
         with pytest.raises(ProtocolError, match="observation map"):
             run_case(BINDING, InProcessAdapter(ChattySystem()),
                      (Command("startSystem"),))
+
+    def test_reply_past_signed_64_bit_is_refused(self):
+        with pytest.raises(TypeMismatch) as err:
+            run_case(BINDING, InProcessAdapter(HugeLevelSystem()),
+                     (Command("startSystem"),))
+        assert str(err.value) == (
+            "integer 9223372036854775808 outside signed 64-bit range")
 
     def test_unmet_precondition_is_a_harness_error(self):
         with pytest.raises(PreconditionViolated, match="openPump"):

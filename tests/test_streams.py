@@ -41,13 +41,7 @@ class TestTimedStream:
         assert len(s) == 2
         assert s.at(0) == (IntVal(1),)
 
-    def test_json_round_trip(self):
-        data = ONE_PER_INTERVAL.to_json()
-        assert data == [[3], [1], [4]]  # arrays of arrays, bare scalars
-        assert TimedStream.from_json(data) == ONE_PER_INTERVAL
-
     def test_empty_stream(self):
-        assert TimedStream().to_json() == []
         assert len(TimedStream()) == 0
 
 
@@ -109,26 +103,24 @@ class TestStreamPredicate:
                                               "high": 10})
         assert p.check_guarantee({"steam": ONE_PER_INTERVAL}, {}, 0)
 
-    def test_json_round_trip(self):
-        p = StreamPredicate("each_in_range", {"stream": "steam", "low": 0,
+    @pytest.mark.parametrize("inputs", [{"s": TimedStream([[IntVal(5)]])}, {}],
+                             ids=["input-of-that-name", "no-input"])
+    def test_an_empty_output_stream_is_judged_as_itself(self, inputs):
+        p = StreamPredicate("level_in_band", {"stream": "s", "low": 0,
                                               "high": 10})
-        assert StreamPredicate.from_json(p.to_json()) == p
-        assert p.to_json()["kind"] == "each_in_range"
+        with pytest.raises(ValueError) as err:
+            p.check_guarantee(inputs, {"s": TimedStream()}, 0)
+        assert str(err.value) == "stream 's' prefix has 0 intervals, asked about 1"
 
 
 class TestComponentSpec:
-    def test_json_round_trip(self):
+    def test_closed_loop_sections(self):
         comp = closed_loop_component_spec()
-        again = ComponentSpec.from_json(comp.to_json())
-        assert again == comp  # every section survives the round trip
-
-    def test_json_sections(self):
-        data = closed_loop_component_spec().to_json()
-        assert data["in"] == {"steam": "int"}
-        assert data["out"] == {"sensor": "int", "ctrl": "signal"}
-        assert [p["kind"] for p in data["asm"]] == ["ts", "each_in_range"]
-        assert [p["kind"] for p in data["gar"]] == ["level_in_band",
-                                                    "signals_alternate"]
+        assert comp.inputs == (("steam", "int"),)
+        assert dict(comp.outputs) == {"sensor": "int", "ctrl": "signal"}
+        assert [p.kind for p in comp.asm] == ["ts", "each_in_range"]
+        assert [p.kind for p in comp.gar] == ["level_in_band",
+                                              "signals_alternate"]
 
 
 class TestCheckAsmGar:
@@ -202,6 +194,21 @@ class TestBoilerDynamics:
     @given(st.integers(0, 1000), st.booleans(), st.integers(0, 10))
     def test_level_moves_at_most_ten(self, level, pump_on, consumption):
         assert abs(step_boiler(level, pump_on, consumption) - level) <= 10
+
+
+class TestThresholds:
+    def test_equality_and_hash_follow_the_fields(self):
+        assert Thresholds() == Thresholds(low=300, high=700)
+        assert hash(Thresholds(250, 750)) == hash((250, 750))
+        assert Thresholds(250, 750) != Thresholds(250, 751)
+        assert Thresholds(250, 750) != Thresholds(249, 750)
+
+    @pytest.mark.parametrize("low,high", [(800, 100), (500, 500)])
+    def test_unordered_thresholds_are_refused_when_built(self, low, high):
+        with pytest.raises(ValueError) as err:
+            Thresholds(low, high)
+        assert str(err.value) == (
+            f"thresholds low={low}, high={high} are not ordered")
 
 
 class TestControllerStep:

@@ -141,6 +141,16 @@ class TestJson:
         with pytest.raises(TypeMismatch):
             value_from_json({"set": [], "seq": []})
 
+    def test_integers_decode_within_signed_64_bit(self):
+        assert value_from_json(-(2**63)) == IntVal(-(2**63))
+        assert value_from_json(2**63 - 1) == IntVal(2**63 - 1)
+        for past in (-(2**63) - 1, 2**63):
+            with pytest.raises(TypeMismatch) as err:
+                value_from_json(past)
+            assert str(err.value) == f"integer {past} outside signed 64-bit range"
+        with pytest.raises(TypeMismatch, match="integer 18446744073709551616 "):
+            value_from_json({"seq": [1, {"set": [2**64]}]})
+
     @given(json_values())
     def test_round_trip(self, data):
         v = value_from_json(data)
