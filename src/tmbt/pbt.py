@@ -82,7 +82,8 @@ class OpSpec(Record):
 
 
 class ModelBinding(Record):
-    """The test model: an initial state plus the operation alphabet."""
+    """The test model: an initial state plus the operation alphabet, in
+    which no two operations share a name."""
 
     initial: State
     alphabet: tuple
@@ -91,7 +92,10 @@ class ModelBinding(Record):
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "alphabet", tuple(alphabet))
         by_name: dict = {}
-        for op in reversed(self.alphabet):  # the first of a name wins
+        for op in self.alphabet:
+            if op.name in by_name:
+                msg = f"operation {op.name!r} appears twice in the alphabet"
+                raise ValueError(msg)
             by_name[op.name] = op
         object.__setattr__(self, "_by_name", by_name)
         reads = frozenset().union(*(names_read(op.pre, Var)

@@ -174,7 +174,9 @@ class ExprNode(Record):
     fields (value, variable or bound name); each later field holds a
     subexpression, or in a `variadic` class a tuple of them.  Walkers
     (`fold`) read and make nodes by it, through `children()` and
-    `rebuild(children)`, and never name a node's fields.
+    `rebuild(children)`, and never name a node's fields.  Kinds of one
+    layout inherit it from a base (`Binary`, `Binder`, `Items`), which
+    is not itself a node kind: only the leaf classes are.
 
     `compiled` is the node's expression as a closure
     `(current, nxt, env) -> Value`, built on first evaluation and then
@@ -273,69 +275,68 @@ class Or(Junction):
     pass
 
 
-class Implies(ExprNode):
+class Binary(ExprNode):
+    """The layout of a binary operator: a left and a right operand."""
+
     left: "Expr"
     right: "Expr"
 
 
-class Eq(ExprNode):
-    left: "Expr"
-    right: "Expr"
+class Implies(Binary):
+    pass
 
 
-class Neq(ExprNode):
-    left: "Expr"
-    right: "Expr"
+class Eq(Binary):
+    pass
 
 
-class Lt(ExprNode):
-    left: "Expr"
-    right: "Expr"
+class Neq(Binary):
+    pass
 
 
-class Le(ExprNode):
-    left: "Expr"
-    right: "Expr"
+class Comparison(Binary):
+    """An integer comparison, whose class states the test it makes: `holds`."""
 
 
-class Gt(ExprNode):
-    left: "Expr"
-    right: "Expr"
+class Lt(Comparison):
+    holds = operator.lt
 
 
-class Ge(ExprNode):
-    left: "Expr"
-    right: "Expr"
+class Le(Comparison):
+    holds = operator.le
 
 
-class NotLt(ExprNode):
-    left: "Expr"
-    right: "Expr"
+class Gt(Comparison):
+    holds = operator.gt
 
 
-class NotLe(ExprNode):
-    left: "Expr"
-    right: "Expr"
+class Ge(Comparison):
+    holds = operator.ge
 
 
-class NotGt(ExprNode):
-    left: "Expr"
-    right: "Expr"
+# On integers `not a < b` is `a >= b`, and so on for the other negations.
+class NotLt(Comparison):
+    holds = operator.ge
 
 
-class NotGe(ExprNode):
-    left: "Expr"
-    right: "Expr"
+class NotLe(Comparison):
+    holds = operator.gt
 
 
-class Add(ExprNode):
-    left: "Expr"
-    right: "Expr"
+class NotGt(Comparison):
+    holds = operator.le
 
 
-class Sub(ExprNode):
-    left: "Expr"
-    right: "Expr"
+class NotGe(Comparison):
+    holds = operator.lt
+
+
+class Add(Binary):
+    combine = operator.add
+
+
+class Sub(Binary):
+    combine = operator.sub
 
 
 class In(ExprNode):
@@ -343,7 +344,9 @@ class In(ExprNode):
     domain: "Expr"
 
 
-class SetLit(ExprNode):
+class Items(ExprNode):
+    """The layout of a literal: a tuple of item expressions."""
+
     items: tuple
     variadic = True
 
@@ -351,12 +354,12 @@ class SetLit(ExprNode):
         object.__setattr__(self, "items", tuple(items))
 
 
-class SeqLit(ExprNode):
-    items: tuple
-    variadic = True
+class SetLit(Items):
+    pass
 
-    def __init__(self, items=()):
-        object.__setattr__(self, "items", tuple(items))
+
+class SeqLit(Items):
+    pass
 
 
 class IntRange(ExprNode):
@@ -364,31 +367,28 @@ class IntRange(ExprNode):
     high: "Expr"
 
 
-class Forall(ExprNode):
+class Binder(ExprNode):
+    """The layout of a binder: a bound name, its domain and a body."""
+
     var: str
     domain: "Expr"
     body: "Expr"
     scalars = ("var",)
 
 
-class Exists(ExprNode):
-    var: str
-    domain: "Expr"
-    body: "Expr"
-    scalars = ("var",)
+class Forall(Binder):
+    pass
 
 
-class Choose(ExprNode):
-    var: str
-    domain: "Expr"
-    body: "Expr"
-    scalars = ("var",)
+class Exists(Binder):
+    pass
+
+
+class Choose(Binder):
+    pass
 
 
 Expr = ExprNode  # any expression node
-
-COMPARISONS = (Lt, Le, Gt, Ge, NotLt, NotLe, NotGt, NotGe)
-QUANTIFIERS = (Forall, Exists, Choose)
 
 
 def intval(n: int) -> Const:
@@ -454,7 +454,7 @@ def names_read(expr, kind: type) -> frozenset:
     def combine(node, inner) -> frozenset:
         if isinstance(node, kind):
             return frozenset((node.name,))
-        if kind is Var and isinstance(node, QUANTIFIERS):
+        if kind is Var and isinstance(node, Binder):
             return inner[0] | (inner[1] - {node.var})
         return frozenset().union(*inner)
     return fold(expr, combine)
@@ -537,15 +537,6 @@ def _checked_int(n: int) -> IntVal:
     return IntVal(n)
 
 
-# On integers `not a < b` is `a >= b`, and so on for the other negations.
-_ORDERINGS = (
-    (Lt, operator.lt), (Le, operator.le), (Gt, operator.gt), (Ge, operator.ge),
-    (NotLt, operator.ge), (NotLe, operator.gt), (NotGt, operator.le),
-    (NotGe, operator.lt),
-)
-_BINARY = (Implies, Eq, Neq, Add, Sub) + COMPARISONS
-
-
 def _operands(expr: ExprNode) -> list:
     """What to compile before `expr`: the expressions among its children
     that are not compiled yet; a junction's are its `flat_parts`."""
@@ -592,7 +583,7 @@ def _build(expr: ExprNode) -> t.Callable:
         return negation
     if isinstance(expr, Junction):
         return _build_junction(expr)
-    if isinstance(expr, _BINARY):
+    if isinstance(expr, Binary):
         return _build_binary(expr, _closure(expr.left), _closure(expr.right))
     if isinstance(expr, In):
         return _build_in(expr)
@@ -609,7 +600,7 @@ def _build(expr: ExprNode) -> t.Callable:
         def int_range(current, nxt, env):
             return SetVal(members(current, nxt, env, "range"))
         return int_range
-    if isinstance(expr, QUANTIFIERS):
+    if isinstance(expr, (Forall, Exists, Choose)):
         return _build_quantifier(expr)
     return _failing(expr)
 
@@ -654,7 +645,7 @@ def _build_junction(expr: Junction) -> t.Callable:
     return junction
 
 
-def _build_binary(expr: ExprNode, left: t.Callable, right: t.Callable) -> t.Callable:
+def _build_binary(expr: Binary, left: t.Callable, right: t.Callable) -> t.Callable:
     if isinstance(expr, Implies):
         def implication(current, nxt, env):
             if not require_bool(left(current, nxt, env)):
@@ -671,21 +662,19 @@ def _build_binary(expr: ExprNode, left: t.Callable, right: t.Callable) -> t.Call
             differ = left(current, nxt, env) != right(current, nxt, env)
             return TRUE if differ else FALSE
         return unequal
-    if isinstance(expr, COMPARISONS):
-        holds = next(op for kind, op in _ORDERINGS if isinstance(expr, kind))
-
+    if holds := getattr(expr, "holds", None):
         def comparison(current, nxt, env):
             a = require_int(left(current, nxt, env), "comparison operand")
             b = require_int(right(current, nxt, env), "comparison operand")
             return TRUE if holds(a, b) else FALSE
         return comparison
-    combine = operator.add if isinstance(expr, Add) else operator.sub
-
-    def arithmetic(current, nxt, env):
-        a = require_int(left(current, nxt, env))
-        b = require_int(right(current, nxt, env))
-        return _checked_int(combine(a, b))
-    return arithmetic
+    if combine := getattr(expr, "combine", None):
+        def arithmetic(current, nxt, env):
+            a = require_int(left(current, nxt, env))
+            b = require_int(right(current, nxt, env))
+            return _checked_int(combine(a, b))
+        return arithmetic
+    return _failing(expr)
 
 
 def _build_in(expr: In) -> t.Callable:
@@ -697,7 +686,7 @@ def _build_in(expr: In) -> t.Callable:
     return membership
 
 
-def _build_quantifier(expr: Forall | Exists | Choose) -> t.Callable:
+def _build_quantifier(expr: Binder) -> t.Callable:
     """One closure for all three binders; the domain is read through its
     set view and the body's closure is called directly, so a binder nests
     no deeper than one tree level."""
@@ -868,7 +857,7 @@ def _scan(expr: Expr, declared: frozenset, construct: str,
             if isinstance(node, ExprNode):
                 return ()
             raise not_an_expression(node)
-        if isinstance(node, QUANTIFIERS):
+        if isinstance(node, Binder):
             domain, body = results
             return domain + tuple(found for found in body if found[0] != node.var)
         return sum(results, ())

@@ -403,6 +403,30 @@ class TestTraceParents:
             (traces, choices, truncated)
 
 
+class TestActionOrder:
+    def test_permuting_the_actions_changes_nothing(self):
+        # without `max_distinct`, which keeps states in the order the
+        # actions find them (ROADMAP item 8)
+        rng = random.Random(25)
+        traces = truncated = 0
+        for _ in range(500):
+            spec = random_graph_spec(rng)
+            actions = list(spec.actions)
+            while tuple(actions) == spec.actions:
+                rng.shuffle(actions)
+            permuted = sp.TemporalSpec(spec.name, spec.variables, spec.init,
+                                       actions, spec.invariants)
+            max_depth = rng.choice((None, rng.randint(0, 5)))
+            graph, stats, cexs = explore(spec, max_depth=max_depth)
+            other, *rest = explore(permuted, max_depth=max_depth)
+            assert (graph.nodes, graph.initials, graph.unexpanded, stats, cexs) == \
+                (other.nodes, other.initials, other.unexpanded, *rest), spec
+            assert graph.edges == other.edges, spec
+            traces += len(cexs)
+            truncated += stats.truncated
+        assert traces > 400 and truncated > 100, (traces, truncated)
+
+
 class TestTruncation:
     def test_max_distinct(self):
         _, stats, _ = explore(specs.load("diehard"), max_distinct=5)

@@ -468,12 +468,14 @@ class TestHugeRanges:
 
 
 class TestAlphabetLookup:
-    def test_first_operation_of_a_name_wins(self):
+    def test_two_operations_of_one_name_are_refused(self):
+        # generation draws from `enabled()`, which would list both, while
+        # replay looks one up by name: the binding is refused where built
         first = OpSpec("op", sp.Const(TRUE), _effect(0))
         second = OpSpec("op", sp.Const(FALSE), _effect(1))
-        binding = ModelBinding(sp.State({}), (first, OpSpec("other", None, None),
-                                              second))
-        assert binding.op("op") is first is ref.op_by_scan(binding, "op")
+        with pytest.raises(ValueError, match=re.escape(
+                "operation 'op' appears twice in the alphabet")):
+            ModelBinding(sp.State({}), (first, OpSpec("other", None, None), second))
 
     def test_unknown_name_matches_the_scan(self):
         binding = random_binding(random.Random(0))

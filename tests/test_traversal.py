@@ -26,7 +26,7 @@ import tmbt.spec as sp
 import tmbt.specs as specs
 from tmbt.errors import MissingDefinition, TypeMismatch
 from tmbt.tla import parse_expression, parse_module, print_expression, to_spec
-from tmbt.tla import parser
+from tmbt.tla import parser, printer
 from tmbt.tla.parser import ParsedModule, Ref
 from tmbt.values import BOOLEANS, TRUE, IntVal, SetVal
 
@@ -165,6 +165,37 @@ class TestNotAnExpression:
             sp.eval_expr(tree, sp.State({}))
 
 
+_ONE = sp.intval(1)
+BARE_BASES = (sp.Binary(_ONE, _ONE), sp.Comparison(_ONE, _ONE),
+              sp.Binder("n", sp.SetLit((_ONE,)), sp.boolval(True)), sp.Items((_ONE,)))
+
+
+class TestNodeKinds:
+    """A node kind is a leaf class of the ExprNode hierarchy; the classes
+    above the leaves only share layouts."""
+
+    def test_each_kind_has_one_op_and_one_step_and_no_base_has_either(self):
+        classes, todo = [], [sp.ExprNode]
+        while todo:
+            cls = todo.pop()
+            classes.append(cls)
+            todo += cls.__subclasses__()
+        kinds = {cls for cls in classes if not cls.__subclasses__()}
+        assert set(classes) - kinds == {sp.ExprNode, sp.Junction, sp.Binary,
+                                        sp.Comparison, sp.Binder, sp.Items}
+        assert set(ir.OPS) == kinds
+        assert len(set(ir.OPS.values())) == len(kinds)
+        assert set(printer._STEPS) == kinds
+
+    @pytest.mark.parametrize("node", BARE_BASES, ids=lambda node: type(node).__name__)
+    def test_a_bare_base_is_not_an_expression(self, node):
+        want = ("error", TypeMismatch, f"not an expression: {node!r}")
+        assert _outcome(sp.eval_expr, node, sp.State({})) == want
+        assert _outcome(sp.eval_expr, sp.Not(node), sp.State({})) == want
+        assert _outcome(ir.expr_to_json, node) == want
+        assert _outcome(print_expression, node) == want
+
+
 class TestPrinter:
     @pytest.mark.parametrize("name", specs.EXAMPLE_NAMES)
     def test_examples_print_as_the_recursive_printer(self, name):
@@ -273,7 +304,7 @@ def _reads(expr, kind: type, bound: frozenset = frozenset()) -> frozenset:
         return frozenset() if expr.name in bound else frozenset((expr.name,))
     if not isinstance(expr, sp.ExprNode):
         return frozenset()
-    if isinstance(expr, sp.QUANTIFIERS) and kind is sp.Var:
+    if isinstance(expr, tree_walkers.QUANTIFIERS) and kind is sp.Var:
         return (_reads(expr.domain, kind, bound)
                 | _reads(expr.body, kind, bound | {expr.var}))
     return frozenset().union(*(_reads(child, kind, bound)

@@ -10,7 +10,7 @@ and to its error types and messages.
 
 from __future__ import annotations
 
-from tree_walkers import binary
+from tree_walkers import COMPARISONS, QUANTIFIERS, binary
 
 from tmbt.errors import (
     EmptyChooseDomain,
@@ -20,8 +20,6 @@ from tmbt.errors import (
     UnboundVariable,
 )
 from tmbt.spec import (
-    COMPARISONS,
-    QUANTIFIERS,
     Add,
     And,
     Const,

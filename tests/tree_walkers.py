@@ -8,7 +8,8 @@ parser (`_expand`, `_spine`), the IR codec (`expr_to_json`,
 `expr_from_json`) and the TLA printer (`_print`, `print_expression`).
 Each recurses once per tree level.  The differential tests in
 test_traversal.py hold the new walkers to their results and to their
-"not an expression" errors.
+"not an expression" errors.  The kind tuples `COMPARISONS` and
+`QUANTIFIERS` are stated here, not read from the code under test.
 
 They were written for binary junctions, and read an n-ary And or Or
 through `binary`, the binary node its left-nested chain ends in; the
@@ -23,8 +24,6 @@ import typing as t
 import tmbt.spec as sp
 from tmbt.errors import TypeMismatch
 from tmbt.spec import (
-    COMPARISONS,
-    QUANTIFIERS,
     Add,
     And,
     Const,
@@ -56,6 +55,9 @@ from tmbt.values import (
     value_to_json,
 )
 
+COMPARISONS = (sp.Lt, sp.Le, sp.Gt, sp.Ge,
+               sp.NotLt, sp.NotLe, sp.NotGt, sp.NotGe)
+QUANTIFIERS = (sp.Forall, sp.Exists, sp.Choose)
 _BINARY = (Implies, Eq, Neq, Add, Sub) + COMPARISONS
 
 
@@ -180,7 +182,7 @@ def _expand(expr, raw: dict, memo: dict):
     if isinstance(expr, sp.In):
         return sp.In(_expand(expr.element, raw, memo),
                      _expand(expr.domain, raw, memo))
-    if isinstance(expr, sp.QUANTIFIERS):
+    if isinstance(expr, QUANTIFIERS):
         return type(expr)(expr.var,
                           _expand(expr.domain, raw, memo),
                           _expand(expr.body, raw, memo))
@@ -228,7 +230,7 @@ def expr_to_json(expr) -> dict:
     if isinstance(expr, sp.IntRange):
         return {"op": "range", "args": [expr_to_json(expr.low),
                                         expr_to_json(expr.high)]}
-    if isinstance(expr, sp.QUANTIFIERS):
+    if isinstance(expr, QUANTIFIERS):
         return {
             "op": _QUANTIFIER_OPS[type(expr)],
             "var": expr.var,
@@ -351,7 +353,7 @@ def _print(expr, context: int) -> str:
         lexeme = "+" if isinstance(expr, sp.Add) else "-"
         text = f"{_print(expr.left, _ADD)} {lexeme} {_print(expr.right, _ATOM)}"
         return _wrap(text, _ADD, context)
-    if isinstance(expr, sp.QUANTIFIERS):
+    if isinstance(expr, QUANTIFIERS):
         lexeme = _QUANTIFIER_LEXEMES[type(expr)]
         text = (f"{lexeme} {expr.var} \\in {_print(expr.domain, _RANGE)} : "
                 f"{_print(expr.body, _LOOSE)}")
