@@ -13,7 +13,7 @@ import os
 import pathlib
 import sys
 
-from .errors import TmbtError
+from .errors import NoInitialStates, TmbtError
 from .explore import (
     behavior_to_json,
     behaviors as spec_behaviors,
@@ -120,6 +120,8 @@ def check(options) -> int:
                       _parse_params(options.params), invariants)
     _, stats, counterexamples = explore(
         spec, max_distinct=options.max_distinct, max_depth=options.max_depth)
+    if not stats.states_found:  # an Init with no state, as `behaviors` reads it
+        raise NoInitialStates.of(spec)
     if invariants:
         # reporting is restricted; the exploration itself is not
         counterexamples = [cex for cex in counterexamples

@@ -36,6 +36,12 @@ class UnboundedDomain(TmbtError):
 class NoInitialStates(TmbtError):
     """No state satisfies the init formula."""
 
+    @classmethod
+    def of(cls, spec) -> "NoInitialStates":
+        """The error `check` and `behaviors` give for `spec`."""
+        return cls(f"spec {spec.name}: init is unsatisfiable over the derived "
+                   "domains")
+
 
 class MissingDefinition(TmbtError):
     """A required definition (Init, Next, a named invariant) is absent."""

@@ -2,12 +2,14 @@
 
 The transition relation is executed, not solved: one walk of Init or of
 an action builds its states as it goes, as TLC's `getNextStates` does
-(Yu, Manolios and Lamport, CHARME 1999), with a partial binding per
-branch.  Conjuncts extend each branch in turn; disjuncts and `\\E`
-witnesses branch.  `v = e`, `v \\in S`, a bare `v` and `~v` bind an
-unbound `v` to the values they state, and are guards once `v` is bound.
-Any other conjunct is a guard, evaluated once the variables it reads are
-bound.  A variable a branch leaves unbound ranges over its TypeOK domain.
+(Yu, Manolios and Lamport, CHARME 1999).  A path takes the conjuncts in
+turn; disjuncts, the values of `v \\in S` and `\\E` witnesses branch it.
+`v = e`, `v \\in S`, a bare `v` and `~v` bind an unbound `v` to the
+values they state, and are guards once `v` is bound.  Any other conjunct
+is a guard, evaluated once the variables it reads are bound.  A variable
+a path leaves unbound ranges over its TypeOK domain.  Which names are
+bound where is known when the walk compiles (see `_Walk`), as Apalache
+finds an action's assignments (Kukovec, Tran and Konnov, ABZ 2018).
 
 Counting contract:
   states_found    initial states plus every successor generated from a
@@ -20,15 +22,15 @@ Counting contract:
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 from . import spec as sp
 from .errors import NoInitialStates, TmbtError, UnboundedDomain, UnboundVariable
 from .record import Record
-from .values import FALSE, TRUE, Value, require_bool, sorted_values, value_to_json
+from .values import FALSE, TRUE, IntVal, require_bool, sorted_values, value_to_json
 
 TYPE_OK_NAME = sp.TYPE_OK_NAME
-UNBOUND = object()  # the value of a slot that a walk branch has not bound
 
 
 # ---------------------------------------------------------------------------
@@ -92,84 +94,55 @@ def counterexample_to_json(cex: Counterexample) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The walk: Init and Next are built by one engine.  A formula compiles once
-# into closures `(branches, env) -> branches`; a guard is a closure
-# `(branch, env, final=False) -> branch or None` (see `_walk_node`).
+# The walk: Init and Next are built by one engine, scheduled when it
+# compiles.  The names bound at a leaf follow from its path through the
+# disjuncts, so each place compiles once per context met there: the names
+# bound, the guards waiting and the names the enclosing `\E`s bind.  A run
+# loops over straight-line blocks on one slot list: an op writes a slot or
+# runs a guard, and a fork (`\/`, `v \in S`, `\E`) gives the blocks to run
+# next, from an explicit stack.
 
 
-class _Branch:
-    """A branch of a walk, read as a state: `values`, a value or UNBOUND
-    per slot of `layout`; `current`, the state an action steps from (None
-    walking Init); and the (guard, env)s waiting for a variable it has not
-    bound.  A bind copies `values`; nothing changes them in place."""
+class _View:
+    """A run's slot list read as a state of `layout`."""
 
-    __slots__ = ("layout", "values", "current", "waiting")
+    __slots__ = ("layout", "values")
 
-    def __init__(self, layout, values: list, current, waiting=()):
+    def __init__(self, layout, values: list):
         self.layout, self.values = layout, values
-        self.current, self.waiting = current, waiting
-
-    def bind(self, name: str, value: Value, at):
-        """The branch with `name` bound in slot `at`, or None if a guard
-        waiting fails.  A name no variable has (`at` None) gets a slot past
-        the variables' ones, in a layout of its own: `_states` raises."""
-        layout, values = self.layout, self.values.copy()
-        if at is None:
-            layout = sp.Layout(layout.names + (name,))
-            values.append(value)
-        else:
-            values[at] = value
-        out = _Branch(layout, values, self.current)
-        for guard, env in self.waiting:
-            if (out := guard(out, env)) is None:
-                break
-        return out
 
 
-def _unbound(names, initial: bool):
-    """`unbound(branch, env)`: whether a name of `names` is unbound on the
-    branch, whose slots it looks up once per layout; walking Init, a name
-    that `env` binds is bound.  None if there are no names."""
-    names, cache = tuple(sorted(names)), (None, ())
+class _Cell:
+    """A place in a walk: `node`, walked in `scope` (the index of its env
+    in a run's `envs`, the names the enclosing `\\E`s bind), then `rest`;
+    `made` is what it leads to (see `_Walk.follow`)."""
 
-    def unbound(branch, env) -> bool:
-        nonlocal cache
-        if cache[0] is not branch.layout:
-            cache = branch.layout, tuple(map(branch.layout.slot.get, names))
-        values = branch.values
-        if initial and env:
-            return any((at is None or values[at] is UNBOUND) and name not in env
-                       for name, at in zip(names, cache[1]))
-        for at in cache[1]:
-            if at is None or values[at] is UNBOUND:
-                return True
-        return False
-    return unbound if names else None
+    __slots__ = ("node", "scope", "rest", "made")
+
+    def __init__(self, node, scope: tuple, rest):
+        self.node, self.scope, self.rest, self.made = node, scope, rest, None
+
+
+_TRUE, _FALSE = sp.Const(TRUE), sp.Const(FALSE)
 
 
 def _binding(expr, kind: type):
-    """(name, the `kind` names its values read, values(current, nxt, env))
-    for a leaf that binds a `kind` variable (Var or Primed): `v = e` and
-    `v \\in S` where `e` or `S` does not read `v`, and a bare `v` or `~v`
-    as `v = TRUE` or `v = FALSE`.  None for any other formula."""
+    """(name, source, many) for a leaf that binds a `kind` variable (Var or
+    Primed): `v = e` binds the value of `e`, and `v \\in S` (`many`) each
+    member of `S`, where `e` or `S` does not read `v`; a bare `v` or `~v`
+    binds TRUE or FALSE.  None for any other formula."""
     if isinstance(expr, kind):
-        return expr.name, (), lambda current, nxt, env: (TRUE,)
+        return expr.name, _TRUE, False
     if isinstance(expr, sp.Not) and isinstance(expr.operand, kind):
-        return expr.operand.name, (), lambda current, nxt, env: (FALSE,)
+        return expr.operand.name, _FALSE, False
     if isinstance(expr, sp.Eq):
         for side, other in ((expr.left, expr.right), (expr.right, expr.left)):
-            reads = sp.names_read(other, kind)
-            if (isinstance(side, kind) and side.name not in reads
-                    and isinstance(other, sp.ExprNode)):
-                value = other.compiled
-                return side.name, reads, lambda current, nxt, env: (
-                    value(current, nxt, env),)
-    if isinstance(expr, sp.In) and isinstance(expr.element, kind):
-        reads = sp.names_read(expr.domain, kind)
-        if expr.element.name not in reads:
-            members = sp.set_view(expr.domain).members
-            return expr.element.name, reads, lambda current, nxt, env: members(
-                current, nxt, env, "right side of \\in")
+            if (isinstance(side, kind) and isinstance(other, sp.ExprNode)
+                    and side.name not in sp.names_read(other, kind)):
+                return side.name, other, False
+    if (isinstance(expr, sp.In) and isinstance(expr.element, kind)
+            and expr.element.name not in sp.names_read(expr.domain, kind)):
+        return expr.element.name, expr.domain, True
     return None
 
 
@@ -179,119 +152,275 @@ def _parts(node) -> tuple:
     return (node.body,) if isinstance(node, sp.Exists) else ()
 
 
-def _walk(formula, kind: type):
-    """The formula's walk over `kind` variables (sp.Primed for an action,
-    sp.Var for Init), compiled once and kept on its root node."""
-    cache = vars(formula) if isinstance(formula, sp.ExprNode) else {}
-    key = "walk_" + kind.__name__
-    if key not in cache:
-        top = "state formula" if kind is sp.Var else "action formula"
-        cache[key] = sp.fold(formula, lambda node, parts: _walk_node(
-            node, parts, kind, top if node is formula else "operand"), _parts)
-    return cache[key]
+def _write(at: int, fn, index: int):
+    """The op that binds slot `at` to the value of `fn`."""
+    def write(values, a, b, envs):
+        values[at] = fn(a, b, envs[index])
+        return True
+    return write
 
 
-def _walk_node(node, parts: list, kind: type, what: str):
-    if isinstance(node, sp.And):
-        def conjunction(branches, env):
-            for part in parts:
-                branches = part(branches, env) if branches else branches
-            return branches
-        return conjunction
-    if isinstance(node, sp.Or):
-        return lambda branches, env: [
-            branch for part in parts for branch in part(branches, env)]
-    fn = node.compiled if isinstance(node, sp.ExprNode) else (
-        lambda current, nxt, env: sp.eval_expr(node, current, nxt, env))
-    initial = kind is sp.Var  # walking Init, a branch is the current state
-    unbound = _unbound(sp.names_read(node, kind), initial)
-
-    def guard(branch, env, final=False):
-        """The branch if the leaf holds on it, else None, or a copy where
-        it waits for a variable it reads; `final` waits for none."""
-        if unbound is not None and not final and unbound(branch, env):
-            return _Branch(branch.layout, branch.values, branch.current,
-                           branch.waiting + ((guard, env),))
-        value = fn(branch, None, env) if initial else fn(branch.current, branch, env)
-        return branch if value is TRUE or (
-            value is not FALSE and require_bool(value, what)) else None
-    # `expand` gives the branches a leaf binds, or None where it is a guard
-    if isinstance(node, sp.Exists):  # `\E v \in S : P` walks P per member
-        var, members, body = node.var, sp.set_view(node.domain).members, parts[0]
-        waits = _unbound(sp.names_read(node.domain, kind), initial)
-
-        def expand(branch, env):
-            if waits is not None and waits(branch, env):
-                return None
-            domain = members(branch, None, env, "quantifier domain") if initial \
-                else members(branch.current, branch, env, "quantifier domain")
-            return [grown for member in domain
-                    for grown in body([branch], {**(env or {}), var: member})]
-    elif (binding := _binding(node, kind)) is not None:
-        name, reads, values = binding
-        waits = _unbound(reads, initial)
-        cache = (None, None)  # the last layout and the slot of `name` in it
-
-        def expand(branch, env):
-            nonlocal cache
-            layout, at = cache
-            if layout is not branch.layout:
-                layout = branch.layout
-                cache = layout, (at := layout.slot.get(name))
-            if (at is not None and branch.values[at] is not UNBOUND
-                    or initial and env and name in env
-                    or waits is not None and waits(branch, env)):
-                return None
-            found = values(branch, None, env) if initial \
-                else values(branch.current, branch, env)
-            return [child for value in found
-                    if (child := branch.bind(name, value, at)) is not None]
-    else:
-        return lambda branches, env: [
-            kept for branch in branches if (kept := guard(branch, env)) is not None]
-
-    def leaf(branches, env):
-        out = []
-        for branch in branches:
-            if (grown := expand(branch, env)) is not None:
-                out += grown
-            elif (kept := guard(branch, env)) is not None:
-                out.append(kept)
-        return out
-    return leaf
+def _compare(guard, at: int, holds, bound: int):
+    """The op of a comparison between the variable in slot `at` and the
+    integer `bound`, which reads the slot in place and runs `guard`, the
+    comparison's own op, on a value that is no integer."""
+    def compare(values, a, b, envs):
+        value = values[at]
+        if type(value) is IntVal:
+            return holds(value.value, bound)
+        return guard(values, a, b, envs)
+    return compare
 
 
-def _states(branches: list, spec: sp.TemporalSpec, domains: dict,
-            formula: str) -> list:
-    """The branches' states, each once, canonically sorted.  A variable a
-    branch leaves unbound ranges over its domain, or is UnboundedDomain
-    naming `formula`; a value the domain holds is the domain's own."""
-    layout = spec.layout
-    for name in spec.variables:
-        at = layout.slot[name]
-        if all(branch.values[at] is not UNBOUND for branch in branches):
-            continue
-        if name not in domains:
-            msg = (f"no finite domain for variable {name}: {formula} leaves "
-                   f"it free and {TYPE_OK_NAME} gives it no domain")
-            raise UnboundedDomain(msg)
-        branches = [child for branch in branches for child in (
-            [branch] if branch.values[at] is not UNBOUND else
-            (branch.bind(name, value, at) for value in domains[name]))
-            if child is not None]
-    canonical = [domains.get(name, {}) for name in layout.names]  # per slot
-    found = set()
-    for branch in branches:
-        if branch.layout is not layout:  # it bound a name no variable has
-            name = branch.layout.names[len(layout.names)]
-            raise UnboundVariable(f"variable {name} is not bound")
-        # a guard still waiting reads such a name
-        if not branch.waiting or all(guard(branch, env, True) is not None
-                                     for guard, env in branch.waiting):
-            values = branch.values
-            found.add(sp.positional(layout, tuple(
-                map(dict.get, canonical, values, values))))
-    return sorted(found, key=sp.values_key)
+def _run(block, values: list, a, b, envs: list, canonical: list) -> tuple:
+    """Run a walk from `block` on `values`, which its closures read as
+    (a, b): (the view, None) walking Init, else (the current state, the
+    view).  Gives the complete ends' values, each the domain's own where
+    it has it, and the partial ends as (context, values, envs)."""
+    found, partial, forks = [], [], []
+    while True:
+        ops, fork, end = block
+        for op in ops:
+            if not op(values, a, b, envs):
+                break
+        else:
+            if fork is not None:
+                forks.append(fork(values, a, b, envs))
+            elif end is None:
+                found.append(tuple(map(dict.get, canonical, values, values)))
+            else:
+                partial.append((end, values.copy(), envs.copy()))
+        while forks:
+            if (block := next(forks[-1], None)) is not None:
+                break
+            forks.pop()
+        else:
+            return found, partial
+
+
+class _Walk:
+    """The walk of `formula` over `kind` variables (sp.Primed for an
+    action, sp.Var for Init) in states of `layout`; `view` adds a slot for
+    each name no variable has that it may bind.  A context is (the names
+    bound, those no variable has in the order bound, the cells of the
+    guards waiting); `memo` keeps each block by (cell, context), and a
+    fork compiles its blocks when it first runs."""
+
+    def __init__(self, formula, kind: type, layout: sp.Layout):
+        self.formula, self.kind, self.layout = formula, kind, layout
+        self.initial, self.memo = kind is sp.Var, {}
+        self.scopes = itertools.count(1)  # an env index per `\E`, unique
+        self.canonical = (None, None)  # the last domains, and theirs per slot
+        named = sp.fold(formula, lambda node, inner: set().union(*inner, [
+            binding[0] for binding in [_binding(node, kind)] if binding]), _parts)
+        self.view = sp.Layout(layout.names + tuple(sorted(
+            named - layout.slot.keys())))
+        self.start = self.block(_Cell(formula, (0, frozenset()), None),
+                                (frozenset(), (), ()))
+
+    def follow(self, cell):
+        """What `cell` leads to, made once: an And's first part's cell, an
+        Or's disjuncts' cells, or for a leaf (guard, needs, binding, each):
+        its guard op, the names it waits for, its `_binding` with the names
+        that waits for, and for an `\\E` the names its domain waits for and
+        its body's cell.  Walking Init, a name an `\\E` binds is bound."""
+        if cell.made is not None:
+            return cell.made
+        node, (index, names) = cell.node, cell.scope
+        shadow = names if self.initial else frozenset()
+
+        def needs(expr) -> frozenset:
+            return sp.names_read(expr, self.kind) - shadow
+        if isinstance(node, sp.Junction):
+            parts = [_Cell(part, cell.scope, cell.rest)
+                     for part in sp.flat_parts(node)]
+            if isinstance(node, sp.Or):
+                cell.made = parts
+                return parts
+            for part, after in zip(parts, parts[1:]):
+                part.rest = after
+            cell.made = parts[0]
+            return cell.made
+        fn = node.compiled if isinstance(node, sp.ExprNode) else (
+            lambda current, nxt, env: sp.eval_expr(node, current, nxt, env))
+        what = "operand" if node is not self.formula else (
+            "state formula" if self.initial else "action formula")
+
+        def guard(values, a, b, envs):
+            value = fn(a, b, envs[index])
+            return value is TRUE or (
+                value is not FALSE and require_bool(value, what))
+        left, right = getattr(node, "left", None), getattr(node, "right", None)
+        if (isinstance(node, sp.Comparison) and isinstance(left, self.kind)
+                and isinstance(right, sp.Const) and type(right.value) is IntVal
+                and left.name in self.layout.slot.keys() - shadow):
+            guard = _compare(guard, self.layout.slot[left.name], node.holds,
+                             right.value.value)
+        binding, each = _binding(node, self.kind), None
+        if binding is not None and binding[0] not in shadow:
+            binding += (needs(binding[1]),)
+        elif isinstance(node, sp.Exists):
+            body = _Cell(node.body, (next(self.scopes), names | {node.var}),
+                         cell.rest)
+            binding, each = None, (needs(node.domain), body)
+        else:
+            binding = None
+        cell.made = guard, needs(node), binding, each
+        return cell.made
+
+    def flush(self, bound, pending: tuple) -> tuple:
+        """The guard ops of the cells waiting that `bound` binds every name
+        of, in the order they wait, and the cells still waiting."""
+        ready = [cell for cell in pending if self.follow(cell)[1] <= bound]
+        return [self.follow(cell)[0] for cell in ready], tuple(
+            cell for cell in pending if cell not in ready)
+
+    def block(self, cell, context: tuple) -> tuple:
+        """What a run runs from `cell` in `context`, (ops, fork, end): the
+        ops in turn while each holds, then the fork, if any, which gives the
+        blocks to run next; else the run ends, complete (`end` None) or
+        partial (`end` its context)."""
+        key, (bound, extras, pending) = (cell, context), context
+        if (made := self.memo.get(key)) is not None:
+            return made
+        (ops, pending), fork, bound = self.flush(bound, pending), None, set(bound)
+        while cell is not None and fork is None:
+            node, follows = cell.node, self.follow(cell)
+            if isinstance(node, sp.And):
+                cell = follows
+                continue
+            if isinstance(node, sp.Or):
+                fork = self.disjuncts(follows, (frozenset(bound), extras, pending))
+                break
+            guard, needs, binding, each = follows
+            if each is not None and each[0] <= bound:
+                fork = self.each(cell, (frozenset(bound), extras, pending),
+                                 cell.node.domain, each[1])
+            elif (binding is not None and binding[0] not in bound
+                  and binding[3] <= bound):
+                at = self.view.slot[binding[0]]
+                extras += binding[:1] if at >= len(self.layout.names) else ()
+                bound.add(binding[0])
+                if binding[2]:  # `v \in S`: the rest, after the guards it lets run
+                    fork = self.each(cell, (frozenset(bound), extras, pending),
+                                     binding[1], cell.rest, at)
+                else:
+                    ready, pending = self.flush(bound, pending)
+                    ops += [_write(at, binding[1].compiled, cell.scope[0]), *ready]
+            elif needs <= bound:
+                ops.append(guard)
+            else:
+                pending += (cell,)
+            cell = cell.rest
+        complete = not (pending or extras) and len(bound) == len(self.layout.names)
+        end = None if fork or complete else (frozenset(bound), extras, pending)
+        made = self.memo[key] = tuple(ops), fork, end
+        return made
+
+    def disjuncts(self, cells: list, context: tuple):
+        blocks = None
+
+        def fork(values, a, b, envs):
+            nonlocal blocks
+            if blocks is None:  # one list, whole, even where two runs race
+                blocks = [self.block(cell, context) for cell in cells]
+            return iter(blocks)
+        return fork
+
+    def each(self, cell, context: tuple, source, then, at=None):
+        """The fork of `cell`, a `v \\in S` that binds slot `at` or an `\\E v
+        \\in S : P`: the block of `then` in `context` per member of S, the
+        `source`.  A witness is the env of P's own index, so a guard
+        waiting in P reads it after the quantifier."""
+        var, outer = cell.node.var if at is None else None, cell.scope[0]
+        members = sp.set_view(source).members
+        index = 0 if at is not None else then.scope[0]
+        what = "quantifier domain" if at is None else "right side of \\in"
+        block = None
+
+        def fork(values, a, b, envs):
+            nonlocal block
+            if block is None:
+                block = self.block(then, context)
+            env = envs[outer]
+            domain = members(a, b, env, what)
+            envs.extend([None] * (index + 1 - len(envs)))
+            for member in domain:
+                if at is None:
+                    envs[index] = {**(env or {}), var: member}
+                else:
+                    values[at] = member
+                yield block
+        return fork
+
+    def states(self, variables: tuple, current, domains: dict, label) -> list:
+        """The states the walk builds from `current` (None walking Init),
+        each once, canonically sorted; `label` names the action in errors."""
+        layout, values = self.layout, [None] * len(self.view.names)
+        known, canonical = self.canonical
+        if known is not domains:
+            canonical = [domains.get(name, {}) for name in layout.names]
+            self.canonical = domains, canonical
+        view = _View(self.view, values)
+        a, b = (view, None) if current is None else (current, view)
+        found, partial = _run(self.start, values, a, b, [None], canonical)
+        if partial:
+            found += [tuple(map(dict.get, canonical, v, v)) for v in
+                      self.finish(partial, variables, current, domains, label)]
+        if len(found) < 2:
+            return [sp.positional(layout, v) for v in found]
+        return sorted({sp.positional(layout, v) for v in found}, key=sp.values_key)
+
+    def finish(self, partial: list, variables: tuple, current, domains: dict,
+               label) -> list:
+        """The values of the partial ends' states.  Variable by variable,
+        in declaration order, each end that leaves it unbound ranges over
+        its domain, or is UnboundedDomain, binding as the walk does; then
+        an end that bound a name no variable has raises, and the guards
+        still waiting run (they read such a name)."""
+        def holds(ops, layout, values: list, envs: list) -> bool:
+            view = _View(layout, values)
+            a, b = (view, None) if current is None else (current, view)
+            return all(op(values, a, b, envs) for op in ops)
+
+        for name in variables:
+            if all(name in end[0][0] for end in partial):
+                continue
+            if name not in domains:
+                formula = "Init" if label is None else f"action {label}"
+                msg = (f"no finite domain for variable {name}: {formula} leaves "
+                       f"it free and {TYPE_OK_NAME} gives it no domain")
+                raise UnboundedDomain(msg)
+            at, grown = self.layout.slot[name], []
+            for (bound, extras, pending), values, envs in partial:
+                if name in bound:
+                    grown.append(((bound, extras, pending), values, envs))
+                    continue
+                bound = bound | {name}
+                ops, waiting = self.flush(bound, pending)
+                for value in domains[name]:
+                    child = values.copy()
+                    child[at] = value
+                    if holds(ops, self.view, child, envs):
+                        grown.append(((bound, extras, waiting), child, envs))
+            partial = grown
+        found = []
+        for (_, extras, pending), values, envs in partial:
+            if extras:
+                raise UnboundVariable(f"variable {extras[0]} is not bound")
+            if holds([self.follow(cell)[0] for cell in pending], self.layout,
+                     values, envs):
+                found.append(values)
+        return found
+
+
+def _walk(formula, kind: type, layout: sp.Layout) -> _Walk:
+    """The walk of `formula` (see `_Walk`), made once and kept on it."""
+    walks = vars(formula).setdefault("walks", {}) \
+        if isinstance(formula, sp.ExprNode) else {}
+    if (walk := walks.get((kind, layout))) is None:
+        walk = walks[kind, layout] = _Walk(formula, kind, layout)
+    return walk
 
 
 def _narrowing(node, parts: list):
@@ -313,10 +442,13 @@ def _narrowing(node, parts: list):
                    for name in out.keys() & found.keys()}
         return out or None
     binding = _binding(node, sp.Var)
-    if binding is None or binding[1]:
+    if binding is None or sp.names_read(binding[1], sp.Var):
         return None
+    name, source, many, empty = *binding, sp.State(())
     try:
-        return {binding[0]: set(binding[2](sp.State(()), None, None))}
+        return {name: set(sp.set_view(source).members(
+            empty, None, None, "right side of \\in") if many else
+            (source.compiled(empty, None, None),))}
     except TmbtError:
         return None
 
@@ -342,12 +474,11 @@ def successors(spec: sp.TemporalSpec, state: sp.State,
     """
     if domains is None:
         domains = derive_domains(spec)
-    out, unbound = [], [UNBOUND] * len(spec.layout.names)
+    out = []
     for action in spec.actions:
-        start = _Branch(spec.layout, unbound, state)
-        branches = _walk(action.formula, sp.Primed)([start], None)
-        out += [(action.name, t) for t in _states(
-            branches, spec, domains, f"action {action.name}")]
+        walk = _walk(action.formula, sp.Primed, spec.layout)
+        out += [(action.name, t) for t in walk.states(
+            spec.variables, state, domains, action.name)]
     return out
 
 
@@ -356,9 +487,8 @@ def initial_states(spec: sp.TemporalSpec, domains: dict | None = None) -> list:
     builds them from nothing bound: `x = 0 /\\ y \\in {1, 2}` builds two."""
     if domains is None:
         domains = derive_domains(spec)
-    start = _Branch(spec.layout, [UNBOUND] * len(spec.layout.names), None)
-    branches = _walk(spec.init, sp.Var)([start], None)
-    return _states(branches, spec, domains, "Init")
+    walk = _walk(spec.init, sp.Var, spec.layout)
+    return walk.states(spec.variables, None, domains, None)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +592,7 @@ def behaviors(spec: sp.TemporalSpec, count: int, max_len: int,
     domains = derive_domains(spec)
     inits = initial_states(spec, domains)
     if not inits:
-        msg = f"spec {spec.name}: init is unsatisfiable over the derived domains"
-        raise NoInitialStates(msg)
+        raise NoInitialStates.of(spec)
     action_order = {a.name: i for i, a in enumerate(spec.actions)}
     steps: dict = {}
 

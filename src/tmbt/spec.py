@@ -662,16 +662,23 @@ def _build_binary(expr: Binary, left: t.Callable, right: t.Callable) -> t.Callab
             differ = left(current, nxt, env) != right(current, nxt, env)
             return TRUE if differ else FALSE
         return unequal
+    # An integer operand is read in place; require_int only raises.
     if holds := getattr(expr, "holds", None):
+        what = "comparison operand"
+
         def comparison(current, nxt, env):
-            a = require_int(left(current, nxt, env), "comparison operand")
-            b = require_int(right(current, nxt, env), "comparison operand")
+            a = left(current, nxt, env)
+            a = a.value if type(a) is IntVal else require_int(a, what)
+            b = right(current, nxt, env)
+            b = b.value if type(b) is IntVal else require_int(b, what)
             return TRUE if holds(a, b) else FALSE
         return comparison
     if combine := getattr(expr, "combine", None):
         def arithmetic(current, nxt, env):
-            a = require_int(left(current, nxt, env))
-            b = require_int(right(current, nxt, env))
+            a = left(current, nxt, env)
+            a = a.value if type(a) is IntVal else require_int(a)
+            b = right(current, nxt, env)
+            b = b.value if type(b) is IntVal else require_int(b)
             return _checked_int(combine(a, b))
         return arithmetic
     return _failing(expr)

@@ -45,7 +45,6 @@ import tmbt.spec as sp
 import tmbt.specs as specs
 from tmbt.errors import UnboundedDomain
 from tmbt.explore import (
-    _Branch,
     _walk,
     derive_domains,
     explore,
@@ -324,9 +323,19 @@ class TestNext:
         assert kinds == {"walk-deferred": 1, "raises": 2}
 
     def test_walk_is_compiled_once_per_formula(self):
-        formula = specs.load("euclid").actions[0].formula
-        assert _walk(formula, sp.Primed) is _walk(formula, sp.Primed)
-        assert _walk(formula, sp.Var) is not _walk(formula, sp.Primed)
+        spec = specs.load("steamboiler")
+        formula, layout = spec.actions[1].formula, spec.layout
+        walk = _walk(formula, sp.Primed, layout)
+        assert _walk(formula, sp.Primed, layout) is walk
+        assert _walk(formula, sp.Var, layout) is not walk
+        # each place compiles once per context: a second exploration, and
+        # the walk of a second spec over the same layout, compile nothing
+        explore(spec)
+        compiled = dict(walk.memo)
+        explore(spec)
+        explore(sp.TemporalSpec("again", spec.variables, spec.init,
+                                spec.actions, spec.invariants))
+        assert walk.memo == compiled and len(compiled) > 1
 
     def test_non_expression_formulas_raise_as_before(self):
         type_ok = sp.In(sp.Var("x"), sp.SetLit((sp.intval(1),)))
@@ -371,6 +380,21 @@ class TestNext:
         found = successors(spec, sp.State({"x": IntVal(0)}), {})
         assert [state["x"].value for _, state in found] == expected
 
+    def test_a_long_straight_line_action_runs_as_one_loop(self):
+        # 3,000 variables, each bound once: one block of slot writes, with
+        # no fork and no call nested per conjunct
+        names = [f"x{n:04d}" for n in range(3000)]
+        formula = sp.conj(*(
+            sp.Eq(sp.Primed(name), sp.Add(sp.Var(name), sp.intval(1)))
+            for name in names))
+        spec = sp.TemporalSpec("t", names, sp.boolval(True),
+                               (sp.NamedAction("A", formula),))
+        start = sp.State({name: IntVal(0) for name in names})
+        [(_, step)] = successors(spec, start, {})
+        assert set(step.values) == {IntVal(1)}
+        ops, fork, end = _walk(formula, sp.Primed, spec.layout).start
+        assert (len(ops), fork, end) == (3000, None, None)
+
 
 # ---------------------------------------------------------------------------
 # Init that assigns every variable builds its one state directly
@@ -391,17 +415,13 @@ def toggle_spec(n: int):
 @pytest.mark.parametrize("make", [lambda: specs.euclid(284, 355),
                                   lambda: toggle_spec(13)],
                          ids=["euclid-284x355", "toggle-13"])
-def test_init_builds_its_one_state_without_a_product(make, monkeypatch):
+def test_init_builds_its_one_state_without_a_product(make):
     spec = make()
-    bound = []
-    original = _Branch.bind
-
-    def counted(self, name, *rest):
-        bound.append(name)
-        return original(self, name, *rest)
-    monkeypatch.setattr(_Branch, "bind", counted)
     found = initial_states(spec)
-    # one binding per variable, on the one branch: no value is tried twice
-    assert sorted(bound) == sorted(spec.variables)
+    ops, fork, end = _walk(spec.init, sp.Var, spec.layout).start
+    # one path, with no fork, that binds every variable (`end` None): one
+    # op per variable, each a slot write, so no value is tried twice
+    assert fork is None and end is None
+    assert len(ops) == len(spec.variables)
     assert len(found) == 1
     assert found == ref.initial_states(spec)

@@ -230,6 +230,31 @@ class TestCheck:
         assert result.stderr == ("limit exceeded: exploration truncated, "
                                  "result is a lower bound\n")
 
+    @pytest.mark.parametrize("init", ["(b = 0) /\\ (b = 1)", "b \\in 5..1"])
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_an_init_with_no_state_is_an_input_error(self, runner, tmp_path,
+                                                     init, fmt):
+        # as `behaviors` reads it: not zero states found with exit 0
+        dead = tmp_path / "dead.tla"
+        dead.write_text(f"VARIABLE b\nInit == {init}\nNext == b' = b\n")
+        for command in ("check", "behaviors"):
+            args = [command, "--spec", str(dead)]
+            if command == "check":
+                args += ["--format", fmt]
+            result = invoke(runner, *args)
+            assert (result.exit_code, result.stdout) == (2, "")
+            assert result.stderr == ("error: spec dead: init is unsatisfiable "
+                                     "over the derived domains\n")
+
+    def test_a_truncated_init_is_no_input_error(self, runner, tmp_path):
+        # --max-distinct 0 keeps none of Init's states, which exist
+        source = tmp_path / "one.tla"
+        source.write_text("VARIABLE b\nInit == b = 0\nNext == b' = b\n")
+        result = invoke(runner, "check", "--spec", str(source),
+                        "--max-distinct", "0", "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["states_found"] == 1
+
     def test_loose_thresholds_violate_the_band(self, runner):
         result = invoke(runner, "check", "--example", "steamboiler",
                         "--param", "low=190", "--param", "high=810",

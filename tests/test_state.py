@@ -172,7 +172,7 @@ def _spec(init, step=sp.boolval(False)):
 
 class TestNameNoVariableHas:
     """A branch that binds `y`, which no variable has, reads it back and
-    raises `variable y is not bound` only once it reaches `_states`."""
+    raises `variable y is not bound` only once it reaches its end."""
 
     def test_a_branch_that_reaches_its_states_raises(self):
         y = sp.Eq(sp.Var("y"), sp.intval(1))
