@@ -45,7 +45,6 @@ _HOMES = {
     "pretty_print": "tla",
     "to_spec": "tla",
     "BoolVal": "values",
-    "IntVal": "values",
     "SeqVal": "values",
     "SetVal": "values",
     "Value": "values",

@@ -20,7 +20,7 @@ from .boiler import (
 )
 from .explore import initial_states
 from .pbt import ArgSpec, InProcessAdapter, ModelBinding, OpSpec
-from .values import BOOLEANS, FALSE, TRUE, BoolVal, IntVal
+from .values import BOOLEANS, FALSE, TRUE, BoolVal
 
 
 def reference_adapter(mutant: str | None = None) -> InProcessAdapter:
@@ -64,15 +64,15 @@ def _clamp(level: int) -> int:
 
 def _controller(level: int, pump: bool, signal, low: int, high: int):
     if not pump and level <= low:
-        return True, IntVal(1)
+        return True, 1
     if pump and level >= high:
-        return False, IntVal(0)
+        return False, 0
     return pump, signal
 
 
 def _started(state: sp.State, args: dict) -> sp.State:
-    return state.replace(running=TRUE, level=IntVal(START_LEVEL),
-                         pump=FALSE, signal=IntVal(-1))
+    return state.replace(running=TRUE, level=START_LEVEL, pump=FALSE,
+                         signal=-1)
 
 
 def _ended(state: sp.State, args: dict) -> sp.State:
@@ -91,10 +91,10 @@ def _unchanged(state: sp.State, args: dict) -> sp.State:
 
 def _level_changed(low: int, high: int):
     def effect(state: sp.State, args: dict) -> sp.State:
-        level = _clamp(state["level"].value + args["amount"].value)
+        level = _clamp(state["level"] + args["amount"])
         pump, signal = _controller(level, state["pump"].value,
                                    state["signal"], low, high)
-        return state.replace(level=IntVal(level), pump=BoolVal(pump),
+        return state.replace(level=level, pump=BoolVal(pump),
                              signal=signal)
     return effect
 

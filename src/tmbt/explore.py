@@ -28,7 +28,7 @@ import random
 from . import spec as sp
 from .errors import NoInitialStates, TmbtError, UnboundedDomain, UnboundVariable
 from .record import Record
-from .values import FALSE, TRUE, IntVal, require_bool, sorted_values, value_to_json
+from .values import FALSE, TRUE, require_bool, sorted_values, value_to_json
 
 TYPE_OK_NAME = sp.TYPE_OK_NAME
 
@@ -166,8 +166,8 @@ def _compare(guard, at: int, holds, bound: int):
     comparison's own op, on a value that is no integer."""
     def compare(values, a, b, envs):
         value = values[at]
-        if type(value) is IntVal:
-            return holds(value.value, bound)
+        if type(value) is int:
+            return holds(value, bound)
         return guard(values, a, b, envs)
     return compare
 
@@ -252,10 +252,10 @@ class _Walk:
                 value is not FALSE and require_bool(value, what))
         left, right = getattr(node, "left", None), getattr(node, "right", None)
         if (isinstance(node, sp.Comparison) and isinstance(left, self.kind)
-                and isinstance(right, sp.Const) and type(right.value) is IntVal
+                and isinstance(right, sp.Const) and type(right.value) is int
                 and left.name in self.layout.slot.keys() - shadow):
             guard = _compare(guard, self.layout.slot[left.name], node.holds,
-                             right.value.value)
+                             right.value)
         binding, each = _binding(node, self.kind), None
         if binding is not None and binding[0] not in shadow:
             binding += (needs(binding[1]),)

@@ -25,15 +25,8 @@ from .errors import (
     TypeMismatch,
 )
 from .record import Record
-from .spec import (
-    RangeMembers,
-    State,
-    Var,
-    eval_state_formula,
-    names_read,
-    set_view,
-)
-from .values import IntVal, value_from_json, value_to_json
+from .spec import State, Var, eval_state_formula, names_read, set_view
+from .values import value_from_json, value_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +172,9 @@ def generate_commands(binding: ModelBinding, max_len: int, seed: int) -> tuple:
             chosen: dict = {}
             for arg in op.args:
                 members = _arg_domain(arg, state, chosen)
-                count = (members.size if isinstance(members, RangeMembers)
-                         else len(members))
+                # a range's size may pass sys.maxsize, where len() refuses
+                count = (max(0, members.stop - members.start)
+                         if isinstance(members, range) else len(members))
                 if not count:
                     break
                 chosen[arg.name] = members[rng.randrange(count)]
@@ -360,11 +354,11 @@ def _shrink_args(binding, sut, commands: list) -> bool:
     progress = False
     for index, command in enumerate(commands):
         for name, value in command.args:
-            if not isinstance(value, IntVal):
+            if type(value) is not int:
                 continue
-            for small in _int_shrink_candidates(value.value):
+            for small in _int_shrink_candidates(value):
                 replaced = command.arg_map()
-                replaced[name] = IntVal(small)
+                replaced[name] = small
                 candidate = list(commands)
                 candidate[index] = Command(command.op, replaced)
                 if _still_fails(binding, sut, candidate):

@@ -29,17 +29,17 @@ Nothing is compiled.  A constructor is a copy of one of the
 hand-written templates below, one per number of fields, with its
 placeholder names `_0`, `_1`, ... renamed to the field names in the code
 object (`CodeType.replace`), so it takes its fields as named parameters
-with their defaults and reads no field list at run time: records are
-built often (tens of thousands of `IntVal`s in one exploration), and
-this runs the bytecode a dataclass would have compiled.  Fields live in
-the instance `__dict__`, which a constructor fills through
+with their defaults and reads no field list at run time: records such as
+tokens, expression nodes, sets and commands are built often, and this
+runs the bytecode a dataclass would have compiled.  Fields live in the
+instance `__dict__`, which a constructor fills through
 `object.__setattr__` without materialising it.
 
 `__eq__` and `__hash__` take no named parameters, so one closure pair
 over an `operator.attrgetter` of the compared fields serves every class:
 they compare and hash the tuple of those fields, as a dataclass does.
-They are rarely hot, since the records that are compared and hashed
-most, `IntVal` and `BoolVal`, define their own.
+They are rarely hot: the values compared and hashed most are integers,
+which are Python `int`s, and `BoolVal`s, which define their own.
 """
 
 from __future__ import annotations

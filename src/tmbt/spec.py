@@ -18,7 +18,6 @@ quantifier over it counts through it without building the set.
 
 from __future__ import annotations
 
-import collections.abc
 import functools
 import operator
 import typing as t
@@ -37,7 +36,6 @@ from .values import (
     FALSE,
     TRUE,
     BoolVal,
-    IntVal,
     SetVal,
     SeqVal,
     Value,
@@ -392,7 +390,7 @@ Expr = ExprNode  # any expression node
 
 
 def intval(n: int) -> Const:
-    return Const(IntVal(n))
+    return Const(n)
 
 
 def boolval(b: bool) -> Const:
@@ -530,11 +528,11 @@ class Behavior(Record):
 # evaluation where it arises.  Nothing is folded ahead of time, for the
 # same reason.
 
-def _checked_int(n: int) -> IntVal:
+def _checked_int(n: int) -> int:
     if not INT64_MIN <= n <= INT64_MAX:
         msg = f"arithmetic result {n} outside signed 64-bit range"
         raise IntegerOverflow(msg)
-    return IntVal(n)
+    return n
 
 
 def _operands(expr: ExprNode) -> list:
@@ -662,23 +660,23 @@ def _build_binary(expr: Binary, left: t.Callable, right: t.Callable) -> t.Callab
             differ = left(current, nxt, env) != right(current, nxt, env)
             return TRUE if differ else FALSE
         return unequal
-    # An integer operand is read in place; require_int only raises.
+    # An operand's type is tested in place; require_int only raises.
     if holds := getattr(expr, "holds", None):
         what = "comparison operand"
 
         def comparison(current, nxt, env):
-            a = left(current, nxt, env)
-            a = a.value if type(a) is IntVal else require_int(a, what)
-            b = right(current, nxt, env)
-            b = b.value if type(b) is IntVal else require_int(b, what)
+            if type(a := left(current, nxt, env)) is not int:
+                require_int(a, what)
+            if type(b := right(current, nxt, env)) is not int:
+                require_int(b, what)
             return TRUE if holds(a, b) else FALSE
         return comparison
     if combine := getattr(expr, "combine", None):
         def arithmetic(current, nxt, env):
-            a = left(current, nxt, env)
-            a = a.value if type(a) is IntVal else require_int(a)
-            b = right(current, nxt, env)
-            b = b.value if type(b) is IntVal else require_int(b)
+            if type(a := left(current, nxt, env)) is not int:
+                require_int(a)
+            if type(b := right(current, nxt, env)) is not int:
+                require_int(b)
             return _checked_int(combine(a, b))
         return arithmetic
     return _failing(expr)
@@ -731,40 +729,15 @@ class SetView(Record):
     written once.  `set_view` compiles one per node; a range is never built.
 
     `members(current, nxt, env, what)` gives the members in canonical
-    order as an indexable sequence, and raises TypeMismatch naming `what`
-    when the value is not a set.  `contains(value, current, nxt, env)`
-    tells whether `value \\in expr` holds.  Both evaluate the range bounds,
-    or the expression, as `eval_expr` would and raise its errors.
+    order as an indexable sequence (for `a..b`, the `range` itself), and
+    raises TypeMismatch naming `what` when the value is not a set.
+    `contains(value, current, nxt, env)` tells whether `value \\in expr`
+    holds.  Both evaluate the range bounds, or the expression, as
+    `eval_expr` would and raise its errors.
     """
 
     members: t.Callable
     contains: t.Callable
-
-
-class RangeMembers(collections.abc.Sequence):
-    """The members of a range in ascending (canonical) order, each made as
-    an `IntVal` when it is indexed or iterated."""
-
-    def __init__(self, numbers: range):
-        self.numbers = numbers
-
-    @property
-    def size(self) -> int:
-        """The number of members; unlike `len()`, also past sys.maxsize,
-        as for `-(2^63)..2^63-1`."""
-        numbers = self.numbers
-        return (numbers[-1] - numbers[0]) // numbers.step + 1 if numbers else 0
-
-    def __len__(self) -> int:
-        return len(self.numbers)
-
-    def __iter__(self):
-        return map(IntVal, self.numbers)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return RangeMembers(self.numbers[index])
-        return IntVal(self.numbers[index])
 
 
 def set_view(expr) -> SetView:
@@ -780,13 +753,13 @@ def _build_set_view(expr) -> SetView:
         def range_members(current, nxt, env, what):
             lo = require_int(low(current, nxt, env), "range bound")
             hi = require_int(high(current, nxt, env), "range bound")
-            return RangeMembers(range(lo, hi + 1))
+            return range(lo, hi + 1)
 
         def in_range(value, current, nxt, env) -> bool:
             # the bounds raise before the value's type is tested
             lo = require_int(low(current, nxt, env), "range bound")
             hi = require_int(high(current, nxt, env), "range bound")
-            return type(value) is IntVal and lo <= value.value <= hi
+            return type(value) is int and lo <= value <= hi
         return SetView(range_members, in_range)
     domain = _closure(expr)
 

@@ -20,10 +20,10 @@ import typing as t
 from . import spec as sp
 from .errors import ConsumptionOutOfRange, TypeMismatch
 from .record import Record
-from .values import BOOLEANS, FALSE, IntVal, Value
+from .values import BOOLEANS, FALSE, Value
 
-SIGNAL_ON = IntVal(1)
-SIGNAL_OFF = IntVal(0)
+SIGNAL_ON = 1
+SIGNAL_OFF = 0
 
 BAND_LOW = 200
 BAND_HIGH = 800
@@ -107,9 +107,9 @@ class StreamPredicate(Record):
         if self.kind == "each_in_range":
             for i in range(up_to):
                 for m in stream.at(i):
-                    if not isinstance(m, IntVal):
+                    if type(m) is not int:
                         return False
-                    if not f["low"] <= m.value <= f["high"]:
+                    if not f["low"] <= m <= f["high"]:
                         return False
             return True
         msg = f"unknown assumption kind {self.kind!r}"
@@ -127,7 +127,7 @@ class StreamPredicate(Record):
             raise TypeMismatch(msg)
         _require_prefix(name, stream, interval + 1)
         if self.kind == "level_in_band":
-            return all(isinstance(m, IntVal) and f["low"] <= m.value <= f["high"]
+            return all(type(m) is int and f["low"] <= m <= f["high"]
                        for m in stream.at(interval))
         if self.kind == "signals_alternate":
             last = None
@@ -287,9 +287,9 @@ def simulate_closed_loop(thresholds: Thresholds = Thresholds(),
     steam, sensor, ctrl = [], [], []
     for _ in range(intervals):
         consumption = rng.randint(0, MAX_CONSUMPTION)
-        steam.append([IntVal(consumption)])
+        steam.append([consumption])
         level = step_boiler(level, pump_effective, consumption)
-        sensor.append([IntVal(level)])
+        sensor.append([level])
         controller, signal = controller_step(controller, level, thresholds)
         ctrl.append([signal] if signal is not None else [])
         pump_effective = controller.pump_on

@@ -25,7 +25,7 @@ from ..errors import (
     UnsupportedConstruct,
 )
 from ..record import Record
-from ..values import INT64_MAX, INT64_MIN, IntVal
+from ..values import INT64_MAX, INT64_MIN
 from .lexemes import ALIASES, CONSTANTS, DECLARATIONS, QUANTIFIERS, RELATIONS
 from .lexer import RESERVED, Token, tokenize
 
@@ -275,7 +275,7 @@ class _Parser:
         if len(digits) <= _INT64_DIGITS:
             value = sign * int(digits or "0")
             if INT64_MIN <= value <= INT64_MAX:
-                return sp.Const(IntVal(value))
+                return sp.Const(value)
         raise ParseError("integer literal outside signed 64-bit range",
                          start.line, start.col)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .. import spec as sp
 from ..errors import TypeMismatch
-from ..values import BoolVal, IntVal, SeqVal, SetVal
+from ..values import BoolVal, SeqVal, SetVal
 from .lexemes import CONSTANTS, QUANTIFIERS, RELATIONS
 
 # Binding strength as the printer sees it.  Comparisons and quantified
@@ -28,8 +28,8 @@ _CONSTANT_TEXTS = {value: text for text, value in CONSTANTS.items()}
 
 
 def _value_text(v) -> str:
-    if isinstance(v, IntVal):
-        return str(v.value)
+    if type(v) is int:
+        return str(v)
     if isinstance(v, (BoolVal, SetVal, SeqVal)):
         if v in _CONSTANT_TEXTS:
             return _CONSTANT_TEXTS[v]

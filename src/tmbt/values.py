@@ -1,5 +1,7 @@
 """The value universe: integers, booleans, finite sets and sequences.
 
+An integer is a Python `int`, tested as `type(v) is int` so that a
+Python `bool` is never read as one; a boolean is `TRUE` or `FALSE`.
 Values are immutable and hashable so states can live in hash-based
 containers.  A single canonical total order covers all kinds (integers
 before booleans before sets before sequences) and is what makes CHOOSE
@@ -17,25 +19,12 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 
-class IntVal(Record):
-    value: int
-
-    # Integers and booleans are the hottest keys (state hashing, the
-    # enabled-operation cache), so they skip the generic record closure
-    # and its field tuples: compare the values directly, and hash
-    # `(value,)` as a one-field record does.
-    def __eq__(self, other):
-        if other.__class__ is IntVal:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
-
 class BoolVal(Record):
     value: bool
 
+    # A hot key (state hashing, the enabled-operation cache), so it skips
+    # the generic record closure: it compares the values directly, and
+    # hashes `(value,)` as a one-field record does.
     def __eq__(self, other):
         if other.__class__ is BoolVal:
             return self.value == other.value
@@ -59,20 +48,20 @@ class SeqVal(Record):
         object.__setattr__(self, "items", tuple(items))
 
 
-Value = Union[IntVal, BoolVal, SetVal, SeqVal]
+Value = Union[int, BoolVal, SetVal, SeqVal]
 
 TRUE = BoolVal(True)
 FALSE = BoolVal(False)
 BOOLEANS = SetVal((FALSE, TRUE))
 
-_KIND_RANK = {IntVal: 0, BoolVal: 1, SetVal: 2, SeqVal: 3}
+_KIND_RANK = {int: 0, BoolVal: 1, SetVal: 2, SeqVal: 3}
 
 
 def canonical_key(v: Value):
     """Sort key realizing the canonical order. Total over all values."""
+    if type(v) is int:
+        return (0, v)
     rank = _KIND_RANK[type(v)]
-    if isinstance(v, IntVal):
-        return (rank, v.value)
     if isinstance(v, BoolVal):
         return (rank, int(v.value))
     if isinstance(v, SetVal):
@@ -90,10 +79,10 @@ def set_members(v: SetVal) -> list:
 
 
 def require_int(v: Value, what: str = "operand") -> int:
-    if not isinstance(v, IntVal):
+    if type(v) is not int:
         msg = f"{what} must be an integer, got {describe(v)}"
         raise TypeMismatch(msg)
-    return v.value
+    return v
 
 
 def require_bool(v: Value, what: str = "operand") -> bool:
@@ -111,13 +100,15 @@ def require_set(v: Value, what: str = "operand") -> SetVal:
 
 
 def describe(v: Value) -> str:
-    if isinstance(v, IntVal):
-        return f"integer {v.value}"
+    if type(v) is int:
+        return f"integer {v}"
     if isinstance(v, BoolVal):
         return "TRUE" if v.value else "FALSE"
     if isinstance(v, SetVal):
         inner = ", ".join(describe(e) for e in set_members(v))
         return "{" + inner + "}"
+    if not isinstance(v, SeqVal):
+        return repr(v)  # no value, such as a Python bool
     inner = ", ".join(describe(e) for e in v.items)
     return "<<" + inner + ">>"
 
@@ -129,8 +120,8 @@ def value_to_json(v: Value):
     sequences become one-key objects so the two container kinds stay
     distinguishable.
     """
-    if isinstance(v, IntVal):
-        return v.value
+    if type(v) is int:
+        return v
     if isinstance(v, BoolVal):
         return v.value
     if isinstance(v, SetVal):
@@ -144,11 +135,11 @@ def value_to_json(v: Value):
 def value_from_json(data) -> Value:
     if isinstance(data, bool):
         return BoolVal(data)
-    if isinstance(data, int):
+    if type(data) is int:
         if not INT64_MIN <= data <= INT64_MAX:
             msg = f"integer {data} outside signed 64-bit range"
             raise TypeMismatch(msg)
-        return IntVal(data)
+        return data
     if isinstance(data, dict) and set(data) == {"set"}:
         return SetVal(value_from_json(e) for e in data["set"])
     if isinstance(data, dict) and set(data) == {"seq"}:

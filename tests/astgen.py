@@ -15,7 +15,7 @@ build small enough to list in full.
 import random
 
 import tmbt.spec as sp
-from tmbt.values import BOOLEANS, BoolVal, IntVal
+from tmbt.values import BOOLEANS, BoolVal
 
 NAMES = ("b", "x", "y", "level", "pumpOn", "small", "big", "n", "timer")
 
@@ -68,7 +68,7 @@ def random_expr(rng: random.Random, depth: int = 4,
 def _leaf(rng: random.Random, bound: int) -> sp.Expr:
     pick = rng.randrange(5)
     if pick == 0:
-        return sp.Const(IntVal(rng.randint(-bound, bound - 1)))
+        return sp.Const(rng.randint(-bound, bound - 1))
     if pick == 1:
         return sp.Const(BoolVal(rng.random() < 0.5))
     if pick == 2:

@@ -22,7 +22,6 @@ from tmbt.errors import (
 from tmbt.tla.lexemes import CONSTANTS, QUANTIFIERS, RELATIONS
 from tmbt.tla.lexer import RESERVED, Token, tokenize
 from tmbt.tla.parser import ParsedModule, Ref
-from tmbt.values import IntVal
 
 _RELATIONS = {lexeme: kind for kind, lexeme in RELATIONS.items()}
 _RELATIONS.update({"/=": sp.Neq, "\\ngeqslant": sp.NotGe})
@@ -184,14 +183,14 @@ class _ExprParser:
             raise self.stream.error("expected an expression")
         if tok.kind == "int":
             self.stream.next()
-            return sp.Const(IntVal(int(tok.lexeme)))
+            return sp.Const(int(tok.lexeme))
         if tok.kind == "op" and tok.lexeme == "-":
             self.stream.next()
             number = self.stream.peek()
             if number is None or number.kind != "int":
                 raise self.stream.error("expected an integer after unary '-'")
             self.stream.next()
-            return sp.Const(IntVal(-int(number.lexeme)))
+            return sp.Const(-int(number.lexeme))
         if tok.kind == "keyword":
             self.stream.next()
             if tok.lexeme in CONSTANTS:

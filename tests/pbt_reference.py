@@ -25,7 +25,7 @@ import random
 from tmbt.errors import PreconditionViolated, SutCrashed, TypeMismatch
 from tmbt.pbt import CaseResult, Command, ArgSpec, ModelBinding, OpSpec, _divergence
 from tmbt.spec import Const, In, State, TemporalSpec, eval_expr, eval_state_formula
-from tmbt.values import IntVal, set_members
+from tmbt.values import set_members
 
 
 def op_by_scan(binding: ModelBinding, name: str) -> OpSpec:
@@ -194,11 +194,11 @@ def _shrink_args(binding, sut, commands: list) -> bool:
     progress = False
     for index, command in enumerate(commands):
         for name, value in command.args:
-            if not isinstance(value, IntVal):
+            if type(value) is not int:
                 continue
-            for small in _int_shrink_candidates(value.value):
+            for small in _int_shrink_candidates(value):
                 replaced = command.arg_map()
-                replaced[name] = IntVal(small)
+                replaced[name] = small
                 candidate = list(commands)
                 candidate[index] = Command(command.op, replaced)
                 if _still_fails(binding, sut, candidate):

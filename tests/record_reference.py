@@ -14,11 +14,6 @@ import typing as t
 
 
 @dataclasses.dataclass(frozen=True)
-class IntVal:
-    value: int
-
-
-@dataclasses.dataclass(frozen=True)
 class BoolVal:
     value: bool
 

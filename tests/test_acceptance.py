@@ -34,7 +34,6 @@ from tmbt.explore import (
 )
 from tmbt.pbt import run_case
 from tmbt.tla import parse_expression, parse_module, pretty_print, to_spec
-from tmbt.values import IntVal
 
 import astgen
 import oracles
@@ -58,11 +57,11 @@ def run_cli(*args):
 
 
 def diehard_tuple(state):
-    return (state["small"].value, state["big"].value)
+    return (state["small"], state["big"])
 
 
 def therac_tuple(state):
-    return (state["mode"].value, state["target"].value, state["timer"].value,
+    return (state["mode"], state["target"], state["timer"],
             state["beamHigh"].value, state["fired"].value)
 
 
@@ -136,7 +135,7 @@ def criterion_3():
 
 def criterion_4():
     graph, stats, violations = explore(specs.load("steamboiler"))
-    in_band = all(200 <= state["level"].value <= 800 for state in graph.nodes)
+    in_band = all(200 <= state["level"] <= 800 for state in graph.nodes)
     ok = (not stats.truncated and not violations and in_band
           and oracles.boiler_band_violations() == [])
     loose = specs.load("steamboiler", {"low": 190, "high": 810})
@@ -146,7 +145,7 @@ def criterion_4():
     last = None
     for cex in loose_violations:
         if cex.invariant == "LevelInBand":
-            last = cex.trace.states[-1]["level"].value
+            last = cex.trace.states[-1]["level"]
     ok = ok and last is not None and not 200 <= last <= 800
     return announce(
         4, ok,
@@ -245,7 +244,7 @@ def _negations_hold():
 
 def _stuttering_holds():
     spec = specs.load("diehard")
-    outside = sp.State({"small": IntVal(3), "big": IntVal(5)})
+    outside = sp.State({"small": 3, "big": 5})
     for walk in behaviors(spec, 10, 6, seed=3):
         if not behavior_satisfies(spec, walk):
             return False
@@ -298,10 +297,10 @@ def criterion_8():
     spec = specs.load("euclid")
     graph, stats, _ = explore(spec)
     depth, edges, _ = oracles.euclid_exploration(24, 16)
-    ok = ({(s["x"].value, s["y"].value) for s in graph.nodes}
+    ok = ({(s["x"], s["y"]) for s in graph.nodes}
           == set(depth))
-    ok = ok and {((a["x"].value, a["y"].value), name,
-                  (b["x"].value, b["y"].value))
+    ok = ok and {((a["x"], a["y"]), name,
+                  (b["x"], b["y"]))
                  for a, name, b in graph.edges} == edges
     euclid_numbers = (stats.diameter, stats.states_found,
                       stats.distinct_states)

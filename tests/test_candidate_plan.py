@@ -52,7 +52,7 @@ from tmbt.explore import (
     successors,
 )
 from tmbt.tla import parse_module, to_spec
-from tmbt.values import BOOLEANS, TRUE, IntVal, SetVal
+from tmbt.values import BOOLEANS, TRUE, SetVal
 
 VARIABLES = ("x", "y", "b")
 TYPE_OK = sp.conj(
@@ -235,7 +235,7 @@ class TestInit:
                                (), (("TypeOK", TYPE_OK),))
         domains = derive_domains(spec)
         expected = [sp.State({"x": x, "y": y, "b": b}) for b in domains["b"]
-                    for x in domains["x"] for y in domains["y"] if x.value < y.value]
+                    for x in domains["x"] for y in domains["y"] if x < y]
         assert initial_states(spec) == sorted(expected, key=sp.state_key)
         assert initial_states(spec) == ref.initial_states(spec)
 
@@ -247,9 +247,9 @@ class TestInit:
         domains = derive_domains(spec)
         found = initial_states(spec, domains)
         assert [(s["x"], s["y"], s["b"]) for s in found] == \
-            [(IntVal(1), IntVal(0), TRUE), (IntVal(9), IntVal(0), TRUE)]
+            [(1, 0, TRUE), (9, 0, TRUE)]
         # a value the domain holds is the domain's own object
-        assert found[0]["x"] is domains["x"][IntVal(1)]
+        assert found[0]["x"] is domains["x"][1]
         assert found == ref.initial_states(spec)
 
 
@@ -275,7 +275,7 @@ def compare_successors(spec, states, kinds: dict) -> int:
 class TestNext:
     def test_random_specs(self):
         rng = random.Random(77)
-        product = [sp.State(zip(VARIABLES, (IntVal(x), IntVal(y), b)))
+        product = [sp.State(zip(VARIABLES, (x, y, b)))
                    for x in range(-2, 4) for y in range(-2, 4)
                    for b in BOOLEANS.elements]
         enabled = 0
@@ -315,7 +315,7 @@ class TestNext:
         spec = sp.TemporalSpec("t", VARIABLES, sp.boolval(True),
                                (sp.NamedAction("A", formula),),
                                (("TypeOK", TYPE_OK),))
-        state = sp.State({"x": IntVal(0), "y": IntVal(0), "b": TRUE})
+        state = sp.State({"x": 0, "y": 0, "b": TRUE})
         kinds: dict = {}
         compare_successors(spec, [state], kinds)
         # the plan, evaluating every candidate in order, raises there too;
@@ -341,7 +341,7 @@ class TestNext:
         type_ok = sp.In(sp.Var("x"), sp.SetLit((sp.intval(1),)))
         spec = sp.TemporalSpec("t", ("x",), 5, (sp.NamedAction("A", 7),),
                                (("TypeOK", type_ok),))
-        state = sp.State({"x": IntVal(1)})
+        state = sp.State({"x": 1})
         assert _outcome(initial_states, spec) == _outcome(ref.initial_states, spec)
         assert _outcome(successors, spec, state) == \
             _outcome(ref.successors, spec, state)
@@ -377,8 +377,8 @@ class TestNext:
         formula = sp.conj(*parts) if kind is sp.And else sp.disj(*parts)
         spec = sp.TemporalSpec("t", ("x",), sp.boolval(True),
                                (sp.NamedAction("A", formula),))
-        found = successors(spec, sp.State({"x": IntVal(0)}), {})
-        assert [state["x"].value for _, state in found] == expected
+        found = successors(spec, sp.State({"x": 0}), {})
+        assert [state["x"] for _, state in found] == expected
 
     def test_a_long_straight_line_action_runs_as_one_loop(self):
         # 3,000 variables, each bound once: one block of slot writes, with
@@ -389,9 +389,9 @@ class TestNext:
             for name in names))
         spec = sp.TemporalSpec("t", names, sp.boolval(True),
                                (sp.NamedAction("A", formula),))
-        start = sp.State({name: IntVal(0) for name in names})
+        start = sp.State({name: 0 for name in names})
         [(_, step)] = successors(spec, start, {})
-        assert set(step.values) == {IntVal(1)}
+        assert set(step.values) == {1}
         ops, fork, end = _walk(formula, sp.Primed, spec.layout).start
         assert (len(ops), fork, end) == (3000, None, None)
 

@@ -309,6 +309,37 @@ class TestBehaviors:
         assert "init is unsatisfiable" in result.stderr
 
 
+class TestIntegerSetOrder:
+    """`{8, 16}` and `{16, 8}` are one set, though a frozenset of them
+    iterates in insertion order (8 and 16 share a slot of a small table):
+    `check` and `behaviors` print the same bytes for either."""
+
+    SOURCE = """\
+VARIABLES x, y
+TypeOK == x \\in {SET} /\\ y \\in {SET}
+Init == x \\in {SET} /\\ y = (CHOOSE v \\in {SET} : TRUE)
+Next == x' \\in {SET} /\\ y' = x
+Small == x + y < 32
+"""
+
+    def outputs(self, runner, path) -> list:
+        runs = [("check", "--spec", str(path), "--invariant", "Small",
+                 "--format", fmt) for fmt in ("human", "json")]
+        runs += [("behaviors", "--spec", str(path), "--seed", str(seed))
+                 for seed in range(3)]
+        return [invoke(runner, *args) for args in runs]
+
+    def test_member_order_does_not_reach_the_output(self, runner, tmp_path):
+        results = []
+        for name, members in (("up", "{8, 16}"), ("down", "{16, 8}")):
+            path = tmp_path / f"{name}.tla"
+            path.write_text(self.SOURCE.replace("{SET}", members))
+            results.append(self.outputs(runner, path))
+        assert results[0] == results[1]
+        assert [result.exit_code for result in results[0]] == [1, 1, 0, 0, 0]
+        assert "x=16 y=16" in results[0][0].stdout
+
+
 class TestTest:
     def test_reference_run_passes(self, runner):
         result = invoke(runner, "test", "--cases", "5", "--seed", "3",

@@ -16,13 +16,13 @@ import tree_eval
 
 import tmbt.spec as sp
 from tmbt.errors import EmptyChooseDomain, TypeMismatch, UnboundVariable
-from tmbt.values import BOOLEANS, FALSE, TRUE, IntVal, SeqVal, SetVal
+from tmbt.values import BOOLEANS, FALSE, TRUE, SeqVal, SetVal
 
 POOL = (
-    *(IntVal(n) for n in range(-3, 4)),
+    *range(-3, 4),
     TRUE, FALSE, BOOLEANS,
-    SetVal((IntVal(1), IntVal(2))),
-    SeqVal((IntVal(0), TRUE)),
+    SetVal((1, 2)),
+    SeqVal((0, TRUE)),
 )
 
 
@@ -129,7 +129,7 @@ def _typed(rng: random.Random, kind: str, depth: int) -> sp.Expr:
 
 def _typed_leaf(rng: random.Random, kind: str) -> sp.Expr:
     if kind == "set":
-        members = (IntVal(rng.randint(-5, 5)) for _ in range(rng.randrange(4)))
+        members = (rng.randint(-5, 5) for _ in range(rng.randrange(4)))
         return sp.Const(SetVal(members))
     names = INTS if kind == "int" else BOOLS
     pick = rng.randrange(4)
@@ -143,7 +143,7 @@ def _typed_leaf(rng: random.Random, kind: str) -> sp.Expr:
 
 
 def _typed_state(rng: random.Random, missing: float) -> sp.State:
-    ints = {name: IntVal(rng.randint(-5, 5)) for name in INTS}
+    ints = {name: rng.randint(-5, 5) for name in INTS}
     bools = {name: rng.choice((TRUE, FALSE)) for name in BOOLS}
     return sp.State({name: value for name, value in {**ints, **bools}.items()
                      if rng.random() >= missing})
@@ -159,7 +159,7 @@ def test_typed_trees_match_the_tree_walker(seed):
         tree = _typed(rng, "bool" if rng.random() < 0.7 else "int", 5)
         current = _typed_state(rng, 0.05)
         nxt = _typed_state(rng, 0.05)
-        env = {"y": IntVal(rng.randint(-5, 5))}
+        env = {"y": rng.randint(-5, 5)}
         for node in _subtrees(tree):
             for context in ((current, None, None), (current, nxt, None),
                             (current, nxt, env)):
@@ -172,10 +172,10 @@ def test_typed_trees_match_the_tree_walker(seed):
 def test_a_second_evaluation_reuses_the_compiled_closure():
     tree = sp.And(sp.In(sp.Var("x"), sp.IntRange(sp.intval(0), sp.intval(9))),
                   sp.Gt(sp.Var("x"), sp.intval(3)))
-    state = sp.State({"x": IntVal(5)})
+    state = sp.State({"x": 5})
     assert sp.eval_state_formula(tree, state)
     closure = tree.compiled
-    assert not sp.eval_state_formula(tree, sp.State({"x": IntVal(2)}))
+    assert not sp.eval_state_formula(tree, sp.State({"x": 2}))
     assert tree.compiled is closure
     # the closure is not part of the node's value
     fresh = sp.And(sp.In(sp.Var("x"), sp.IntRange(sp.intval(0), sp.intval(9))),
@@ -204,7 +204,7 @@ def test_quantifiers_over_a_huge_range_count_upward_lazily():
     assert sp.eval_expr(sp.Exists("n", huge, sp.Eq(n, sp.intval(3))), empty) == TRUE
     assert sp.eval_expr(sp.Forall("n", huge, sp.Lt(n, sp.intval(5))), empty) == FALSE
     witness = sp.eval_expr(sp.Choose("n", huge, sp.Gt(n, sp.intval(6))), empty)
-    assert witness == IntVal(7)
+    assert witness == 7
     small = sp.IntRange(sp.intval(1), sp.intval(3))
     with pytest.raises(EmptyChooseDomain, match=r"no element of \{integer 1, "
                                                 r"integer 2, integer 3\}"):
@@ -224,14 +224,14 @@ class TestDepth:
     PARTS = 5_000
 
     def test_long_conjunction(self):
-        state = sp.State({"x": IntVal(1)})
+        state = sp.State({"x": 1})
         parts = [sp.Le(sp.intval(i % 7 - 6), sp.Var("x")) for i in range(self.PARTS)]
         assert sp.eval_state_formula(sp.conj(*parts), state)
         parts[-1] = sp.Gt(sp.Var("x"), sp.intval(1))
         assert not sp.eval_state_formula(sp.conj(*parts), state)
 
     def test_long_disjunction(self):
-        state = sp.State({"x": IntVal(1)})
+        state = sp.State({"x": 1})
         parts = [sp.Eq(sp.Var("x"), sp.intval(i + 2)) for i in range(self.PARTS)]
         assert not sp.eval_state_formula(sp.disj(*parts), state)
         parts[-1] = sp.Eq(sp.Var("x"), sp.intval(1))

@@ -12,10 +12,10 @@ from tmbt.errors import (
     TypeMismatch,
     UnboundVariable,
 )
-from tmbt.values import FALSE, TRUE, BoolVal, IntVal, SetVal
+from tmbt.values import FALSE, TRUE, BoolVal, SetVal
 
-S0 = sp.State({"b": IntVal(0), "flag": TRUE})
-S1 = sp.State({"b": IntVal(1), "flag": FALSE})
+S0 = sp.State({"b": 0, "flag": TRUE})
+S1 = sp.State({"b": 1, "flag": FALSE})
 
 
 def ev(expr, current=S0, nxt=None, env=None):
@@ -24,22 +24,22 @@ def ev(expr, current=S0, nxt=None, env=None):
 
 class TestAtoms:
     def test_const(self):
-        assert ev(sp.intval(7)) == IntVal(7)
+        assert ev(sp.intval(7)) == 7
         assert ev(sp.boolval(True)) == TRUE
 
     def test_var_reads_current_state(self):
-        assert ev(sp.Var("b")) == IntVal(0)
-        assert ev(sp.Var("b"), S1) == IntVal(1)
+        assert ev(sp.Var("b")) == 0
+        assert ev(sp.Var("b"), S1) == 1
 
     def test_env_shadows_state(self):
-        assert ev(sp.Var("b"), env={"b": IntVal(9)}) == IntVal(9)
+        assert ev(sp.Var("b"), env={"b": 9}) == 9
 
     def test_unbound_var(self):
         with pytest.raises(UnboundVariable):
             ev(sp.Var("ghost"))
 
     def test_primed_reads_next_state(self):
-        assert ev(sp.Primed("b"), S0, S1) == IntVal(1)
+        assert ev(sp.Primed("b"), S0, S1) == 1
 
     def test_primed_without_next_state(self):
         with pytest.raises(PrimedInStateFormula):
@@ -85,6 +85,16 @@ class TestEquality:
     def test_eq_across_kinds_is_false_not_an_error(self):
         assert ev(sp.Eq(sp.intval(1), sp.boolval(True))) == FALSE
 
+    def test_integers_are_never_booleans(self):
+        # Python has `1 == True` and `hash(1) == hash(True)`; TLA+ has not
+        assert ev(sp.Eq(sp.intval(0), sp.boolval(False))) == FALSE
+        assert ev(sp.Neq(sp.intval(1), sp.boolval(True))) == TRUE
+        four = ev(sp.SetLit((sp.intval(0), sp.intval(1),
+                             sp.boolval(False), sp.boolval(True))))
+        assert len(four.elements) == 4
+        assert ev(sp.In(sp.intval(1), sp.Const(four))) == TRUE
+        assert ev(sp.In(sp.intval(1), sp.SetLit((sp.boolval(True),)))) == FALSE
+
     def test_neq(self):
         assert ev(sp.Neq(sp.Var("b"), sp.intval(4))) == TRUE
 
@@ -111,8 +121,8 @@ class TestComparisonsAndArithmetic:
             ev(sp.Lt(sp.boolval(True), sp.intval(1)))
 
     def test_add_sub(self):
-        assert ev(sp.Add(sp.intval(2), sp.intval(3))) == IntVal(5)
-        assert ev(sp.Sub(sp.intval(2), sp.intval(3))) == IntVal(-1)
+        assert ev(sp.Add(sp.intval(2), sp.intval(3))) == 5
+        assert ev(sp.Sub(sp.intval(2), sp.intval(3))) == -1
 
     def test_overflow_is_detected(self):
         big = sp.intval(2**63 - 1)
@@ -142,14 +152,14 @@ class TestSetsAndRanges:
 
     def test_int_range_is_inclusive(self):
         assert ev(sp.IntRange(sp.intval(1), sp.intval(3))) == SetVal(
-            [IntVal(1), IntVal(2), IntVal(3)])
+            [1, 2, 3])
 
     def test_empty_range(self):
         assert ev(sp.IntRange(sp.intval(3), sp.intval(1))) == SetVal(())
 
     def test_seq_literal_keeps_order(self):
         v = ev(sp.SeqLit((sp.intval(2), sp.intval(1))))
-        assert [e.value for e in v.items] == [2, 1]
+        assert v.items == (2, 1)
 
 
 class TestQuantifiers:
@@ -183,7 +193,7 @@ class TestQuantifiers:
 
     @given(st.sets(st.integers(-20, 20), max_size=8), st.integers(-20, 20))
     def test_quantifier_duality(self, members, pivot):
-        dom = sp.Const(SetVal(IntVal(n) for n in members))
+        dom = sp.Const(SetVal(members))
         body = sp.Lt(sp.Var("n"), sp.intval(pivot))
         forall = ev(sp.Forall("n", dom, body))
         negated_exists = ev(sp.Not(sp.Exists("n", dom, sp.Not(body))))
@@ -201,7 +211,7 @@ class TestChoose:
 
     def test_picks_canonically_smallest_witness(self):
         body = sp.Gt(sp.Var("n"), sp.intval(4))
-        assert ev(sp.Choose("n", self.DOM, body)) == IntVal(5)
+        assert ev(sp.Choose("n", self.DOM, body)) == 5
 
     def test_empty_witness_set(self):
         body = sp.Gt(sp.Var("n"), sp.intval(100))
@@ -209,9 +219,9 @@ class TestChoose:
             ev(sp.Choose("n", self.DOM, body))
 
     def test_choose_helper(self):
-        dom = SetVal([IntVal(3), IntVal(1), IntVal(2)])
+        dom = SetVal([3, 1, 2])
         got = sp.choose("n", dom, sp.Gt(sp.Var("n"), sp.intval(1)), S0)
-        assert got == IntVal(2)  # smallest satisfying, not first inserted
+        assert got == 2  # smallest satisfying, not first inserted
 
 
 class TestFormulaWrappers:

@@ -20,14 +20,14 @@ from tmbt.explore import (
     successors,
 )
 from tmbt.tla import parse_module, to_spec
-from tmbt.values import FALSE, TRUE, BoolVal, IntVal
+from tmbt.values import FALSE, TRUE, BoolVal
 
 import explore_reference as ref
 import oracles
 
 
 def as_pair(state, first, second):
-    return (state[first].value, state[second].value)
+    return (state[first], state[second])
 
 
 def diehard_tuple(state):
@@ -35,7 +35,7 @@ def diehard_tuple(state):
 
 
 def therac_tuple(state):
-    return (state["mode"].value, state["target"].value, state["timer"].value,
+    return (state["mode"], state["target"], state["timer"],
             state["beamHigh"].value, state["fired"].value)
 
 
@@ -50,7 +50,7 @@ class TestDomains:
         type_ok = sp.In(sp.Var("x"), sp.IntRange(sp.intval(0), sp.intval(3)))
         spec = sp.TemporalSpec("t", ("x",), init, (), {"TypeOK": type_ok})
         domains = derive_domains(spec)
-        assert list(domains["x"]) == [IntVal(n) for n in range(4)]
+        assert list(domains["x"]) == list(range(4))
         # each value maps to itself, so states can share the domain's objects
         assert all(domains["x"][value] is value for value in domains["x"])
 
@@ -58,7 +58,7 @@ class TestDomains:
         type_ok = sp.In(sp.Var("x"), sp.SetLit((sp.intval(2), sp.intval(-1))))
         spec = sp.TemporalSpec("t", ("x",), sp.boolval(True), (),
                                {"TypeOK": type_ok})
-        assert list(derive_domains(spec)["x"]) == [IntVal(-1), IntVal(2)]
+        assert list(derive_domains(spec)["x"]) == [-1, 2]
 
     def test_init_membership_gives_no_domain(self):
         # Init binds x through its disjunction without any domain
@@ -66,7 +66,7 @@ class TestDomains:
                      sp.In(sp.Var("x"), sp.SetLit((sp.intval(5),))))
         spec = sp.TemporalSpec("t", ("x",), init, ())
         assert derive_domains(spec) == {}
-        assert [s["x"] for s in initial_states(spec)] == [IntVal(0), IntVal(5)]
+        assert [s["x"] for s in initial_states(spec)] == [0, 5]
 
     def test_narrowed_values_need_no_domain(self):
         # no constants are mined: x' = 1 offers 1 whatever the domains hold
@@ -75,7 +75,7 @@ class TestDomains:
         spec = sp.TemporalSpec("t", ("x",), init, (step,))
         assert derive_domains(spec) == {}
         graph, stats, _ = explore(spec)
-        assert sorted(s["x"].value for s in graph.nodes) == [0, 1]
+        assert sorted(s["x"] for s in graph.nodes) == [0, 1]
         assert (stats.diameter, stats.states_found, stats.distinct_states) == (2, 3, 2)
 
     def test_unconstrained_variable_is_rejected(self):
@@ -89,13 +89,13 @@ class TestDomains:
     def test_variable_an_action_leaves_free_takes_its_type_ok_domain(self):
         lines = ("VARIABLE x", "Init == x = 0", "Grow == x' > x", "Next == Grow")
         spec = parsed(*lines)
-        assert initial_states(spec) == [sp.State({"x": IntVal(0)})]
+        assert initial_states(spec) == [sp.State({"x": 0})]
         with pytest.raises(UnboundedDomain,
                            match="variable x: action Grow leaves it free"):
             explore(spec)
         typed = parsed(lines[0], "TypeOK == x \\in 0..2", *lines[1:])
         graph, _, cexs = explore(typed)
-        assert sorted(s["x"].value for s in graph.nodes) == [0, 1, 2]
+        assert sorted(s["x"] for s in graph.nodes) == [0, 1, 2]
         assert cexs == []
 
     def test_bare_booleans_assign(self):
@@ -108,12 +108,20 @@ class TestDomains:
         assert got == [(False, True), (True, False), (True, True)]
         assert (stats.diameter, stats.states_found, stats.distinct_states) == (3, 4, 3)
 
+    def test_an_integer_and_a_boolean_are_two_states(self):
+        spec = parsed("VARIABLES x", "Init == x = 1", "Next == x' = TRUE")
+        graph, stats, _ = explore(spec)
+        assert stats.distinct_states == 2
+        assert sorted(map(repr, graph.nodes)) == [
+            "State(bindings=(('x', 1),))",
+            "State(bindings=(('x', BoolVal(value=True)),))"]
+
     def test_deep_type_ok_derives_without_recursion(self):
         parts = [sp.In(sp.Var("x"), sp.IntRange(sp.intval(0), sp.intval(n % 3 + 1)))
                  for n in range(5000)]
         spec = sp.TemporalSpec("t", ("x",), sp.boolval(True), (),
                                {"TypeOK": sp.conj(*parts)})
-        assert list(derive_domains(spec)["x"]) == [IntVal(0), IntVal(1)]
+        assert list(derive_domains(spec)["x"]) == [0, 1]
 
 
 class TestSoundness:
@@ -123,27 +131,27 @@ class TestSoundness:
         # `x > 1` binds nothing, yet x = 5 is an initial state
         spec = parsed("VARIABLE x", "TypeOK == x \\in 0..2",
                       "Init == x = 5 \\/ x > 1", "Next == x' = x")
-        assert [s["x"].value for s in initial_states(spec)] == [2, 5]
+        assert [s["x"] for s in initial_states(spec)] == [2, 5]
         _, stats, [cex] = explore(spec)
         assert (stats.states_found, stats.distinct_states, stats.diameter) == (4, 2, 1)
-        assert (cex.invariant, [s["x"].value for s in cex.trace.states]) == \
+        assert (cex.invariant, [s["x"] for s in cex.trace.states]) == \
             ("TypeOK", [5])
 
     def test_an_action_disjunct_outside_type_ok_keeps_its_value(self):
         spec = parsed("VARIABLE x", "TypeOK == x \\in 0..2", "Init == x = 0",
                       "Next == x = 0 /\\ (x' = 5 \\/ x' > 1)")
-        assert [s["x"].value for _, s in successors(spec, sp.State({"x": IntVal(0)}))] \
+        assert [s["x"] for _, s in successors(spec, sp.State({"x": 0}))] \
             == [2, 5]
         _, stats, [cex] = explore(spec)
         assert (stats.states_found, stats.distinct_states, stats.diameter) == (3, 3, 2)
-        assert (cex.invariant, [s["x"].value for s in cex.trace.states]) == \
+        assert (cex.invariant, [s["x"] for s in cex.trace.states]) == \
             ("TypeOK", [0, 5])
 
     def test_a_false_guard_needs_no_domain(self):
         # the action is disabled in x = 9 before x' would need a domain
         spec = parsed("VARIABLE x", "Init == x = 9", "Next == x < 5 /\\ x' > x")
         graph, stats, cexs = explore(spec)
-        assert [s["x"].value for s in graph.nodes] == [9]
+        assert [s["x"] for s in graph.nodes] == [9]
         assert (stats.states_found, stats.distinct_states, stats.diameter) == (1, 1, 1)
         assert cexs == []
 
@@ -157,7 +165,7 @@ class TestSoundness:
         assert stats.truncated
         [cex] = cexs
         assert cex.invariant == "TypeOK"
-        assert [s["x"].value for s in cex.trace.states] == list(range(type_high + 2))
+        assert [s["x"] for s in cex.trace.states] == list(range(type_high + 2))
 
     @pytest.mark.parametrize("bound,inv_bound", [(5, 3), (9, 2), (4, 4)])
     def test_guarded_counter_without_type_ok(self, bound, inv_bound):
@@ -170,7 +178,7 @@ class TestSoundness:
         assert not stats.truncated
         [cex] = cexs
         assert cex.invariant == "Inv"
-        assert [s["x"].value for s in cex.trace.states] == list(range(inv_bound + 1))
+        assert [s["x"] for s in cex.trace.states] == list(range(inv_bound + 1))
 
 
 class TestEnumeration:
@@ -181,7 +189,7 @@ class TestEnumeration:
 
     def test_successors_follow_action_order_and_count_duplicates(self):
         spec = specs.load("diehard")
-        start = sp.State({"small": IntVal(0), "big": IntVal(0)})
+        start = sp.State({"small": 0, "big": 0})
         steps = [(name, diehard_tuple(t)) for name, t in successors(spec, start)]
         assert steps == oracles.diehard_successors((0, 0))  # 6 entries, 4 no-ops
 
@@ -198,8 +206,8 @@ class TestEnumeration:
         # binds; each witness's branch then judges it with its own v
         spec = parsed("VARIABLE x", "Init == x = 0",
                       f"Next == (\\E v \\in {witnesses} : x' > v) /\\ x' = 3")
-        got = successors(spec, sp.State({"x": IntVal(0)}))
-        assert [s["x"].value for _, s in got] == steps
+        got = successors(spec, sp.State({"x": 0}))
+        assert [s["x"] for _, s in got] == steps
 
 
 class TestExploreExamples:
@@ -270,7 +278,7 @@ class TestExploreExamples:
         depth, edges, generated = oracles.boiler_exploration()
         assert cexs == []
         assert oracles.boiler_band_violations() == []
-        assert {as_pair(s, "level", "pumpOn") for s in graph.nodes} == set(depth)
+        assert {(s["level"], s["pumpOn"].value) for s in graph.nodes} == set(depth)
         assert stats.states_found == generated
         assert stats.distinct_states == len(depth) == 818
 
@@ -280,7 +288,7 @@ class TestExploreExamples:
         bad = oracles.boiler_band_violations(190, 810)
         assert bad  # the oracle agrees the band is escapable
         [cex] = [c for c in cexs if c.invariant == "LevelInBand"]
-        level = cex.trace.states[-1]["level"].value
+        level = cex.trace.states[-1]["level"]
         assert not 200 <= level <= 800
         depth, _, _ = oracles.boiler_exploration(190, 810)
         assert len(cex.trace.states) == 1 + min(depth[s] for s in bad)
@@ -447,7 +455,7 @@ class TestTruncation:
         spec = parsed("VARIABLE x", "Init == x \\in 0..20",
                       "Next == x < 20 /\\ x' = x + 1")
         graph, stats, _ = explore(spec, max_distinct=5)
-        assert sorted(s["x"].value for s in graph.nodes) == [0, 1, 2, 3, 4]
+        assert sorted(s["x"] for s in graph.nodes) == [0, 1, 2, 3, 4]
         assert graph.initials == graph.nodes
         # all 21 initial states were built, and the steps of the 5 kept
         assert stats == ExplorationStats(1, 26, 5, True)
@@ -561,7 +569,7 @@ class TestBehaviorSatisfies:
         (FLIP,))
 
     def b(self, *vals):
-        return sp.Behavior([sp.State({"b": IntVal(v)}) for v in vals])
+        return sp.Behavior([sp.State({"b": v}) for v in vals])
 
     def test_accepts_action_steps(self):
         assert behavior_satisfies(self.SPEC, self.b(0, 1, 0, 1))
@@ -594,6 +602,6 @@ class TestBehaviorSatisfies:
 
     def test_a_spec_the_walk_cannot_enumerate_is_unbounded(self):
         spec = to_spec(parse_module("VARIABLE x\nInit == x = 0\nNext == x' > x\n"))
-        states = [sp.State({"x": IntVal(0)}), sp.State({"x": IntVal(1)})]
+        states = [sp.State({"x": 0}), sp.State({"x": 1})]
         with pytest.raises(UnboundedDomain, match="action A1 leaves it free"):
             behavior_satisfies(spec, sp.Behavior(states))

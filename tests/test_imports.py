@@ -196,7 +196,7 @@ HOMES = {
                   "eval_action_formula", "eval_expr", "eval_state_formula",
                   "well_formed"),
     "tmbt.tla": ("parse_expression", "parse_module", "pretty_print", "to_spec"),
-    "tmbt.values": ("BoolVal", "IntVal", "SeqVal", "SetVal", "Value"),
+    "tmbt.values": ("BoolVal", "SeqVal", "SetVal", "Value"),
 }
 
 

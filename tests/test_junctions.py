@@ -128,7 +128,7 @@ class TestRightNested:
     DEPTH = 3_000
     X = sp.Var("x")
     ONE = sp.Eq(X, sp.intval(1))
-    STATE = sp.State({"x": sp.intval(1).value})
+    STATE = sp.State({"x": 1})
 
     def nested(self, kind, leaf):
         """`leaf` op (`leaf` op (... op `leaf`)), DEPTH levels deep."""
@@ -164,4 +164,4 @@ class TestRightNested:
         member = sp.In(self.X, sp.SetLit((sp.intval(1), sp.intval(2))))
         spec = sp.TemporalSpec("t", ("x",), self.ONE, (),
                                (("TypeOK", self.nested(kind, member)),))
-        assert list(derive_domains(spec)["x"]) == [sp.intval(n).value for n in (1, 2)]
+        assert list(derive_domains(spec)["x"]) == [1, 2]

@@ -23,21 +23,21 @@ from tmbt.pbt import (
     run_case,
     shrink,
 )
-from tmbt.values import FALSE, TRUE, IntVal
+from tmbt.values import FALSE, TRUE
 
 BINDING = build_boiler_binding()
 SPEC = build_sut_model_spec()
 
 
 def wlc(amount):
-    return Command("waterLevelDidChange", {"amount": IntVal(amount)})
+    return Command("waterLevelDidChange", {"amount": amount})
 
 
 class TestCommand:
     def test_dict_args_are_normalized_to_sorted_pairs(self):
-        command = Command("op", {"b": IntVal(2), "a": IntVal(1)})
-        assert command.args == (("a", IntVal(1)), ("b", IntVal(2)))
-        assert command.arg_map() == {"a": IntVal(1), "b": IntVal(2)}
+        command = Command("op", {"b": 2, "a": 1})
+        assert command.args == (("a", 1), ("b", 2))
+        assert command.arg_map() == {"a": 1, "b": 2}
 
     def test_commands_are_hashable_values(self):
         assert wlc(3) == wlc(3)
@@ -288,7 +288,7 @@ class TestRunCase:
         assert system.calls == ["reset", "startSystem", "openPump"]
 
     def test_wrong_argument_names_are_a_harness_error(self):
-        bad = Command("waterLevelDidChange", {"amt": IntVal(3)})
+        bad = Command("waterLevelDidChange", {"amt": 3})
         with pytest.raises(PreconditionViolated, match="argument names"):
             run_case(BINDING, reference_adapter(),
                      (Command("startSystem"), bad))
@@ -329,7 +329,7 @@ class TestShrink:
         shrunk = report.failing.shrunk
         assert shrunk[0] == Command("startSystem")
         assert all(c.op == "waterLevelDidChange" for c in shrunk[1:])
-        drained = sum(c.arg_map()["amount"].value for c in shrunk[1:])
+        drained = sum(c.arg_map()["amount"] for c in shrunk[1:])
         assert drained == -200  # lands exactly on the 300 threshold
 
     def test_shrunk_sequences_still_fail(self):
@@ -349,7 +349,7 @@ class TestShrink:
     def test_integer_arguments_are_pulled_toward_zero(self):
         report = pbt.test(BINDING, reference_adapter("band"),
                       pbt.TestConfig(seed=7))
-        amounts = [c.arg_map()["amount"].value
+        amounts = [c.arg_map()["amount"]
                    for c in report.failing.shrunk[1:]]
         assert amounts == [-35, -93, -72]  # joint fixpoint for seed 7
 

@@ -22,17 +22,17 @@ from tmbt import pbt
 from tmbt.errors import PreconditionViolated, TmbtError, TypeMismatch
 from tmbt.pbt import ArgSpec, Command, ModelBinding, OpSpec
 from tmbt.values import (
-    BOOLEANS, FALSE, TRUE, BoolVal, IntVal, SeqVal, SetVal, set_members,
+    BOOLEANS, FALSE, TRUE, BoolVal, SeqVal, SetVal, set_members,
 )
 
 VARIABLES = ("b", "x", "y")
 SPEC = sp.TemporalSpec("domains", VARIABLES, sp.Const(TRUE),
                        (sp.NamedAction("Any", sp.Const(TRUE)),))
 POOL = (
-    *(IntVal(n) for n in range(-4, 5)),
+    *range(-4, 5),
     TRUE, FALSE, BOOLEANS,
-    SetVal((IntVal(1), IntVal(2))),
-    SeqVal((IntVal(0), TRUE)),
+    SetVal((1, 2)),
+    SeqVal((0, TRUE)),
 )
 NON_SET_MESSAGE = r"^domain of argument a\d must be a set, got "
 
@@ -97,7 +97,7 @@ def _domain(rng: random.Random, earlier: list, faults: bool) -> sp.Expr:
     if pick == 16:
         return rng.choice((sp.Var("b"), sp.Var("x")))  # not a set
     if pick == 17:
-        return SetVal((IntVal(1),))  # not an expression
+        return SetVal((1,))  # not an expression
     return astgen.random_expr(rng, depth=2, bound=4)
 
 
@@ -109,15 +109,15 @@ def _precondition(rng: random.Random) -> sp.Expr:
     ))
 
 
-def _clamp(n: int) -> IntVal:
-    return IntVal(max(-6, min(6, n)))
+def _clamp(n: int) -> int:
+    return max(-6, min(6, n))
 
 
 def _effect(shift: int):
     def effect(state, args):
-        total = sum(v.value for v in args.values() if type(v) is IntVal)
-        return state.replace(x=_clamp(state["x"].value + total + shift),
-                             y=_clamp(state["y"].value - total + shift),
+        total = sum(v for v in args.values() if type(v) is int)
+        return state.replace(x=_clamp(state["x"] + total + shift),
+                             y=_clamp(state["y"] - total + shift),
                              b=BoolVal(not state["b"].value))
     return effect
 
@@ -136,8 +136,8 @@ def random_binding(rng: random.Random) -> ModelBinding:
                                _effect(rng.randint(-2, 2)), tuple(args),
                                rng.randint(1, 3)))
     initial = sp.State({"b": BoolVal(rng.random() < 0.5),
-                        "x": IntVal(rng.randint(-3, 3)),
-                        "y": IntVal(rng.randint(-3, 3))})
+                        "x": rng.randint(-3, 3),
+                        "y": rng.randint(-3, 3)})
     return ModelBinding(initial, alphabet)
 
 
@@ -195,7 +195,7 @@ class TestEnabledCache:
         pre = sp.Exists("b", sp.SetLit((sp.Var("x"),)),
                         sp.Gt(sp.Var("b"), sp.intval(0)))
         binding = ModelBinding(
-            sp.State({"b": TRUE, "x": IntVal(-3), "y": IntVal(0)}),
+            sp.State({"b": TRUE, "x": -3, "y": 0}),
             (OpSpec("positive", pre, _effect(1)),
              OpSpec("any", sp.Const(TRUE), _effect(1))))
         commands = pbt.generate_commands(binding, 12, 0)
@@ -234,7 +234,7 @@ class TestGenerationMatchesReference:
     def test_empty_ranges_skip_the_operation(self):
         empty = ArgSpec("a0", sp.IntRange(sp.intval(1), sp.intval(0)))
         binding = ModelBinding(
-            sp.State({"b": TRUE, "x": IntVal(0), "y": IntVal(0)}),
+            sp.State({"b": TRUE, "x": 0, "y": 0}),
             (OpSpec("never", sp.Const(TRUE), _effect(0), (empty,)),
              OpSpec("always", sp.Const(TRUE), _effect(0))))
         for seed in range(5):
@@ -244,7 +244,7 @@ class TestGenerationMatchesReference:
 
     def test_non_set_domain_names_the_argument(self):
         binding = ModelBinding(
-            sp.State({"b": TRUE, "x": IntVal(3), "y": IntVal(0)}),
+            sp.State({"b": TRUE, "x": 3, "y": 0}),
             (OpSpec("op", sp.Const(TRUE), _effect(0),
                     (ArgSpec("amount", sp.Var("x")),)),))
         with pytest.raises(AttributeError):
@@ -274,12 +274,12 @@ def _candidate_value(rng: random.Random, op_arg, state, chosen):
         return members[rng.randrange(len(members))]
     if members is not None and pick == 2:
         first, last = members[0], members[-1]
-        if type(last) is IntVal:
-            return IntVal(last.value + 1)
-        if type(first) is IntVal:
-            return IntVal(first.value - 1)
+        if type(last) is int:
+            return last + 1
+        if type(first) is int:
+            return first - 1
     if pick == 3:
-        return IntVal(rng.choice((2**40, -(2**63), 2**63 - 1)))
+        return rng.choice((2**40, -(2**63), 2**63 - 1))
     return rng.choice(POOL)
 
 
@@ -292,7 +292,7 @@ def _random_command(rng: random.Random, binding, state) -> Command:
         if chosen:
             del chosen[next(iter(chosen))]
         else:
-            chosen["extra"] = IntVal(0)
+            chosen["extra"] = 0
     return Command(op.name, chosen)
 
 
@@ -374,11 +374,11 @@ class TestSetViews:
             view.contains(BOOLEANS, state, None, None)
 
     def test_non_expression(self):
-        view = sp.set_view(SetVal((IntVal(1),)))
+        view = sp.set_view(SetVal((1,)))
         with pytest.raises(TypeMismatch, match="not an expression"):
             view.members(sp.State({}), None, None, "the domain")
         with pytest.raises(TypeMismatch, match="not an expression"):
-            view.contains(IntVal(1), sp.State({}), None, None)
+            view.contains(1, sp.State({}), None, None)
 
     def test_view_is_cached_on_the_node(self):
         domain = sp.IntRange(sp.intval(0), sp.intval(3))
@@ -388,10 +388,11 @@ class TestSetViews:
     def test_range_members_is_a_sequence(self):
         members = sp.set_view(sp.IntRange(sp.intval(-2), sp.intval(2))).members(
             sp.State({}), None, None, "the domain")
+        assert members == range(-2, 3)  # the range itself, never built
         assert len(members) == 5
-        assert list(members) == [IntVal(n) for n in range(-2, 3)]
-        assert members[-1] == IntVal(2)
-        assert list(members[1:3]) == [IntVal(-1), IntVal(0)]
+        assert list(members) == list(range(-2, 3))
+        assert members[-1] == 2
+        assert list(members[1:3]) == [-1, 0]
         empty = sp.set_view(sp.IntRange(sp.intval(2), sp.intval(1))).members(
             sp.State({}), None, None, "the domain")
         assert not empty and len(empty) == 0
@@ -423,7 +424,7 @@ def no_sets_built(monkeypatch):
 def huge_binding() -> ModelBinding:
     domain = sp.IntRange(sp.Sub(sp.Var("x"), sp.intval(HUGE)), sp.intval(HUGE))
     op = OpSpec("draw", sp.Const(TRUE), _effect(0), (ArgSpec("a0", domain),))
-    return ModelBinding(sp.State({"b": TRUE, "x": IntVal(0), "y": IntVal(0)}),
+    return ModelBinding(sp.State({"b": TRUE, "x": 0, "y": 0}),
                         (op,))
 
 
@@ -431,30 +432,32 @@ class TestHugeRanges:
     def test_drawing_builds_no_set(self, no_sets_built):
         commands = pbt.generate_commands(huge_binding(), 20, 3)
         assert len(commands) == 20
-        assert all(-HUGE <= c.arg_map()["a0"].value <= HUGE for c in commands)
+        assert all(-HUGE <= c.arg_map()["a0"] <= HUGE for c in commands)
         assert len({c.args for c in commands}) == 20
         assert no_sets_built == []
 
     def test_validating_builds_no_set(self, no_sets_built):
         binding = huge_binding()
-        commands = [Command("draw", {"a0": IntVal(n)})
+        commands = [Command("draw", {"a0": n})
                     for n in (-HUGE, 0, HUGE)]
         assert valid(binding, commands)
         with pytest.raises(PreconditionViolated, match="outside its domain"):
             pbt._check_step(binding, binding.initial,
-                            Command("draw", {"a0": IntVal(HUGE + 1)}), 0)
+                            Command("draw", {"a0": HUGE + 1}), 0)
         assert no_sets_built == []
 
 
     def test_a_range_past_sys_maxsize_draws_and_validates(self, no_sets_built):
-        """`-(2^63)..2^63-1` has 2^64 members, too many for `len()`."""
+        """`-(2^63)..2^63-1` has 2^64 members, too many for `len()`: the
+        draws read all 2^64 of them, as `generate_commands` counts them."""
         full = sp.IntRange(sp.intval(-2**63), sp.intval(2**63 - 1))
         binding = ModelBinding(
-            sp.State({"b": TRUE, "x": IntVal(0), "y": IntVal(0)}),
+            sp.State({"b": TRUE, "x": 0, "y": 0}),
             (OpSpec("draw", sp.Const(TRUE), _effect(0), (ArgSpec("a0", full),)),))
         members = sp.set_view(full).members(binding.initial, None, {}, "domain")
-        assert members.size == 2**64
-        assert members[::3].size == len(range(0, 2**64, 3))
+        assert members == range(-2**63, 2**63)
+        with pytest.raises(OverflowError):
+            len(members)
         for seed in range(5):
             commands = pbt.generate_commands(binding, 10, seed)
             rng = random.Random(seed)
@@ -462,7 +465,7 @@ class TestHugeRanges:
             for _ in range(10):
                 rng.choices(binding.alphabet)  # the operation's draw
                 expected.append(-2**63 + rng.randrange(2**64))
-            assert [c.arg_map()["a0"].value for c in commands] == expected
+            assert [c.arg_map()["a0"] for c in commands] == expected
             assert valid(binding, list(commands))
         assert no_sets_built == []
 

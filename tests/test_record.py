@@ -14,9 +14,9 @@ import tmbt.spec as sp
 from tmbt.record import Record
 from tmbt.streams import AssumptionViolated, Conforms, ControllerState
 from tmbt.tla.lexer import Token
-from tmbt.values import BoolVal, IntVal
+from tmbt.values import BoolVal
 
-PAIRS = [(IntVal, ref.IntVal), (BoolVal, ref.BoolVal), (sp.Var, ref.Var),
+PAIRS = [(BoolVal, ref.BoolVal), (sp.Var, ref.Var),
          (Token, ref.Token), (Conforms, ref.Conforms),
          (AssumptionViolated, ref.AssumptionViolated),
          (ControllerState, ref.ControllerState),
@@ -24,16 +24,16 @@ PAIRS = [(IntVal, ref.IntVal), (BoolVal, ref.BoolVal), (sp.Var, ref.Var),
 
 # (args, kwargs) per class name; every call is made on both classes
 CALLS = {
-    "IntVal": [((1,), {}), ((-2,), {}), ((), {"value": 1}), ((), {}),
-               ((1, 2), {}), ((1,), {"value": 1}), ((), {"amount": 1})],
-    "BoolVal": [((True,), {}), ((False,), {}), ((), {"value": True}), ((), {})],
+    "BoolVal": [((True,), {}), ((False,), {}), ((), {"value": True}), ((), {}),
+                ((True, False), {}), ((True,), {"value": True}),
+                ((), {"flag": True})],
     "Var": [(("x",), {}), ((), {"name": "y"}), ((), {})],
     "Token": [(("ident", "x", 1, 0), {}), (("op", "==", 2), {"col": 4}),
               ((), {"kind": "int", "lexeme": "7", "line": 3, "col": 9}),
               (("ident", "x", 1), {}), (("ident", "x", 1, 0, 5), {})],
     "Conforms": [((), {}), ((1,), {}), ((), {"index": 0})],
     "AssumptionViolated": [((0,), {}), ((), {"index": 0}), ((3,), {}), ((), {})],
-    "ControllerState": [((500, False), {}), ((500, False, IntVal(1)), {}),
+    "ControllerState": [((500, False), {}), ((500, False, 1), {}),
                         ((), {"water_level": 1, "pump_on": True}),
                         ((500,), {}), ((1, 2, 3, 4), {})],
     "TestConfig": [((), {}), ((), {"cases": 5}), ((5, 10), {"seed": 3}),
@@ -93,10 +93,10 @@ def test_frozen_like_the_dataclass(cls, twin):
 
 
 def test_different_classes_never_compare_equal():
-    assert IntVal(1) != BoolVal(True) and BoolVal(True) != IntVal(1)
-    assert IntVal(0) != BoolVal(False)
+    assert 1 != BoolVal(True) and BoolVal(True) != 1
+    assert 0 != BoolVal(False)
     assert sp.Var("x") != sp.Primed("x")
-    assert IntVal(1) != 1 and not IntVal(1) == 1
+    assert BoolVal(True) != True and not BoolVal(True) == True
 
 
 def test_elapsed_time_stays_out_of_equality():
@@ -111,10 +111,10 @@ def test_node_fields_live_in_the_instance_dictionary():
     assert vars(node) == {"left": sp.Var("x"), "right": sp.intval(1)}
     assert sp.Add.operands == ("left", "right")
     assert sp.Forall.operands == ("domain", "body")
-    sp.eval_expr(node, sp.State({"x": IntVal(2)}))
+    sp.eval_expr(node, sp.State({"x": 2}))
     assert "compiled" in vars(node)  # a cached property, outside the fields
     assert node == sp.Add(sp.Var("x"), sp.intval(1))
-    assert repr(node) == "Add(left=Var(name='x'), right=Const(value=IntVal(value=1)))"
+    assert repr(node) == "Add(left=Var(name='x'), right=Const(value=1))"
 
 
 def test_a_subclass_extends_its_base_fields():

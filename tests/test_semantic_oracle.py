@@ -43,9 +43,9 @@ from tmbt.explore import (
     initial_states,
     successors,
 )
-from tmbt.values import FALSE, TRUE, IntVal
+from tmbt.values import FALSE, TRUE
 
-PRODUCT = tuple(sp.State(zip(VARIABLES, (IntVal(x), IntVal(y), b)))
+PRODUCT = tuple(sp.State(zip(VARIABLES, (x, y, b)))
                 for x in range(-2, 4) for y in range(-2, 4) for b in (FALSE, TRUE))
 IN_PRODUCT = frozenset(PRODUCT)
 SPECS = 400

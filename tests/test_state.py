@@ -23,7 +23,7 @@ import tmbt.spec as sp
 import tmbt.specs as specs
 from tmbt.errors import UnboundVariable
 from tmbt.explore import explore, initial_states, successors
-from tmbt.values import FALSE, TRUE, BoolVal, IntVal, SeqVal, SetVal
+from tmbt.values import FALSE, TRUE, BoolVal, SeqVal, SetVal
 
 NAMES = ("a", "b", "level", "pumpOn", "x", "y")
 
@@ -38,10 +38,10 @@ def _outcome(call, *args, **kwargs):
 def _value(rng: random.Random):
     pick = rng.randrange(4)
     if pick == 0:
-        return IntVal(rng.randint(-3, 3))
+        return rng.randint(-3, 3)
     if pick == 1:
         return BoolVal(rng.random() < 0.5)
-    items = [IntVal(rng.randint(0, 2)) for _ in range(rng.randrange(3))]
+    items = [rng.randint(0, 2) for _ in range(rng.randrange(3))]
     return SetVal(items) if pick == 2 else SeqVal(items)
 
 
@@ -69,8 +69,8 @@ def test_every_reachable_state_of_the_examples(name):
         assert state == sp.State(old.as_dict()) and hash(state) == hash(
             sp.State(old.bindings))
         first = state.variables()[0]
-        changed = state.replace(**{first: IntVal(99)})
-        assert_same(changed, old.replace(**{first: IntVal(99)}))
+        changed = state.replace(**{first: 99})
+        assert_same(changed, old.replace(**{first: 99}))
         assert changed.layout is state.layout
         assert_same(state.replace(zz=TRUE), old.replace(zz=TRUE))
     # the values-only key sorts one layout's states in `state_key` order
@@ -100,14 +100,14 @@ def test_random_bindings():
 
 
 def test_states_are_frozen_and_share_their_layout():
-    state = sp.State({"x": IntVal(1), "b": TRUE})
+    state = sp.State({"x": 1, "b": TRUE})
     with pytest.raises(AttributeError, match="cannot assign to field 'values'"):
         state.values = ()
     with pytest.raises(AttributeError):
         del state.layout
-    assert sp.State({"b": FALSE, "x": IntVal(2)}).layout is state.layout
+    assert sp.State({"b": FALSE, "x": 2}).layout is state.layout
     assert state.layout.names == ("b", "x")
-    assert state != ref.State({"x": IntVal(1), "b": TRUE})
+    assert state != ref.State({"x": 1, "b": TRUE})
     for twin in (copy.copy(state), copy.deepcopy(state),
                  pickle.loads(pickle.dumps(state))):
         assert twin == state and twin.layout is state.layout
@@ -142,13 +142,13 @@ def test_threads_building_one_name_tuple_share_its_layout():
 def test_one_node_reads_the_states_of_two_specs():
     # x sits in slot 0 of the first layout and slot 1 of the second
     node = sp.Sub(sp.Add(sp.Var("x"), sp.Primed("y")), sp.intval(1))
-    narrow = sp.State({"x": IntVal(1), "y": IntVal(2)})
-    wide = sp.State({"a": TRUE, "x": IntVal(10), "y": IntVal(20)})
-    lacking = sp.State({"y": IntVal(5)})
+    narrow = sp.State({"x": 1, "y": 2})
+    wide = sp.State({"a": TRUE, "x": 10, "y": 20})
+    lacking = sp.State({"y": 5})
     for _ in range(3):
-        assert sp.eval_expr(node, narrow, wide) == IntVal(20)
-        assert sp.eval_expr(node, wide, narrow) == IntVal(11)
-        assert sp.eval_expr(node, wide, wide) == IntVal(29)
+        assert sp.eval_expr(node, narrow, wide) == 20
+        assert sp.eval_expr(node, wide, narrow) == 11
+        assert sp.eval_expr(node, wide, wide) == 29
         with pytest.raises(UnboundVariable, match="variable x is not bound"):
             sp.eval_expr(node, lacking, wide)
     # one action formula, explored under two specs in turn
@@ -163,7 +163,7 @@ def test_one_node_reads_the_states_of_two_specs():
         assert explore(alone)[1].distinct_states == 4
         assert explore(paired)[1].distinct_states == 4
         assert [s["x"] for _, s in successors(
-            paired, sp.State({"a": TRUE, "x": IntVal(1)}))] == [IntVal(2)]
+            paired, sp.State({"a": TRUE, "x": 1}))] == [2]
 
 
 def _spec(init, step=sp.boolval(False)):
@@ -187,10 +187,10 @@ class TestNameNoVariableHas:
                         sp.Eq(sp.Var("x"), sp.intval(0)))
         kept = sp.Eq(sp.Var("x"), sp.intval(2))
         assert initial_states(_spec(sp.disj(ended, kept))) == \
-            [sp.State({"x": IntVal(2)})]
+            [sp.State({"x": 2})]
 
     def test_an_action_binds_it_the_same_way(self):
-        state = sp.State({"x": IntVal(0)})
+        state = sp.State({"x": 0})
         y = sp.Eq(sp.Primed("y"), sp.intval(1))
         x = sp.Eq(sp.Primed("x"), sp.Var("x"))
         ended = sp.conj(y, sp.Gt(sp.Primed("y"), sp.intval(5)), x)

@@ -27,19 +27,19 @@ from tmbt.streams import (
     to_temporal_spec,
     ts,
 )
-from tmbt.values import FALSE, TRUE, IntVal
+from tmbt.values import FALSE, TRUE
 
-ONE_PER_INTERVAL = TimedStream([[IntVal(3)], [IntVal(1)], [IntVal(4)]])
-GAPPY = TimedStream([[IntVal(3)], [], [IntVal(4)]])
-BURSTY = TimedStream([[IntVal(3)], [IntVal(1), IntVal(1)]])
+ONE_PER_INTERVAL = TimedStream([[3], [1], [4]])
+GAPPY = TimedStream([[3], [], [4]])
+BURSTY = TimedStream([[3], [1, 1]])
 
 
 class TestTimedStream:
     def test_intervals_are_normalized_to_tuples(self):
-        s = TimedStream([[IntVal(1)], []])
-        assert s.intervals == ((IntVal(1),), ())
+        s = TimedStream([[1], []])
+        assert s.intervals == ((1,), ())
         assert len(s) == 2
-        assert s.at(0) == (IntVal(1),)
+        assert s.at(0) == (1,)
 
     def test_empty_stream(self):
         assert len(TimedStream()) == 0
@@ -76,13 +76,13 @@ class TestStreamPredicate:
         p = StreamPredicate("each_in_range", {"stream": "steam", "low": 0,
                                               "high": 10})
         assert p.check_assumption({"steam": ONE_PER_INTERVAL}, 3)
-        bad = TimedStream([[IntVal(11)]])
+        bad = TimedStream([[11]])
         assert not p.check_assumption({"steam": bad}, 1)
 
     def test_level_in_band_is_per_interval(self):
         p = StreamPredicate("level_in_band", {"stream": "sensor", "low": 200,
                                               "high": 800})
-        sensor = TimedStream([[IntVal(500)], [IntVal(199)]])
+        sensor = TimedStream([[500], [199]])
         assert p.check_guarantee({}, {"sensor": sensor}, 0)
         assert not p.check_guarantee({}, {"sensor": sensor}, 1)
 
@@ -103,7 +103,7 @@ class TestStreamPredicate:
                                               "high": 10})
         assert p.check_guarantee({"steam": ONE_PER_INTERVAL}, {}, 0)
 
-    @pytest.mark.parametrize("inputs", [{"s": TimedStream([[IntVal(5)]])}, {}],
+    @pytest.mark.parametrize("inputs", [{"s": TimedStream([[5]])}, {}],
                              ids=["input-of-that-name", "no-input"])
     def test_an_empty_output_stream_is_judged_as_itself(self, inputs):
         p = StreamPredicate("level_in_band", {"stream": "s", "low": 0,
@@ -135,14 +135,14 @@ class TestCheckAsmGar:
 
     def test_broken_assumption_short_circuits(self):
         ins = {"steam": GAPPY}
-        outs = {"sensor": TimedStream([[IntVal(-1)]] * 3),  # band also broken
+        outs = {"sensor": TimedStream([[-1]] * 3),  # band also broken
                 "ctrl": TimedStream([[], [], []])}
         verdict = check_asm_gar(self.COMP, ins, outs, 3)
         assert verdict == AssumptionViolated(index=0)  # vacuous: gar unjudged
 
     def test_out_of_range_steam_is_the_second_assumption(self):
-        ins = {"steam": TimedStream([[IntVal(99)]])}
-        outs = {"sensor": TimedStream([[IntVal(500)]]),
+        ins = {"steam": TimedStream([[99]])}
+        outs = {"sensor": TimedStream([[500]]),
                 "ctrl": TimedStream([[]])}
         assert check_asm_gar(self.COMP, ins, outs, 1) == AssumptionViolated(1)
 
@@ -164,15 +164,15 @@ class TestCheckAsmGar:
 
     def test_asking_past_an_output_prefix_is_an_error(self):
         _, outs = simulate_closed_loop(intervals=10)
-        ins = {"steam": TimedStream([[IntVal(5)]] * 11)}
+        ins = {"steam": TimedStream([[5]] * 11)}
         with pytest.raises(ValueError) as err:
             check_asm_gar(self.COMP, ins, outs, 11)
         assert str(err.value) == (
             "stream 'sensor' prefix has 10 intervals, asked about 11")
 
     def test_guarantee_failure_reports_first_interval(self):
-        ins = {"steam": TimedStream([[IntVal(5)], [IntVal(5)]])}
-        outs = {"sensor": TimedStream([[IntVal(500)], [IntVal(100)]]),
+        ins = {"steam": TimedStream([[5], [5]])}
+        outs = {"sensor": TimedStream([[500], [100]]),
                 "ctrl": TimedStream([[], []])}
         assert check_asm_gar(self.COMP, ins, outs, 2) == GuaranteeViolated(0, 1)
 
@@ -270,7 +270,7 @@ class TestToTemporalSpec:
     def test_initial_state_is_the_half_full_idle_tank(self):
         spec = to_temporal_spec()
         [init] = initial_states(spec)
-        assert init["level"] == IntVal(500)
+        assert init["level"] == 500
         assert init["pumpOn"] == FALSE
 
     def test_unordered_thresholds_are_rejected(self):
@@ -280,7 +280,7 @@ class TestToTemporalSpec:
     def test_every_transition_moves_the_level_at_most_ten(self):
         graph, _, _ = explore(to_temporal_spec())
         for source, action, target in graph.edges:
-            delta = target["level"].value - source["level"].value
+            delta = target["level"] - source["level"]
             if action == "PumpFills":
                 assert delta == 10
             else:
@@ -290,7 +290,7 @@ class TestToTemporalSpec:
         graph, stats, cexs = explore(to_temporal_spec())
         assert cexs == []
         assert stats.distinct_states == 818
-        assert all(200 <= s["level"].value <= 800 for s in graph.nodes)
+        assert all(200 <= s["level"] <= 800 for s in graph.nodes)
 
     def test_loose_loop_is_not(self):
         _, _, cexs = explore(to_temporal_spec(Thresholds(190, 810)))
@@ -306,7 +306,7 @@ def loop_behavior(outputs: dict) -> sp.Behavior:
     its starting level, then each sensor reading with the pump mode that
     the signals emitted so far leave."""
     pump = FALSE
-    states = [sp.State({"level": IntVal(INITIAL_LEVEL), "pumpOn": pump})]
+    states = [sp.State({"level": INITIAL_LEVEL, "pumpOn": pump})]
     for (reading,), signals in zip(outputs["sensor"].intervals,
                                    outputs["ctrl"].intervals):
         for signal in signals:

@@ -10,11 +10,12 @@ import time
 import pbt_reference as ref
 import pytest
 
+import tmbt.spec as sp
 from tmbt import pbt, wire
 from tmbt.boiler import build_boiler_binding, reference_adapter
 from tmbt.errors import ProtocolError, SutCrashed
 from tmbt.pbt import CaseResult, Command, SubprocessAdapter, generate_commands, run_case
-from tmbt.values import FALSE, TRUE, IntVal
+from tmbt.values import FALSE, TRUE
 
 BINDING = build_boiler_binding()
 
@@ -75,7 +76,7 @@ class TestBoilerProcess:
         with boiler_process() as sut:
             sut.reset()
             observed = sut.apply(Command("startSystem"))
-        assert observed == {"level": IntVal(500), "pump": FALSE}
+        assert observed == {"level": 500, "pump": FALSE}
 
     def test_reference_process_passes_generated_cases(self):
         commands = generate_commands(BINDING, 25, 11)
@@ -117,7 +118,7 @@ class TestBoilerProcess:
             sut.restart()
             assert sut.process.pid != first
             sut.reset()
-            assert sut.apply(Command("startSystem"))["level"].value == 500
+            assert sut.apply(Command("startSystem"))["level"] == 500
         finally:
             sut.close()
 
@@ -212,6 +213,21 @@ class TestBrokenProcesses:
                 sut.reset()
         finally:
             sut.close()
+
+
+    def test_a_json_true_where_the_model_expects_1_diverges(self, tmp_path):
+        read = pbt.OpSpec("read", sp.Const(TRUE), lambda state, args: state,
+                          observes=("x",))
+        binding = pbt.ModelBinding(sp.State({"x": 1}), (read,))
+        results = []
+        for reply in ("True", "1"):
+            body = ECHO_LOOP.format(
+                reply=f'json.dumps({{"ok": True, "observed": {{"x": {reply}}}}})')
+            with script_adapter(tmp_path, body) as sut:
+                results.append(run_case(binding, sut, [Command("read")]))
+        assert results == [
+            CaseResult(False, 0, (("x", 1),), (("x", TRUE),)),
+            CaseResult(True)]
 
 
 class TestPipelinedCases:

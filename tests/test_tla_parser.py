@@ -13,7 +13,7 @@ from tmbt.errors import (
 )
 from tmbt.explore import explore
 from tmbt.tla import ParsedModule, parse_expression, parse_module, to_spec
-from tmbt.values import BOOLEANS, INT64_MAX, INT64_MIN, IntVal
+from tmbt.values import BOOLEANS, INT64_MAX, INT64_MIN
 
 ONE_BIT = """\
 VARIABLE b
@@ -310,7 +310,7 @@ class TestToSpec:
         _, stats, cexs = explore(typed)
         assert stats.distinct_states == 3
         assert [c.invariant for c in cexs] == ["Inv"]
-        assert [s["b"] for s in cexs[0].trace.states] == [IntVal(0), IntVal(2)]
+        assert [s["b"] for s in cexs[0].trace.states] == [0, 2]
 
 
 class TestErrorSites:

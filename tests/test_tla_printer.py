@@ -16,7 +16,7 @@ from tmbt.tla import (
     print_spec,
     to_spec,
 )
-from tmbt.values import BOOLEANS, SetVal, IntVal
+from tmbt.values import BOOLEANS, SetVal
 
 import astgen
 
@@ -99,7 +99,7 @@ class TestParenthesization:
 class TestUnprintable:
     def test_container_constants_other_than_boolean(self):
         with pytest.raises(TypeMismatch, match="BOOLEAN"):
-            pretty_print(sp.Const(SetVal([IntVal(1)])))
+            pretty_print(sp.Const(SetVal([1])))
 
     def test_spec_without_actions(self):
         spec = sp.TemporalSpec("t", ("b",), sp.Eq(B, sp.intval(0)), ())

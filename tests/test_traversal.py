@@ -28,9 +28,9 @@ from tmbt.errors import MissingDefinition, TypeMismatch
 from tmbt.tla import parse_expression, parse_module, print_expression, to_spec
 from tmbt.tla import parser, printer
 from tmbt.tla.parser import ParsedModule, Ref
-from tmbt.values import BOOLEANS, TRUE, IntVal, SetVal
+from tmbt.values import BOOLEANS, TRUE, SetVal
 
-NOT_EXPRESSIONS = (5, "x", None, IntVal(3))
+NOT_EXPRESSIONS = (5, "x", None, TRUE)
 
 
 def _nodes(expr) -> list:
@@ -209,7 +209,7 @@ class TestPrinter:
     def test_random_trees_print_as_the_recursive_printer(self, seed):
         rng = random.Random(seed)
         # leaves with no printed form: non-expressions, container constants
-        unprintable = NOT_EXPRESSIONS + (Ref("D0"), sp.Const(SetVal((IntVal(1),))),
+        unprintable = NOT_EXPRESSIONS + (Ref("D0"), sp.Const(SetVal((1,))),
                                          sp.Const(BOOLEANS), sp.Const("x"))
         failed = 0
         for tree in astgen.random_exprs(seed=seed, count=300, depth=5):

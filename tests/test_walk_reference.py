@@ -28,9 +28,9 @@ import tmbt.spec as sp
 import tmbt.specs as specs
 from tmbt.explore import derive_domains, explore, initial_states, successors
 from tmbt.tla import parse_module, to_spec
-from tmbt.values import BOOLEANS, IntVal
+from tmbt.values import BOOLEANS
 
-PRODUCT = [sp.State(zip(VARIABLES, (IntVal(x), IntVal(y), b)))
+PRODUCT = [sp.State(zip(VARIABLES, (x, y, b)))
            for x in range(-2, 4) for y in range(-2, 4) for b in BOOLEANS.elements]
 # per test, the draws where the reference raises an error of another
 # class than the scheduled walk, of Inits and of (state, spec) pairs
@@ -128,7 +128,7 @@ def test_random_trees_match_the_reference():
     # most trees raise: their errors are the ones to compare
     rng, tally = random.Random(27), {"init": 0, "steps": 0}
     names = astgen.NAMES
-    state = sp.State({name: IntVal(0) for name in names})
+    state = sp.State({name: 0 for name in names})
     for _ in range(1500):
         init, step = (astgen.random_expr(rng, 4, bound=4) for _ in range(2))
         spec = sp.TemporalSpec("trees", names, init, (sp.NamedAction("A", step),))
@@ -169,7 +169,7 @@ def test_threads_walking_one_fresh_formula_agree():
     try:
         for _ in range(20):
             spec = to_spec(parse_module(WITNESSES), name="witnesses")
-            state = sp.State({"x": IntVal(0), "y": IntVal(0)})
+            state = sp.State({"x": 0, "y": 0})
             want = ref.successors(spec, state, {})
             found = []
             threads = [threading.Thread(

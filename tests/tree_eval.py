@@ -51,7 +51,6 @@ from tmbt.values import (
     INT64_MAX,
     INT64_MIN,
     BoolVal,
-    IntVal,
     SeqVal,
     SetVal,
     Value,
@@ -63,11 +62,11 @@ from tmbt.values import (
 )
 
 
-def _checked_int(n: int) -> IntVal:
+def _checked_int(n: int) -> int:
     if not INT64_MIN <= n <= INT64_MAX:
         msg = f"arithmetic result {n} outside signed 64-bit range"
         raise IntegerOverflow(msg)
-    return IntVal(n)
+    return n
 
 
 def eval_expr(expr: Expr, current: State, nxt: State | None = None,
@@ -156,7 +155,7 @@ def eval_expr(expr: Expr, current: State, nxt: State | None = None,
     if isinstance(expr, IntRange):
         low = require_int(eval_expr(expr.low, current, nxt, env), "range bound")
         high = require_int(eval_expr(expr.high, current, nxt, env), "range bound")
-        return SetVal(IntVal(n) for n in range(low, high + 1))
+        return SetVal(range(low, high + 1))
     if isinstance(expr, QUANTIFIERS):
         domain = require_set(eval_expr(expr.domain, current, nxt, env),
                              "quantifier domain")

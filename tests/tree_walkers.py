@@ -48,7 +48,6 @@ from tmbt.tla.parser import Ref
 from tmbt.values import (
     BOOLEANS,
     BoolVal,
-    IntVal,
     SeqVal,
     SetVal,
     value_from_json,
@@ -302,8 +301,8 @@ _QUANTIFIER_LEXEMES = {sp.Forall: "\\A", sp.Exists: "\\E", sp.Choose: "CHOOSE"}
 
 
 def _value_text(v) -> str:
-    if isinstance(v, IntVal):
-        return str(v.value)
+    if type(v) is int:
+        return str(v)
     if isinstance(v, BoolVal):
         return "TRUE" if v.value else "FALSE"
     if v == BOOLEANS:
