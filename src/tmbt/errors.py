@@ -72,10 +72,6 @@ class UnsupportedConstruct(ParseError):
     """Source uses syntax outside the supported subset (EXTENDS, INSTANCE, ...)."""
 
 
-class ConsumptionOutOfRange(TmbtError):
-    """Steam consumption outside the physical 0..10 bound."""
-
-
 class PreconditionViolated(TmbtError):
     """A command sequence broke an operation's precondition on replay."""
 

@@ -3,8 +3,9 @@
 A timed stream maps interval indices to finite message lists; components
 are specified by assumptions over their input streams and guarantees
 over everything observable.  The steam boiler closed loop (tank plus
-pump plus threshold controller) lives here both as executable dynamics
-and as a translation into a TemporalSpec for exhaustive exploration.
+pump plus threshold controller) is stated once, as a TemporalSpec:
+`check` explores it exhaustively, and `simulate_closed_loop` steps it
+under random steam consumption to record timed streams.
 
 Boiler physics, per the problem statement: the pump adds 10 gallons per
 interval while running; steam consumes up to 10 gallons per interval
@@ -18,9 +19,10 @@ import random
 import typing as t
 
 from . import spec as sp
-from .errors import ConsumptionOutOfRange, TypeMismatch
+from .errors import TypeMismatch
+from .explore import derive_domains, initial_states, successors
 from .record import Record
-from .values import BOOLEANS, FALSE, Value
+from .values import BOOLEANS, FALSE, TRUE
 
 SIGNAL_ON = 1
 SIGNAL_OFF = 0
@@ -28,7 +30,7 @@ SIGNAL_OFF = 0
 BAND_LOW = 200
 BAND_HIGH = 800
 
-# The plant, read by the executable loop and by its TemporalSpec alike:
+# The plant, as its TemporalSpec and the simulation read it:
 # the starting level, what the pump adds and steam at most takes per
 # interval, and the tank's range.
 INITIAL_LEVEL = 500
@@ -73,6 +75,14 @@ def _require_prefix(name: str, stream: TimedStream, up_to: int) -> None:
         raise ValueError(msg)
 
 
+def _named(section: str, name: str, *sources: dict) -> TimedStream:
+    """Stream `name` from the first of `sources` that has it."""
+    for streams in sources:
+        if name in streams:
+            return streams[name]
+    raise TypeMismatch(f"{section} references unknown stream {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Component specifications
 
@@ -101,7 +111,7 @@ class StreamPredicate(Record):
 
     def check_assumption(self, inputs: dict, up_to: int) -> bool:
         f = self.field_map()
-        stream = inputs[f["stream"]]
+        stream = _named("assumption", f["stream"], inputs)
         if self.kind == "ts":
             return ts(stream, up_to)
         if self.kind == "each_in_range":
@@ -118,13 +128,7 @@ class StreamPredicate(Record):
     def check_guarantee(self, inputs: dict, outputs: dict, interval: int) -> bool:
         f = self.field_map()
         name = f["stream"]
-        if name in outputs:
-            stream = outputs[name]
-        elif name in inputs:
-            stream = inputs[name]
-        else:
-            msg = f"guarantee references unknown stream {name!r}"
-            raise TypeMismatch(msg)
+        stream = _named("guarantee", name, outputs, inputs)
         _require_prefix(name, stream, interval + 1)
         if self.kind == "level_in_band":
             return all(type(m) is int and f["low"] <= m <= f["high"]
@@ -201,7 +205,7 @@ def check_asm_gar(component: ComponentSpec, inputs: dict, outputs: dict,
 
 
 # ---------------------------------------------------------------------------
-# Steam boiler dynamics
+# The steam boiler
 
 
 class Thresholds(Record):
@@ -215,41 +219,6 @@ class Thresholds(Record):
             raise ValueError(f"thresholds low={low}, high={high} are not ordered")
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
-
-
-class ControllerState(Record):
-    water_level: int
-    pump_on: bool
-    last_signal: t.Optional[Value] = None
-
-
-def step_boiler(level: int, pump_on: bool, consumption: int) -> int:
-    """One interval of tank physics: +10 with the pump, -consumption without."""
-    if not 0 <= consumption <= MAX_CONSUMPTION:
-        msg = f"consumption {consumption} outside 0..{MAX_CONSUMPTION}"
-        raise ConsumptionOutOfRange(msg)
-    if pump_on:
-        return level + FILL_RATE
-    return level - consumption
-
-
-def controller_step(state: ControllerState, sensor_level: int,
-                    thresholds: Thresholds = Thresholds()):
-    """React to a sensor reading; emit a pump signal only on a crossing.
-
-    Output stays sparse: nothing is emitted while the level sits between
-    the thresholds, so consecutive emitted signals always alternate.
-    """
-    signal = None
-    pump_on = state.pump_on
-    if not state.pump_on and sensor_level <= thresholds.low:
-        signal = SIGNAL_ON
-        pump_on = True
-    elif state.pump_on and sensor_level >= thresholds.high:
-        signal = SIGNAL_OFF
-        pump_on = False
-    last = signal if signal is not None else state.last_signal
-    return ControllerState(sensor_level, pump_on, last), signal
 
 
 def closed_loop_component_spec() -> ComponentSpec:
@@ -274,25 +243,33 @@ def closed_loop_component_spec() -> ComponentSpec:
 
 def simulate_closed_loop(thresholds: Thresholds = Thresholds(),
                          intervals: int = 100, seed: int = 0):
-    """Run boiler and controller together under random steam consumption.
+    """Step `to_temporal_spec(thresholds)` under random steam consumption.
 
-    Returns (inputs, outputs) as named TimedStreams: steam in, sensor
-    reading and control signals out.  Signals take effect one interval
-    after they are emitted.
+    Each interval draws a consumption, then takes the successor that
+    `PumpFills` gives or, with the pump off, the one whose level is the
+    current level less that consumption.  Returns (inputs, outputs) as
+    named TimedStreams: steam in, the new level as the sensor reading and
+    a signal on each change of `pumpOn` out, so a signal takes effect one
+    interval after it is emitted.
     """
+    spec = to_temporal_spec(thresholds)
+    domains = derive_domains(spec)
+    [state] = initial_states(spec, domains)
     rng = random.Random(seed)
-    level = INITIAL_LEVEL
-    pump_effective = False
-    controller = ControllerState(level, pump_effective)
     steam, sensor, ctrl = [], [], []
     for _ in range(intervals):
         consumption = rng.randint(0, MAX_CONSUMPTION)
+        drained = state["level"] - consumption
+        nxt = next(target for action, target in
+                   successors(spec, state, domains)
+                   if action == "PumpFills" or target["level"] == drained)
         steam.append([consumption])
-        level = step_boiler(level, pump_effective, consumption)
-        sensor.append([level])
-        controller, signal = controller_step(controller, level, thresholds)
-        ctrl.append([signal] if signal is not None else [])
-        pump_effective = controller.pump_on
+        sensor.append([nxt["level"]])
+        if nxt["pumpOn"] == state["pumpOn"]:
+            ctrl.append([])
+        else:
+            ctrl.append([SIGNAL_ON if nxt["pumpOn"] == TRUE else SIGNAL_OFF])
+        state = nxt
     inputs = {"steam": TimedStream(steam)}
     outputs = {"sensor": TimedStream(sensor), "ctrl": TimedStream(ctrl)}
     return inputs, outputs

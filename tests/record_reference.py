@@ -42,10 +42,11 @@ class AssumptionViolated:
 
 
 @dataclasses.dataclass(frozen=True)
-class ControllerState:
-    water_level: int
-    pump_on: bool
-    last_signal: t.Optional[object] = None
+class ExplorationStats:
+    diameter: int
+    states_found: int
+    distinct_states: int
+    truncated: bool = False
 
 
 @dataclasses.dataclass(frozen=True)

@@ -11,15 +11,16 @@ import record_reference as ref
 
 import tmbt.pbt as pbt
 import tmbt.spec as sp
+from tmbt.explore import ExplorationStats
 from tmbt.record import Record
-from tmbt.streams import AssumptionViolated, Conforms, ControllerState
+from tmbt.streams import AssumptionViolated, Conforms
 from tmbt.tla.lexer import Token
 from tmbt.values import BoolVal
 
 PAIRS = [(BoolVal, ref.BoolVal), (sp.Var, ref.Var),
          (Token, ref.Token), (Conforms, ref.Conforms),
          (AssumptionViolated, ref.AssumptionViolated),
-         (ControllerState, ref.ControllerState),
+         (ExplorationStats, ref.ExplorationStats),
          (pbt.TestConfig, ref.TestConfig), (pbt.TestReport, ref.TestReport)]
 
 # (args, kwargs) per class name; every call is made on both classes
@@ -33,9 +34,10 @@ CALLS = {
               (("ident", "x", 1), {}), (("ident", "x", 1, 0, 5), {})],
     "Conforms": [((), {}), ((1,), {}), ((), {"index": 0})],
     "AssumptionViolated": [((0,), {}), ((), {"index": 0}), ((3,), {}), ((), {})],
-    "ControllerState": [((500, False), {}), ((500, False, 1), {}),
-                        ((), {"water_level": 1, "pump_on": True}),
-                        ((500,), {}), ((1, 2, 3, 4), {})],
+    "ExplorationStats": [((3, 10, 8), {}), ((3, 10, 8, True), {}),
+                         ((), {"diameter": 1, "states_found": 2,
+                               "distinct_states": 2}),
+                         ((3, 10), {}), ((1, 2, 3, 4, 5), {})],
     "TestConfig": [((), {}), ((), {"cases": 5}), ((5, 10), {"seed": 3}),
                    ((1, 2, 3, True, False), {}), ((1, 2, 3, 4, 5, 6), {}),
                    ((), {"cases": 1, "max_length": 2})],

@@ -1,11 +1,16 @@
-"""Timed streams, assumption/guarantee checking, boiler dynamics."""
+"""Timed streams, assumption/guarantee checking, the steam boiler loop.
+
+The boiler's dynamics and controller are tested on `streams_reference`,
+the Python loop that the spec-stepped `simulate_closed_loop` is held to.
+"""
 
 import pytest
+import streams_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmbt.spec as sp
-from tmbt.errors import ConsumptionOutOfRange, TypeMismatch
+from tmbt.errors import TypeMismatch
 from tmbt.explore import behavior_satisfies, explore, initial_states
 from tmbt.streams import (
     INITIAL_LEVEL,
@@ -14,16 +19,13 @@ from tmbt.streams import (
     AssumptionViolated,
     ComponentSpec,
     Conforms,
-    ControllerState,
     GuaranteeViolated,
     StreamPredicate,
     Thresholds,
     TimedStream,
     check_asm_gar,
     closed_loop_component_spec,
-    controller_step,
     simulate_closed_loop,
-    step_boiler,
     to_temporal_spec,
     ts,
 )
@@ -97,6 +99,18 @@ class TestStreamPredicate:
         with pytest.raises(TypeMismatch, match="unknown assumption kind"):
             StreamPredicate("nope", {"stream": "s"}).check_assumption(
                 {"s": ONE_PER_INTERVAL}, 1)
+
+    def test_an_unknown_stream_is_named_in_either_section(self):
+        nope = {"stream": "nope", "low": 0, "high": 10}
+        for section, component in [
+                ("assumption", ComponentSpec(
+                    "c", asm=[StreamPredicate("ts", nope)])),
+                ("guarantee", ComponentSpec(
+                    "c", gar=[StreamPredicate("level_in_band", nope)]))]:
+            with pytest.raises(TypeMismatch) as err:
+                check_asm_gar(component, {"steam": ONE_PER_INTERVAL}, {}, 1)
+            assert str(err.value) == (
+                f"{section} references unknown stream 'nope'")
 
     def test_guarantee_may_reference_an_input_stream(self):
         p = StreamPredicate("level_in_band", {"stream": "steam", "low": 0,
@@ -179,21 +193,21 @@ class TestCheckAsmGar:
 
 class TestBoilerDynamics:
     def test_pump_adds_ten(self):
-        assert step_boiler(500, True, 7) == 510  # consumption ignored
+        assert ref.step_boiler(500, True, 7) == 510  # consumption ignored
 
     def test_steam_drains_without_the_pump(self):
-        assert step_boiler(500, False, 10) == 490
-        assert step_boiler(500, False, 0) == 500
+        assert ref.step_boiler(500, False, 10) == 490
+        assert ref.step_boiler(500, False, 0) == 500
 
     def test_consumption_out_of_range(self):
-        with pytest.raises(ConsumptionOutOfRange):
-            step_boiler(500, False, 11)
-        with pytest.raises(ConsumptionOutOfRange):
-            step_boiler(500, False, -1)
+        with pytest.raises(ref.ConsumptionOutOfRange):
+            ref.step_boiler(500, False, 11)
+        with pytest.raises(ref.ConsumptionOutOfRange):
+            ref.step_boiler(500, False, -1)
 
     @given(st.integers(0, 1000), st.booleans(), st.integers(0, 10))
     def test_level_moves_at_most_ten(self, level, pump_on, consumption):
-        assert abs(step_boiler(level, pump_on, consumption) - level) <= 10
+        assert abs(ref.step_boiler(level, pump_on, consumption) - level) <= 10
 
 
 class TestThresholds:
@@ -213,41 +227,41 @@ class TestThresholds:
 
 class TestControllerStep:
     def test_low_crossing_switches_the_pump_on(self):
-        state = ControllerState(500, False)
-        state, signal = controller_step(state, 290)
+        state = ref.ControllerState(500, False)
+        state, signal = ref.controller_step(state, 290)
         assert signal == SIGNAL_ON
         assert state.pump_on and state.water_level == 290
 
     def test_between_thresholds_emits_nothing(self):
-        state, signal = controller_step(ControllerState(500, False), 500)
+        state, signal = ref.controller_step(ref.ControllerState(500, False), 500)
         assert signal is None
         assert not state.pump_on
 
     def test_high_crossing_switches_the_pump_off(self):
-        state, signal = controller_step(ControllerState(690, True), 710)
+        state, signal = ref.controller_step(ref.ControllerState(690, True), 710)
         assert signal == SIGNAL_OFF
         assert not state.pump_on
 
     def test_no_repeat_signal_while_already_on(self):
-        state, signal = controller_step(ControllerState(290, True), 280)
+        state, signal = ref.controller_step(ref.ControllerState(290, True), 280)
         assert signal is None  # already pumping, no second "on"
 
     def test_last_signal_is_remembered(self):
-        state, _ = controller_step(ControllerState(500, False), 290)
-        state, signal = controller_step(state, 400)
+        state, _ = ref.controller_step(ref.ControllerState(500, False), 290)
+        state, signal = ref.controller_step(state, 400)
         assert signal is None
         assert state.last_signal == SIGNAL_ON
 
     def test_unordered_thresholds_are_rejected(self):
         with pytest.raises(ValueError):
-            controller_step(ControllerState(500, False), 500, Thresholds(700, 300))
+            ref.controller_step(ref.ControllerState(500, False), 500, Thresholds(700, 300))
 
     @given(st.lists(st.integers(0, 1000), max_size=60))
     def test_emitted_signals_strictly_alternate(self, readings):
-        state = ControllerState(500, False)
+        state = ref.ControllerState(500, False)
         emitted = []
         for reading in readings:
-            state, signal = controller_step(state, reading)
+            state, signal = ref.controller_step(state, reading)
             if signal is not None:
                 emitted.append(signal)
         assert all(a != b for a, b in zip(emitted, emitted[1:]))
@@ -334,3 +348,22 @@ class TestClosedLoopAgainstItsSpec:
         if thresholds == Thresholds():
             verdict = check_asm_gar(closed_loop_component_spec(), ins, outs, 100)
             assert verdict == Conforms()
+
+
+class TestSimulationAgainstTheReference:
+    """The spec-stepped loop gives the streams the Python loop gave."""
+
+    @pytest.mark.parametrize("thresholds", [
+        Thresholds(), Thresholds(190, 810), Thresholds(450, 550)],
+        ids=["300-700", "190-810", "450-550"])
+    def test_the_streams_equal_the_reference_on_the_grid(self, thresholds):
+        for seed in range(40):
+            assert simulate_closed_loop(thresholds, 200, seed) == (
+                ref.simulate_closed_loop(thresholds, 200, seed)), seed
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), thresholds=ORDERED_THRESHOLDS)
+    def test_the_streams_equal_the_reference_for_any_thresholds(
+            self, seed, thresholds):
+        assert simulate_closed_loop(thresholds, 100, seed) == (
+            ref.simulate_closed_loop(thresholds, 100, seed))
