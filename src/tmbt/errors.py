@@ -76,6 +76,10 @@ class PreconditionViolated(TmbtError):
     """A command sequence broke an operation's precondition on replay."""
 
 
+class ModelStepError(TmbtError):
+    """A test model's operation built no next state, or more than one."""
+
+
 class SutCrashed(TmbtError):
     """The system under test died or reported a fault mid-case."""
 

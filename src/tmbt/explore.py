@@ -353,9 +353,11 @@ class _Walk:
                 yield block
         return fork
 
-    def states(self, variables: tuple, current, domains: dict, label) -> list:
-        """The states the walk builds from `current` (None walking Init),
-        each once, canonically sorted; `label` names the action in errors."""
+    def states(self, variables: tuple, current, domains: dict, label,
+               env: dict | None = None) -> list:
+        """The states the walk builds from `current` (None walking Init)
+        with the names of `env` bound, each once, canonically sorted;
+        `label` names the action in errors."""
         layout, values = self.layout, [None] * len(self.view.names)
         known, canonical = self.canonical
         if known is not domains:
@@ -363,7 +365,7 @@ class _Walk:
             self.canonical = domains, canonical
         view = _View(self.view, values)
         a, b = (view, None) if current is None else (current, view)
-        found, partial = _run(self.start, values, a, b, [None], canonical)
+        found, partial = _run(self.start, values, a, b, [env], canonical)
         if partial:
             found += [tuple(map(dict.get, canonical, v, v)) for v in
                       self.finish(partial, variables, current, domains, label)]
@@ -480,6 +482,20 @@ def successors(spec: sp.TemporalSpec, state: sp.State,
         out += [(action.name, t) for t in walk.states(
             spec.variables, state, domains, action.name)]
     return out
+
+
+# one object for every step, as a walk keeps its per-slot domains for
+# the last `domains` it met, by identity
+_NO_DOMAINS: dict = {}
+
+
+def action_states(formula, state: sp.State, env: dict, label: str) -> list:
+    """The states the action `formula` builds from `state`, a state of its
+    own variables, with the names of `env` bound: `x' = x + n` with `n`
+    bound to 2 builds one.  No TypeOK gives a domain here, so a variable
+    the action leaves free is UnboundedDomain; `label` names the action."""
+    walk = _walk(formula, sp.Primed, state.layout)
+    return walk.states(state.layout.names, state, _NO_DOMAINS, label, env)
 
 
 def initial_states(spec: sp.TemporalSpec, domains: dict | None = None) -> list:

@@ -2,11 +2,12 @@
 
 A ModelBinding turns a spec's state space into an executable test
 model: each operation has a precondition (a state formula), argument
-domains (expressions over the current model state), an effect that
-computes the next model state, and the variables it observes, at which
-that state gives the expected reply.  Cases are generated model-first,
-replayed against a system under test through an adapter, and shrunk on
-failure.
+domains (expressions over the current model state), an action (an
+action formula, in which the arguments are bound names) whose one
+successor, as the explorer's walk builds it, is the next model state,
+and the variables it observes, at which that state gives the expected
+reply.  Cases are generated model-first, replayed against a system
+under test through an adapter, and shrunk on failure.
 
 Command sequences, case verdicts and reports are all plain immutable
 data; everything is reproducible from the seed.
@@ -19,11 +20,13 @@ import time
 import typing as t
 
 from .errors import (
+    ModelStepError,
     PreconditionViolated,
     ProtocolError,
     SutCrashed,
     TypeMismatch,
 )
+from .explore import action_states
 from .record import Record
 from .spec import State, Var, eval_state_formula, names_read, set_view
 from .values import value_from_json, value_to_json
@@ -68,7 +71,7 @@ class ArgSpec(Record):
 class OpSpec(Record):
     name: str
     pre: "t.Any"  # state formula
-    effect: t.Callable  # (State, {name: Value}) -> next State
+    action: "t.Any"  # action formula; the arguments are bound names
     args: tuple = ()
     weight: int = 1
     observes: tuple = ()  # the next-state variables the reply must match
@@ -76,7 +79,8 @@ class OpSpec(Record):
 
 class ModelBinding(Record):
     """The test model: an initial state plus the operation alphabet, in
-    which no two operations share a name."""
+    which no two operations share a name and each observes only
+    variables of the model."""
 
     initial: State
     alphabet: tuple
@@ -90,12 +94,18 @@ class ModelBinding(Record):
                 msg = f"operation {op.name!r} appears twice in the alphabet"
                 raise ValueError(msg)
             by_name[op.name] = op
+            for name in op.observes:
+                if name not in self.initial:
+                    msg = (f"operation {op.name!r} observes {name!r}, which "
+                           "the model does not have")
+                    raise ValueError(msg)
         object.__setattr__(self, "_by_name", by_name)
         reads = frozenset().union(*(names_read(op.pre, Var)
                                     for op in self.alphabet))
         object.__setattr__(self, "_reads", reads)
         object.__setattr__(self, "_slots", {})
         object.__setattr__(self, "_enabled", {})
+        object.__setattr__(self, "_next", {})
 
     def op(self, name: str) -> OpSpec:
         try:
@@ -122,6 +132,23 @@ class ModelBinding(Record):
                         if eval_state_formula(op.pre, state))
             self._enabled[key] = ops
         return ops
+
+    def step(self, state: State, op: OpSpec, args: tuple) -> State:
+        """The next state of `op` from `state`, with `args`, a command's
+        (name, value) pairs, bound: the one state its action builds.  Each
+        step is walked once and kept, as `enabled` keeps its list; an
+        action that builds no state or several is a ModelStepError."""
+        key = (state, op.name, args)
+        nxt = self._next.get(key)
+        if nxt is None:
+            found = action_states(op.action, state, dict(args), op.name)
+            if len(found) != 1:
+                msg = (f"the action of operation {op.name!r} builds "
+                       f"{len(found)} next states from {state!r} with "
+                       f"arguments {dict(args)!r}, not 1")
+                raise ModelStepError(msg)
+            nxt = self._next[key] = found[0]
+        return nxt
 
 
 def _arg_domain(arg: ArgSpec, state: State, chosen: dict) -> t.Sequence:
@@ -184,7 +211,7 @@ def generate_commands(binding: ModelBinding, max_len: int, seed: int) -> tuple:
             candidates.remove(op)  # an argument domain was empty
         if command is None:
             break
-        state = op.effect(state, command.arg_map())
+        state = binding.step(state, op, command.args)
         commands.append(command)
     return tuple(commands)
 
@@ -276,7 +303,7 @@ def _expected(binding: ModelBinding, commands) -> list:
     expected = []
     for index, command in enumerate(commands):
         op = _check_step(binding, state, command, index)
-        state = op.effect(state, command.arg_map())
+        state = binding.step(state, op, command.args)
         expected.append({name: state[name] for name in op.observes})
     return expected
 

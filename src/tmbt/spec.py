@@ -117,15 +117,6 @@ class State:
     def as_dict(self) -> dict:
         return dict(zip(self.layout.names, self.values))
 
-    def replace(self, **changes: Value) -> "State":
-        slot = self.layout.slot
-        if not changes.keys() <= slot.keys():  # a name that adds a variable
-            return State({**self.as_dict(), **changes})
-        values = list(self.values)
-        for name, value in changes.items():
-            values[slot[name]] = value
-        return positional(self.layout, tuple(values))
-
 
 _set_layout, _set_values, _set_hash = (
     State.layout.__set__, State.values.__set__, State._hash.__set__)

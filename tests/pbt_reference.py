@@ -8,7 +8,9 @@ evaluates a new `In(Const(value), domain)` node, and every precondition
 is evaluated at every step.  `op_by_scan` is the linear alphabet lookup
 that `ModelBinding.op` made.  The differential test in
 test_pbt_domains.py holds the new code to the commands these draw and to
-their error types and messages.
+their error types and messages.  A step of either takes the one state
+the operation's action builds (`explore.action_states`), here without
+the binding's memo of steps.
 
 `run_case` and `shrink` are as they were before cases were pipelined:
 `run_case` validates each command just before it sends it, and exchanges
@@ -23,6 +25,7 @@ from __future__ import annotations
 import random
 
 from tmbt.errors import PreconditionViolated, SutCrashed, TypeMismatch
+from tmbt.explore import action_states
 from tmbt.pbt import CaseResult, Command, ArgSpec, ModelBinding, OpSpec, _divergence
 from tmbt.spec import Const, In, State, TemporalSpec, eval_expr, eval_state_formula
 from tmbt.values import set_members
@@ -41,8 +44,8 @@ def _arg_domain(arg: ArgSpec, state: State, chosen: dict) -> list:
     return set_members(domain)
 
 
-def _apply_effect(op: OpSpec, state: State, args: dict):
-    nxt = op.effect(state, dict(args))
+def _apply_action(op: OpSpec, state: State, args: dict):
+    (nxt,) = action_states(op.action, state, dict(args), op.name)
     return nxt, {name: nxt[name] for name in op.observes}
 
 
@@ -100,7 +103,7 @@ def generate_commands(binding: ModelBinding, spec: TemporalSpec,
             candidates.remove(op)  # an argument domain was empty
         if command is None:
             break
-        state, _ = _apply_effect(op, state, command.arg_map())
+        state, _ = _apply_action(op, state, command.arg_map())
         commands.append(command)
     return tuple(commands)
 
@@ -117,7 +120,7 @@ def run_case(binding: ModelBinding, sut, commands) -> CaseResult:
     state = binding.initial
     for index, command in enumerate(commands):
         op = _check_step(binding, state, command, index)
-        state, expected = _apply_effect(op, state, command.arg_map())
+        state, expected = _apply_action(op, state, command.arg_map())
         expected_pairs = tuple(sorted(expected.items()))
         try:
             observed = sut.apply(command)
@@ -136,7 +139,7 @@ def _valid(binding: ModelBinding, commands) -> bool:
             op = _check_step(binding, state, command, index)
         except PreconditionViolated:
             return False
-        state, _ = _apply_effect(op, state, command.arg_map())
+        state, _ = _apply_action(op, state, command.arg_map())
     return True
 
 

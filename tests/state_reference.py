@@ -2,9 +2,9 @@
 the reference.
 
 A state was a record whose one field, `bindings`, held its (name,
-value) pairs sorted by name: `[]` and `in` scanned them, `replace`
-rebuilt the pairs from a dict, and the hash was the record's, over the
-pairs.  test_state.py holds the positional `State` to this one.
+value) pairs sorted by name: `[]` and `in` scanned them, and the hash
+was the record's, over the pairs.  test_state.py holds the positional
+`State` to this one.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ class State(Record):
 
     def as_dict(self) -> dict:
         return dict(self.bindings)
-
-    def replace(self, **changes: Value) -> "State":
-        d = self.as_dict()
-        d.update(changes)
-        return State(d)
 
 
 def state_key(s: State):

@@ -1,4 +1,5 @@
-"""`tmbt check --format json` and `tmbt translate` output pinned byte for byte.
+"""`tmbt check --format json`, `tmbt translate` and `tmbt test --format
+json` output pinned byte for byte.
 
 Each `.jsonl` file under `golden/` is the stdout of one `check` run, and
 CASES gives its arguments and exit code; `golden/specs/` holds the
@@ -6,7 +7,10 @@ CASES gives its arguments and exit code; `golden/specs/` holds the
 traces, their order or the JSON layout shows up here as a diff.  Each
 `translate-*.json` file is the IR that `translate` writes for one of
 TRANSLATED; `junctions.tla` nests its junctions both ways and uses one
-definition as a first conjunct and as a later one.
+definition as a first conjunct and as a later one.  Each `test-*.json`
+file is the report of one `test` run of TESTED, with its wall time
+masked: the commands generated, the verdict, the shrunk case and the
+invocation counts of a seed.
 
 To rewrite the files from the code under test, run
 `PYTHONPATH=src python tests/test_golden.py`; it refuses to write a
@@ -14,6 +18,7 @@ file whose exit code differs from the one CASES declares.
 """
 
 import pathlib
+import re
 import sys
 
 import pytest
@@ -68,6 +73,15 @@ TRANSLATED = {
     "junctions": SPECS / "junctions.tla",
 }
 
+# name: (arguments after `test`, exit code); a SUT over the wire is this
+# interpreter running `tmbt.boiler`
+BOILER_SUT = f"{sys.executable} -m tmbt.boiler"
+TESTED = {
+    **{f"seed{seed}": (["--seed", str(seed)], 0) for seed in range(5)},
+    "band-seed0": (["--sut", f"{BOILER_SUT} --mutant band"], 1),
+    "pump-seed0": (["--sut", f"{BOILER_SUT} --mutant pump"], 1),
+}
+
 
 def run_check(args: list):
     result = CliRunner().invoke(main, ["check", *args, "--format", "json"])
@@ -77,6 +91,13 @@ def run_check(args: list):
 def run_translate(source: pathlib.Path):
     result = CliRunner().invoke(main, ["translate", str(source)])
     return result.exit_code, result.stdout
+
+
+def run_test(args: list):
+    result = CliRunner().invoke(main, ["test", *args, "--format", "json"])
+    masked = re.sub(r'"elapsed_seconds": [^,}]+',
+                    '"elapsed_seconds": "masked"', result.stdout)
+    return result.exit_code, masked
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -91,6 +112,13 @@ def test_translate_output_is_unchanged(name):
     assert run_translate(TRANSLATED[name]) == (0, want)
 
 
+@pytest.mark.parametrize("name", sorted(TESTED))
+def test_test_report_is_unchanged(name):
+    args, exit_code = TESTED[name]
+    want = (GOLDEN / f"test-{name}.json").read_text()
+    assert run_test(args) == (exit_code, want)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, (args, exit_code) in CASES.items():
@@ -103,3 +131,8 @@ if __name__ == "__main__":
         if got != 0:
             sys.exit(f"translate {name}: exit {got}")
         (GOLDEN / f"translate-{name}.json").write_text(stdout)
+    for name, (args, exit_code) in TESTED.items():
+        got, stdout = run_test(args)
+        if got != exit_code:
+            sys.exit(f"test {name}: exit {got}, TESTED declares {exit_code}")
+        (GOLDEN / f"test-{name}.json").write_text(stdout)

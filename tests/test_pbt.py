@@ -2,23 +2,34 @@
 
 import random
 
+import boiler_model_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmbt.spec as sp
 from tmbt.boiler import (
+    TANK_MAX,
+    TANK_MIN,
     BoilerSystem,
     build_boiler_binding,
     build_sut_model_spec,
     reference_adapter,
 )
 from tmbt import pbt
-from tmbt.errors import PreconditionViolated, ProtocolError, TypeMismatch
-from tmbt.explore import initial_states
+from tmbt.errors import (
+    ModelStepError,
+    PreconditionViolated,
+    ProtocolError,
+    TypeMismatch,
+    UnboundedDomain,
+)
+from tmbt.explore import action_states, initial_states
 from tmbt.pbt import (
     Command,
     InProcessAdapter,
+    ModelBinding,
+    OpSpec,
     generate_commands,
     run_case,
     shrink,
@@ -100,26 +111,25 @@ class TestGeneration:
         type_ok = SPEC.invariant_map()["TypeOK"]
         state = BINDING.initial
         for command in generate_commands(BINDING, 20, seed):
-            op = BINDING.op(command.op)
-            state = op.effect(state, command.arg_map())
+            state = BINDING.step(state, BINDING.op(command.op), command.args)
             assert sp.eval_state_formula(type_ok, state)
 
 
-def _cases(seed):
+def _cases(seed, binding=BINDING):
     """The command sequences pbt.test generates for `seed` in its default
     configuration."""
     config = pbt.TestConfig(seed=seed)
     rng = random.Random(seed)
-    return [generate_commands(BINDING, config.max_len, rng.getrandbits(64))
+    return [generate_commands(binding, config.max_len, rng.getrandbits(64))
             for _ in range(config.cases)]
 
 
-def _steps(commands):
+def _steps(commands, binding=BINDING):
     """(operation, state, next state) for each command of a sequence."""
-    state = BINDING.initial
+    state = binding.initial
     for command in commands:
-        op = BINDING.op(command.op)
-        nxt = op.effect(state, command.arg_map())
+        op = binding.op(command.op)
+        nxt = binding.step(state, op, command.args)
         yield op, state, nxt
         state = nxt
 
@@ -162,6 +172,99 @@ class TestModelAgainstSpec:
                     assert nxt == state, op.name
                     seen.add(op.name)
         assert seen == queries
+
+
+THRESHOLDS = [(300, 700), (190, 810), (0, 1000)]
+
+
+def _running_states():
+    """Every running state: each level, the pump both ways, each signal."""
+    return [sp.State({"running": TRUE, "level": level, "pump": pump,
+                      "signal": signal})
+            for level in range(TANK_MIN, TANK_MAX + 1)
+            for pump in (FALSE, TRUE) for signal in (-1, 0, 1)]
+
+
+class TestActionsAgainstTheReference:
+    """Each operation's action, stepped by the explorer's walk, builds the
+    one state that its Python effect in boiler_model_reference returns."""
+
+    @pytest.mark.parametrize("low,high", THRESHOLDS)
+    def test_the_level_change_on_every_running_state(self, low, high):
+        binding = build_boiler_binding(low, high)
+        op = binding.op("waterLevelDidChange")
+        effect = reference.effects(low, high)[op.name]
+        for state in _running_states():
+            for amount in (-100, -1, 0, 1, 100):
+                args = (("amount", amount),)
+                assert (binding.step(state, op, args)
+                        == effect(state, dict(args))), (state, amount)
+
+    @pytest.mark.parametrize("low,high", THRESHOLDS)
+    def test_every_other_operation_on_every_running_state(self, low, high):
+        binding = build_boiler_binding(low, high)
+        effects = reference.effects(low, high)
+        ops = [op for op in binding.alphabet
+               if op.name != "waterLevelDidChange"]
+        for state in _running_states():
+            for op in ops:
+                # controlSignalDidChange's one argument is the signal
+                args = tuple((arg.name, state["signal"]) for arg in op.args)
+                effect = effects[op.name]
+                assert (binding.step(state, op, args)
+                        == effect(state, dict(args))), (state, op.name)
+
+    @pytest.mark.parametrize("low,high", THRESHOLDS)
+    def test_every_step_of_twenty_seeds(self, low, high):
+        binding = build_boiler_binding(low, high)
+        effects = reference.effects(low, high)
+        steps = 0
+        for seed in range(20):
+            for commands in _cases(seed, binding):
+                for (op, state, nxt), command in zip(
+                        _steps(commands, binding), commands):
+                    assert nxt == effects[op.name](state, command.arg_map())
+                    steps += 1
+        assert steps > 75_000
+
+
+def _binding(action, pre=sp.Const(TRUE)) -> ModelBinding:
+    return ModelBinding(sp.State({"x": 0}), (OpSpec("bump", pre, action),))
+
+
+class TestStep:
+    X, X_NEXT = sp.Var("x"), sp.Primed("x")
+
+    def test_the_arguments_are_bound_names(self):
+        # x' = x + n, with n bound to 2, builds x = 2
+        action = sp.Eq(self.X_NEXT, sp.Add(self.X, sp.Var("n")))
+        state = sp.State({"x": 0})
+        assert (action_states(action, state, {"n": 2}, "bump")
+                == [sp.State({"x": 2})])
+        binding = _binding(action)
+        nxt = binding.step(state, binding.op("bump"), (("n", 2),))
+        assert nxt == sp.State({"x": 2})
+        # the step is kept: the same key gives the same object
+        assert binding.step(state, binding.op("bump"), (("n", 2),)) is nxt
+
+    @pytest.mark.parametrize("action,count", [
+        (sp.Const(FALSE), 0),
+        (sp.In(sp.Primed("x"), sp.SetLit((sp.intval(1), sp.intval(2)))), 2),
+    ])
+    def test_an_action_that_builds_no_one_state_names_the_operation(
+            self, action, count):
+        binding = _binding(action)
+        with pytest.raises(ModelStepError, match=f"^the action of operation "
+                           f"'bump' builds {count} next states"):
+            binding.step(binding.initial, binding.op("bump"), ())
+        with pytest.raises(ModelStepError, match="'bump'"):
+            generate_commands(binding, 3, 0)
+
+    def test_a_variable_the_action_leaves_free_names_the_operation(self):
+        binding = _binding(sp.Const(TRUE))
+        with pytest.raises(UnboundedDomain,
+                           match="action bump leaves it free"):
+            binding.step(binding.initial, binding.op("bump"), ())
 
 
 class FaultySystem:

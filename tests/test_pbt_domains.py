@@ -109,17 +109,33 @@ def _precondition(rng: random.Random) -> sp.Expr:
     ))
 
 
-def _clamp(n: int) -> int:
-    return max(-6, min(6, n))
+SMALL = sp.IntRange(sp.intval(-6), sp.intval(6))
 
 
-def _effect(shift: int):
-    def effect(state, args):
-        total = sum(v for v in args.values() if type(v) is int)
-        return state.replace(x=_clamp(state["x"] + total + shift),
-                             y=_clamp(state["y"] - total + shift),
-                             b=BoolVal(not state["b"].value))
-    return effect
+def _held(name: str, value: sp.Expr) -> sp.Expr:
+    """`name' = value`, held to -6..6."""
+    below, above = sp.Lt(value, sp.intval(-6)), sp.Gt(value, sp.intval(6))
+    return sp.disj(
+        sp.And(below, sp.Eq(sp.Primed(name), sp.intval(-6))),
+        sp.And(above, sp.Eq(sp.Primed(name), sp.intval(6))),
+        sp.conj(sp.Not(below), sp.Not(above), sp.Eq(sp.Primed(name), value)))
+
+
+def _action(shift: int, names=()) -> sp.Expr:
+    """x and y move by `shift` and apart by the total of the arguments
+    `names` that lie in -6..6, each held to -6..6, and b flips."""
+    total, n = sp.intval(0), sp.Var("n")
+    for name in names:
+        arg = sp.Var(name)
+        # the argument where it lies in -6..6, else 0
+        part = sp.Choose("n", sp.SetLit((arg, sp.intval(0))), sp.And(
+            sp.In(n, SMALL), sp.Or(sp.Eq(n, arg), sp.Not(sp.In(arg, SMALL)))))
+        total = sp.Add(total, part)
+    x, y = sp.Var("x"), sp.Var("y")
+    return sp.conj(
+        _held("x", sp.Add(sp.Add(x, total), sp.intval(shift))),
+        _held("y", sp.Add(sp.Sub(y, total), sp.intval(shift))),
+        sp.Eq(sp.Primed("b"), sp.Not(sp.Var("b"))))
 
 
 def random_binding(rng: random.Random) -> ModelBinding:
@@ -133,7 +149,7 @@ def random_binding(rng: random.Random) -> ModelBinding:
             args.append(ArgSpec(name, _domain(rng, names, faults)))
             names.append(name)
         alphabet.append(OpSpec(f"op{index}", _precondition(rng),
-                               _effect(rng.randint(-2, 2)), tuple(args),
+                               _action(rng.randint(-2, 2), names), tuple(args),
                                rng.randint(1, 3)))
     initial = sp.State({"b": BoolVal(rng.random() < 0.5),
                         "x": rng.randint(-3, 3),
@@ -162,7 +178,7 @@ def _visited(binding, commands):
     state = binding.initial
     yield state
     for command in commands:
-        state = binding.op(command.op).effect(state, command.arg_map())
+        state = binding.step(state, binding.op(command.op), command.args)
         yield state
 
 
@@ -196,8 +212,8 @@ class TestEnabledCache:
                         sp.Gt(sp.Var("b"), sp.intval(0)))
         binding = ModelBinding(
             sp.State({"b": TRUE, "x": -3, "y": 0}),
-            (OpSpec("positive", pre, _effect(1)),
-             OpSpec("any", sp.Const(TRUE), _effect(1))))
+            (OpSpec("positive", pre, _action(1)),
+             OpSpec("any", sp.Const(TRUE), _action(1))))
         commands = pbt.generate_commands(binding, 12, 0)
         states = list(_visited(binding, commands))
         assert {len(binding.enabled(state)) for state in states} == {1, 2}
@@ -235,8 +251,8 @@ class TestGenerationMatchesReference:
         empty = ArgSpec("a0", sp.IntRange(sp.intval(1), sp.intval(0)))
         binding = ModelBinding(
             sp.State({"b": TRUE, "x": 0, "y": 0}),
-            (OpSpec("never", sp.Const(TRUE), _effect(0), (empty,)),
-             OpSpec("always", sp.Const(TRUE), _effect(0))))
+            (OpSpec("never", sp.Const(TRUE), _action(0), (empty,)),
+             OpSpec("always", sp.Const(TRUE), _action(0))))
         for seed in range(5):
             commands = pbt.generate_commands(binding, 6, seed)
             assert commands == (Command("always"),) * 6
@@ -245,7 +261,7 @@ class TestGenerationMatchesReference:
     def test_non_set_domain_names_the_argument(self):
         binding = ModelBinding(
             sp.State({"b": TRUE, "x": 3, "y": 0}),
-            (OpSpec("op", sp.Const(TRUE), _effect(0),
+            (OpSpec("op", sp.Const(TRUE), _action(0),
                     (ArgSpec("amount", sp.Var("x")),)),))
         with pytest.raises(AttributeError):
             ref.generate_commands(binding, SPEC, 3, 0)
@@ -310,7 +326,7 @@ class TestValidationMatchesReference:
                 assert old == new, (command, state)
                 if old[0] == "value":
                     accepted += 1
-                    state = old[1].effect(state, command.arg_map())
+                    state = binding.step(state, old[1], command.args)
                 else:
                     rejected += 1
         assert accepted > 800 and rejected > 800
@@ -423,7 +439,7 @@ def no_sets_built(monkeypatch):
 
 def huge_binding() -> ModelBinding:
     domain = sp.IntRange(sp.Sub(sp.Var("x"), sp.intval(HUGE)), sp.intval(HUGE))
-    op = OpSpec("draw", sp.Const(TRUE), _effect(0), (ArgSpec("a0", domain),))
+    op = OpSpec("draw", sp.Const(TRUE), _action(0), (ArgSpec("a0", domain),))
     return ModelBinding(sp.State({"b": TRUE, "x": 0, "y": 0}),
                         (op,))
 
@@ -453,7 +469,7 @@ class TestHugeRanges:
         full = sp.IntRange(sp.intval(-2**63), sp.intval(2**63 - 1))
         binding = ModelBinding(
             sp.State({"b": TRUE, "x": 0, "y": 0}),
-            (OpSpec("draw", sp.Const(TRUE), _effect(0), (ArgSpec("a0", full),)),))
+            (OpSpec("draw", sp.Const(TRUE), _action(0), (ArgSpec("a0", full),)),))
         members = sp.set_view(full).members(binding.initial, None, {}, "domain")
         assert members == range(-2**63, 2**63)
         with pytest.raises(OverflowError):
@@ -474,11 +490,19 @@ class TestAlphabetLookup:
     def test_two_operations_of_one_name_are_refused(self):
         # generation draws from `enabled()`, which would list both, while
         # replay looks one up by name: the binding is refused where built
-        first = OpSpec("op", sp.Const(TRUE), _effect(0))
-        second = OpSpec("op", sp.Const(FALSE), _effect(1))
+        first = OpSpec("op", sp.Const(TRUE), _action(0))
+        second = OpSpec("op", sp.Const(FALSE), _action(1))
         with pytest.raises(ValueError, match=re.escape(
                 "operation 'op' appears twice in the alphabet")):
             ModelBinding(sp.State({}), (first, OpSpec("other", None, None), second))
+
+    def test_an_observed_name_the_model_lacks_is_refused(self):
+        # run_case would read the reply's expectation at `y` and raise
+        # KeyError: the binding is refused where built
+        op = OpSpec("op", sp.Const(TRUE), _action(0), observes=("x", "y"))
+        with pytest.raises(ValueError, match=re.escape(
+                "operation 'op' observes 'y', which the model does not have")):
+            ModelBinding(sp.State({"b": TRUE, "x": 0}), (op,))
 
     def test_unknown_name_matches_the_scan(self):
         binding = random_binding(random.Random(0))

@@ -335,8 +335,11 @@ ORDERED_THRESHOLDS = st.lists(
 
 
 class TestClosedLoopAgainstItsSpec:
-    """The executable loop and its TemporalSpec state one system twice;
-    every run of the one must be a behavior of the other."""
+    """Every run of `simulate_closed_loop` is a behavior of
+    `to_temporal_spec`.  The loop steps that same spec, so this checks
+    only that it takes successors: each state it moves to is one the
+    spec's actions build, or the state it is in.  The independent check
+    of what the loop computes is TestSimulationAgainstTheReference."""
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),

@@ -216,8 +216,8 @@ class TestBrokenProcesses:
 
 
     def test_a_json_true_where_the_model_expects_1_diverges(self, tmp_path):
-        read = pbt.OpSpec("read", sp.Const(TRUE), lambda state, args: state,
-                          observes=("x",))
+        read = pbt.OpSpec("read", sp.Const(TRUE),
+                          sp.Eq(sp.Primed("x"), sp.Var("x")), observes=("x",))
         binding = pbt.ModelBinding(sp.State({"x": 1}), (read,))
         results = []
         for reply in ("True", "1"):
