@@ -147,6 +147,7 @@ def main(argv=None) -> int:
     parser.add_argument("--mutant", choices=("band", "pump"), default=None)
     options = parser.parse_args(argv)
     system = build_system(options.mutant)
+    encode = json.JSONEncoder(sort_keys=True).encode  # one for every reply
     for line in sys.stdin:
         if not line.strip():
             continue
@@ -166,7 +167,7 @@ def main(argv=None) -> int:
                 reply = {"ok": True, "observed": system.handle(op, args)}
             except ValueError as fault:
                 reply = {"ok": False, "error": str(fault)}
-        print(json.dumps(reply, sort_keys=True), flush=True)
+        print(encode(reply), flush=True)
     return 0
 
 

@@ -29,7 +29,15 @@ OPS = {
     sp.In: "in", sp.SetLit: "set", sp.SeqLit: "seq", sp.IntRange: "range",
     sp.Forall: "forall", sp.Exists: "exists", sp.Choose: "choose",
 }
-_CLASSES = {op: cls for cls, op in OPS.items()}
+# Per op, read by the decoder: the class's `build`, the number of args
+# it takes (None for a literal's any number) and its scalars' names.
+_DECODING = {
+    op: (cls.build,
+         None if cls in (sp.SetLit, sp.SeqLit)
+         else 2 if issubclass(cls, sp.Junction) else len(cls.operands),
+         cls.scalars)
+    for cls, op in OPS.items()}
+_JUNCTIONS = (OPS[sp.And], OPS[sp.Or])
 
 
 def _encode(expr, args: list) -> dict:
@@ -56,10 +64,13 @@ def _args(data) -> list:
     if not isinstance(data, dict) or "op" not in data:
         msg = f"malformed expression node: {data!r}"
         raise TypeMismatch(msg)
-    op, rights = data["op"], []
+    op = data["op"]
+    if op not in _JUNCTIONS:
+        return data.get("args", [])
     # a left chain of "and" (or of "or") is one list, read bottom-up
-    while (op in (OPS[sp.And], OPS[sp.Or]) and isinstance(data, dict)
-           and data.get("op") == op and len(data.get("args", [])) == 2):
+    rights = []
+    while (isinstance(data, dict) and data.get("op") == op
+           and len(data.get("args", [])) == 2):
         data, right = data["args"]
         rights.append(right)
     return [data, *reversed(rights)] if rights else data.get("args", [])
@@ -67,18 +78,18 @@ def _args(data) -> list:
 
 def _decode(data: dict, args: list):
     op = data["op"]
-    cls = _CLASSES.get(op)
-    if cls is None:
+    decoding = _DECODING.get(op)
+    if decoding is None:
         msg = f"unknown expression op {op!r}"
         raise TypeMismatch(msg)
+    build, wanted, names = decoding
     given = len(data.get("args", []))  # a junction's own, not its chain's
-    wanted = 2 if issubclass(cls, sp.Junction) else len(cls.operands)
-    if given != wanted and cls not in (sp.SetLit, sp.SeqLit):
+    if given != wanted and wanted is not None:
         msg = f"op {op!r} takes {wanted} args, got {given}"
         raise TypeMismatch(msg)
     scalars = [value_from_json(data[name]) if name == "value" else data[name]
-               for name in cls.scalars]
-    return cls.build(scalars, args)
+               for name in names]
+    return build(scalars, args)
 
 
 def expr_from_json(data: dict):

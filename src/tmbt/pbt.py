@@ -24,6 +24,7 @@ from .errors import (
     PreconditionViolated,
     ProtocolError,
     SutCrashed,
+    TmbtError,
     TypeMismatch,
 )
 from .explore import action_states
@@ -136,12 +137,19 @@ class ModelBinding(Record):
     def step(self, state: State, op: OpSpec, args: tuple) -> State:
         """The next state of `op` from `state`, with `args`, a command's
         (name, value) pairs, bound: the one state its action builds.  Each
-        step is walked once and kept, as `enabled` keeps its list; an
-        action that builds no state or several is a ModelStepError."""
+        step is walked once and kept, as `enabled` keeps its list.  An
+        action that builds no state or several, or whose walk raises, is
+        a ModelStepError that names the operation, state and arguments."""
         key = (state, op.name, args)
         nxt = self._next.get(key)
         if nxt is None:
-            found = action_states(op.action, state, dict(args), op.name)
+            try:
+                found = action_states(op.action, state, dict(args), op.name)
+            except TmbtError as error:
+                msg = (f"the action of operation {op.name!r} from {state!r} "
+                       f"with arguments {dict(args)!r} raised "
+                       f"{type(error).__name__}: {error}")
+                raise ModelStepError(msg) from error
             if len(found) != 1:
                 msg = (f"the action of operation {op.name!r} builds "
                        f"{len(found)} next states from {state!r} with "

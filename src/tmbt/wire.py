@@ -22,6 +22,9 @@ CASE_DEADLINE_S = 5.0
 CLOSE_GRACE_S = 10.0
 # How often close() checks for an exit that brought no EOF.
 EXIT_POLL_S = 0.05
+# One encoder for every request: json.dumps(..., sort_keys=True) would
+# build a new one per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _observation(line: bytes) -> dict:
@@ -120,7 +123,7 @@ class SubprocessAdapter:
         if proc is None or proc.poll() is not None:
             raise SutCrashed("SUT process is not running")
         unsent = memoryview("".join(
-            json.dumps(r, sort_keys=True) + "\n" for r in requests).encode())
+            _encode(r) + "\n" for r in requests).encode())
         stdin, stdout = proc.stdin.fileno(), proc.stdout.fileno()
         *lines, partial = self._unread.split(b"\n")
         crash = broken = None

@@ -24,14 +24,6 @@ class Var:
 
 
 @dataclasses.dataclass(frozen=True)
-class Token:
-    kind: str
-    lexeme: str
-    line: int
-    col: int
-
-
-@dataclasses.dataclass(frozen=True)
 class Conforms:
     pass
 

@@ -23,6 +23,7 @@ from tmbt.errors import (
     ProtocolError,
     TypeMismatch,
     UnboundedDomain,
+    UnboundVariable,
 )
 from tmbt.explore import action_states, initial_states
 from tmbt.pbt import (
@@ -262,9 +263,34 @@ class TestStep:
 
     def test_a_variable_the_action_leaves_free_names_the_operation(self):
         binding = _binding(sp.Const(TRUE))
-        with pytest.raises(UnboundedDomain,
-                           match="action bump leaves it free"):
+        with pytest.raises(ModelStepError,
+                           match="action bump leaves it free") as raised:
             binding.step(binding.initial, binding.op("bump"), ())
+        assert isinstance(raised.value.__cause__, UnboundedDomain)
+        assert str(raised.value).startswith(
+            f"the action of operation 'bump' from {binding.initial!r} with "
+            "arguments {} raised UnboundedDomain: ")
+
+    @pytest.mark.parametrize("action,cause,message", [
+        # x' = x + TRUE
+        (sp.Eq(sp.Primed("x"), sp.Add(sp.Var("x"), sp.Const(TRUE))),
+         TypeMismatch, "operand must be an integer, got TRUE"),
+        # x' = x /\ y' = 1, where the model has no y
+        (sp.And(sp.Eq(sp.Primed("x"), sp.Var("x")),
+                sp.Eq(sp.Primed("y"), sp.intval(1))),
+         UnboundVariable, "variable y is not bound"),
+    ], ids=["not-an-integer", "no-such-variable"])
+    def test_an_action_whose_walk_raises_names_the_operation(
+            self, action, cause, message):
+        binding = _binding(action)
+        with pytest.raises(ModelStepError) as raised:
+            binding.step(binding.initial, binding.op("bump"), (("n", 2),))
+        assert str(raised.value) == (
+            f"the action of operation 'bump' from {binding.initial!r} with "
+            f"arguments {{'n': 2}} raised {cause.__name__}: {message}")
+        assert type(raised.value.__cause__) is cause
+        with pytest.raises(ModelStepError, match="operation 'bump' from "):
+            generate_commands(binding, 3, 0)
 
 
 class FaultySystem:

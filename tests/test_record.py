@@ -14,11 +14,9 @@ import tmbt.spec as sp
 from tmbt.explore import ExplorationStats
 from tmbt.record import Record
 from tmbt.streams import AssumptionViolated, Conforms
-from tmbt.tla.lexer import Token
 from tmbt.values import BoolVal
 
-PAIRS = [(BoolVal, ref.BoolVal), (sp.Var, ref.Var),
-         (Token, ref.Token), (Conforms, ref.Conforms),
+PAIRS = [(BoolVal, ref.BoolVal), (sp.Var, ref.Var), (Conforms, ref.Conforms),
          (AssumptionViolated, ref.AssumptionViolated),
          (ExplorationStats, ref.ExplorationStats),
          (pbt.TestConfig, ref.TestConfig), (pbt.TestReport, ref.TestReport)]
@@ -29,9 +27,6 @@ CALLS = {
                 ((True, False), {}), ((True,), {"value": True}),
                 ((), {"flag": True})],
     "Var": [(("x",), {}), ((), {"name": "y"}), ((), {})],
-    "Token": [(("ident", "x", 1, 0), {}), (("op", "==", 2), {"col": 4}),
-              ((), {"kind": "int", "lexeme": "7", "line": 3, "col": 9}),
-              (("ident", "x", 1), {}), (("ident", "x", 1, 0, 5), {})],
     "Conforms": [((), {}), ((1,), {}), ((), {"index": 0})],
     "AssumptionViolated": [((0,), {}), ((), {"index": 0}), ((3,), {}), ((), {})],
     "ExplorationStats": [((3, 10, 8), {}), ((3, 10, 8, True), {}),

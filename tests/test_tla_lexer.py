@@ -3,7 +3,7 @@
 import pytest
 
 from tmbt.errors import LexError
-from tmbt.tla import parse_expression, tokenize
+from tmbt.tla import Token, parse_expression, tokenize
 
 
 def lexemes(source):
@@ -99,6 +99,51 @@ class TestTokenize:
         with pytest.raises(LexError) as err:
             parse_expression("٣")
         assert str(err.value) == "1:0: unexpected character '٣'"
+
+
+class TestToken:
+    """What the parser and error messages read of a token: four fields by
+    position or name, a `str` that places it, no assignment, and
+    equality and hashing over the four fields."""
+
+    def test_fields_by_position_and_by_name(self):
+        token = Token("op", "==", 2, 4)
+        assert (token.kind, token.lexeme, token.line, token.col) == ("op", "==", 2, 4)
+        assert tuple(token) == ("op", "==", 2, 4)
+        assert Token(kind="op", lexeme="==", line=2, col=4) == token
+        assert Token("op", "==", 2, col=4) == token
+        for args in (("ident", "x", 1), ("ident", "x", 1, 0, 5)):
+            with pytest.raises(TypeError):
+                Token(*args)
+
+    def test_str_and_repr(self):
+        token = Token("ident", "x", 1, 0)
+        assert str(token) == "'x' at 1:0"
+        assert repr(token) == "Token(kind='ident', lexeme='x', line=1, col=0)"
+
+    def test_immutable(self):
+        token = Token("int", "7", 3, 9)
+        for name in ("kind", "lexeme", "line", "col", "other"):
+            with pytest.raises(AttributeError):
+                setattr(token, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(token, name)
+        assert token == Token("int", "7", 3, 9)
+
+    def test_equality_and_hashing_follow_the_fields(self):
+        token = Token("ident", "x", 1, 0)
+        assert token == Token("ident", "x", 1, 0)
+        assert hash(token) == hash(Token("ident", "x", 1, 0))
+        assert hash(token) == hash(("ident", "x", 1, 0))
+        for other in (("op", "x", 1, 0), ("ident", "y", 1, 0),
+                      ("ident", "x", 2, 0), ("ident", "x", 1, 1)):
+            assert token != Token(*other) and not token == Token(*other)
+
+    def test_tokenize_returns_a_list_of_tokens(self):
+        tokens = tokenize("x' = x + 1")
+        assert type(tokens) is list
+        assert all(type(token) is Token for token in tokens)
+        assert tokens[0] == Token("ident", "x", 1, 0)
 
 
 class TestLexErrors:

@@ -271,6 +271,40 @@ class TestExpansion:
                        expanded["A"].parts))
         assert module.definition_map() is not expanded
 
+    @staticmethod
+    def _expansions(monkeypatch) -> list:
+        """The expressions `parser._expand` runs on from now on."""
+        expanded, expand = [], parser._expand
+
+        def counted(expr, definitions):
+            expanded.append(expr)
+            return expand(expr, definitions)
+
+        monkeypatch.setattr(parser, "_expand", counted)
+        return expanded
+
+    def test_parsing_expands_only_the_definitions_that_refer(self, monkeypatch):
+        expanded = self._expansions(monkeypatch)
+        module = parse_module("VARIABLE x\nTypeOK == x \\in 0..3\n"
+                              "Init == x = 0\nUp == x' = x + 1\n"
+                              "Down == x > 0 /\\ x' = x - 1\nNext == Up \\/ Down\n")
+        assert module.referring == {"Next"}
+        assert expanded == [module.raw("Next")]
+        definitions = module.definition_map()
+        for name in ("TypeOK", "Init", "Up", "Down"):
+            assert definitions[name] is module.raw(name), name
+        assert definitions["Next"] == sp.Or(definitions["Up"], definitions["Down"])
+
+    def test_a_module_built_by_hand_expands_every_body(self, monkeypatch):
+        expanded = self._expansions(monkeypatch)
+        bodies = (("A", sp.Const(TRUE)), ("B", sp.Not(Ref("A"))))
+        module = ParsedModule((), bodies)
+        assert module.referring is None
+        assert module.definition_map() == {"A": sp.Const(TRUE),
+                                           "B": sp.Not(sp.Const(TRUE))}
+        assert expanded == [body for _, body in bodies]
+        assert module == ParsedModule((), bodies, frozenset({"B"}))
+
     def test_a_reference_to_a_later_definition_is_missing(self):
         # the parser refers only back; a module built by hand may not
         module = ParsedModule((), (("A", sp.Not(Ref("B"))),
